@@ -192,7 +192,8 @@ def backend_params(backend, points, seed):
 backend_opts = [
     click.option("--backend", type=click.Choice(["symbolic", "eval"]),
                  default="symbolic", show_default=True),
-    click.option("--points", type=int, default=5, show_default=True,
+    click.option("--points", type=click.IntRange(min=1), default=5,
+                 show_default=True,
                  help="Evaluation points for the eval backend."),
     click.option("--seed", type=int, default=42, show_default=True),
 ]
@@ -263,8 +264,9 @@ def classify(theta, kmax, json_path):
 
 
 @main.command()
-@click.option("--k", type=int, required=True)
-@click.option("--dmax", type=int, default=4, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
+@click.option("--dmax", type=click.IntRange(min=1), default=4,
+              show_default=True)
 @add_options(backend_opts)
 @add_options(report_opts)
 def js(k, dmax, backend, points, seed, threads, json_path, csv_path, no_cache):
@@ -282,7 +284,8 @@ def js(k, dmax, backend, points, seed, threads, json_path, csv_path, no_cache):
 @click.option("--wall", required=True, help="Wall label, e.g. Lmm:2.")
 @click.option("--i0", "i0_text", required=True,
               help="Reference object: OX, IlP1:l, or IP1.")
-@click.option("--tmax", type=int, default=3, show_default=True)
+@click.option("--tmax", type=click.IntRange(min=0), default=3,
+              show_default=True)
 @click.option("--sign-override", "sign_overrides", multiple=True,
               help="LABEL=+1 or LABEL=-1; may repeat.")
 @add_options(backend_opts)
@@ -314,8 +317,9 @@ def wallcross(wall, i0_text, tmax, sign_overrides, backend, points, seed,
 
 
 @main.command()
-@click.option("--k", type=int, required=True)
-@click.option("--dmax", type=int, default=4, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
+@click.option("--dmax", type=click.IntRange(min=0), default=4,
+              show_default=True)
 @add_options(report_opts)
 def dimred(k, dmax, threads, json_path, csv_path, no_cache):
     """Check the specialization m = lam3 against the 3-fold model."""
@@ -327,8 +331,9 @@ def dimred(k, dmax, threads, json_path, csv_path, no_cache):
 
 
 @main.command("insertion-free")
-@click.option("--k", type=int, required=True)
-@click.option("--dmax", type=int, default=3, show_default=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
+@click.option("--dmax", type=click.IntRange(min=0), default=3,
+              show_default=True)
 @add_options(report_opts)
 def insertion_free(k, dmax, threads, json_path, csv_path, no_cache):
     """Check the bare square-root Euler class series."""
@@ -349,7 +354,7 @@ def insertion_free(k, dmax, threads, json_path, csv_path, no_cache):
                                  "primary:II_III", "primary:IV",
                                  "primary:other"]))
 @click.option("--qmax", type=int, default=3, show_default=True)
-@click.option("--tmax", type=int, default=None,
+@click.option("--tmax", type=click.IntRange(min=0), default=None,
               help="Laurent t window (defaults to qmax).")
 @click.option("--gamma", default="1", show_default=True,
               help="Insertion pairing (rational) for the primary kinds.")
@@ -391,8 +396,8 @@ def contribution_cmd(label):
 
 
 @main.command()
-@click.option("--k", type=int, required=True)
-@click.option("--d", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
+@click.option("--d", type=click.IntRange(min=0), required=True)
 @click.option("--cap", type=int, default=20, show_default=True,
               help="Abort if more than CAP fixed points are involved.")
 @add_options(backend_opts)

@@ -98,24 +98,28 @@ def chi_pair(F, G, ambient):
     sum_p (-1)^p chi_P1(Hom(L, L' x wedge^p N)) over all summand pairs.
     """
     normal = AMBIENT_NORMAL[ambient]
-    total = KClass.zero()
+    total = {}
     for p in range(len(normal) + 1):
         for subset in itertools.combinations(normal, p):
             wa = sum(n.a for n in subset)
             wb = sum(n.b for n in subset)
-            wt = [0, 0, 0, 0]
-            for n in subset:
-                for i in range(4):
-                    wt[i] += n.twist[i]
+            wt = [sum(n.twist[i] for n in subset) for i in range(4)]
             sign = -1 if p % 2 else 1
             for L in F.summands:
                 for Lp in G.summands:
                     rel = chi_p1(Lp.a - L.a + wa, Lp.b - L.b + wb)
-                    tw = tuple(
-                        Lp.twist[i] - L.twist[i] + wt[i] for i in range(4)
-                    )
-                    total = total + rel.twist(tw).scale(sign)
-    return total
+                    t = [Lp.twist[i] - L.twist[i] + wt[i] for i in range(4)]
+                    for w, c in rel.terms.items():
+                        key = (w[0] + t[0], w[1] + t[1], w[2] + t[2], w[3] + t[3])
+                        s = total.get(key, 0) + sign * c
+                        # a weight that cancels leaves the order, as it did
+                        # under KClass.__add__: the order of the Euler-class
+                        # factors fixes the order of the later expansions
+                        if s:
+                            total[key] = s
+                        else:
+                            del total[key]
+    return KClass(total)
 
 
 def sqrt_class(F):

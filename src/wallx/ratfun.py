@@ -49,11 +49,44 @@ class ParseError(ValueError):
     pass
 
 
+def _coef(c):
+    """c as an int when its value is integral, else as a Fraction.
+
+    Every coefficient that can arrive as a Fraction passes through here, so
+    that a MultiPoly coefficient is an int whenever its value is integral and
+    integer arithmetic never turns into Fraction arithmetic.
+    """
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _div_exact(x, c):
-    """x / c staying in int when the division is exact."""
-    if isinstance(x, int) and isinstance(c, int) and c != 0 and x % c == 0:
-        return x // c
-    return Fraction(x) / Fraction(c)
+    """x / c for an int c, staying in int when the division is exact.
+
+    Any other quotient is non-integral: x is an int that c does not divide,
+    or x is a Fraction, which is non-integral.
+    """
+    if type(x) is int:
+        q, r = divmod(x, c)
+        if not r:
+            return q
+    return Fraction(x) / c
+
+
+def _poly(terms):
+    """MultiPoly over nonzero coefficients built by MultiPoly arithmetic.
+
+    Integer arithmetic keeps ints; an integral value left by Fraction
+    arithmetic (1/2 + 1/2, 2 * 1/2) is turned back into an int here.
+    """
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    p = object.__new__(MultiPoly)
+    p.terms = terms
+    return p
 
 
 def _grlex_key(exp):
@@ -65,25 +98,29 @@ def _grlex_key(exp):
 
 
 class MultiPoly:
-    """Sparse polynomial: dict from exponent 4-tuple to a nonzero rational."""
+    """Sparse polynomial: dict from exponent 4-tuple to a nonzero rational.
+
+    A coefficient is an int whenever its value is integral; a Fraction holds
+    only a non-integral value.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         if terms is None:
             terms = {}
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: _coef(c) for e, c in terms.items() if c != 0}
 
     @staticmethod
     def const(c):
-        c = c if isinstance(c, int) else Fraction(c)
-        return MultiPoly({ZERO_EXP: c} if c != 0 else {})
+        c = _coef(c)
+        return _poly({ZERO_EXP: c} if c != 0 else {})
 
     @staticmethod
     def var(name):
         i = VARS.index(name)
         e = tuple(1 if j == i else 0 for j in range(NVARS))
-        return MultiPoly({e: 1})
+        return _poly({e: 1})
 
     def is_zero(self):
         return not self.terms
@@ -112,10 +149,10 @@ class MultiPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return MultiPoly(out)
+        return _poly(out)
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -135,12 +172,15 @@ class MultiPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return MultiPoly(out)
+        return _poly(out)
 
     def scale(self, c):
+        c = _coef(c)
         if c == 0:
             return MultiPoly()
-        return MultiPoly({e: v * c for e, v in self.terms.items()})
+        if c == 1:
+            return self
+        return _poly({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n):
         assert isinstance(n, int) and n >= 0
@@ -162,10 +202,10 @@ class MultiPoly:
     def eval_mod(self, assign, p):
         total = 0
         for e, c in self.terms.items():
-            if isinstance(c, int):
+            if type(c) is int:
                 cv = c % p
             else:
-                cv = c.numerator % p * pow(c.denominator % p, p - 2, p) % p
+                cv = c.numerator * pow(c.denominator, -1, p) % p
             for i in range(NVARS):
                 if e[i]:
                     cv = cv * pow(assign[i], e[i], p) % p
@@ -182,7 +222,7 @@ class MultiPoly:
                 out.pop(ne, None)
             else:
                 out[ne] = s
-        return MultiPoly(out)
+        return _poly(out)
 
     def divmod_linear(self, form):
         """Divide by a linear form; returns (quotient, exact) with exact a bool.
@@ -212,7 +252,7 @@ class MultiPoly:
                 else:
                     level[e] = s
             if k == 0:
-                return (MultiPoly(quot), not level)
+                return (_poly(quot), not level)
             carry = {}
             for e, c in level.items():
                 q = _div_exact(c, cp)
@@ -232,14 +272,14 @@ class MultiPoly:
                         carry.pop(er, None)
                     else:
                         carry[er] = s
-        return MultiPoly(quot), not carry  # pragma: no cover
+        return _poly(quot), not carry  # pragma: no cover
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
         for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = Fraction(self.terms[e])
+            c = self.terms[e]
             mono = "*".join(
                 VARS[i] + (f"^{e[i]}" if e[i] > 1 else "")
                 for i in range(NVARS)
@@ -294,7 +334,7 @@ class LinearForm:
             if c:
                 e = tuple(1 if j == i else 0 for j in range(NVARS))
                 out[e] = c
-        return MultiPoly(out)
+        return _poly(out)
 
     def eval_mod(self, assign, p):
         return sum(c * a for c, a in zip(self.coeffs, assign)) % p
@@ -412,14 +452,13 @@ class RatFun:
         if split is not None:
             content, form = split
             self.factored[form] = self.factored.get(form, 0) - 1
-            self.num = self.num.scale(Fraction(1, 1) / content)
+            self.num = self.num.scale(Fraction(1) / content)
             self.den = _ONE
         split = _linear_split(self.num)
         if split is not None:
             content, form = split
             self.factored[form] = self.factored.get(form, 0) + 1
-            c = content if content.denominator != 1 else content.numerator
-            self.num = MultiPoly.const(c)
+            self.num = MultiPoly.const(content)
         self.factored = {f: e for f, e in self.factored.items() if e != 0}
         # cancel factored forms against the residual den, then pull any
         # remaining copies of them out of the residual num
@@ -441,8 +480,8 @@ class RatFun:
         # monic positive denominator
         _, lead = self.den.leading()
         if lead != 1:
-            self.num = self.num.scale(Fraction(1, 1) / lead)
-            self.den = self.den.scale(Fraction(1, 1) / lead)
+            self.num = self.num.scale(Fraction(1) / lead)
+            self.den = self.den.scale(Fraction(1) / lead)
 
     def extract_linear(self, forms):
         """Pull every possible copy of the given linear forms out of num.
@@ -573,19 +612,23 @@ class RatFun:
         return RatFun(factored, num, den)
 
     def eval_mod(self, assign, p):
-        """Evaluate at residues mod p.  Raises EvalDegenerate on a pole."""
+        """Evaluate at residues mod p.  Raises EvalDegenerate on a pole.
+
+        Every factor is evaluated, so a point where a denominator form
+        vanishes is rejected even when a numerator form vanishes there too;
+        the denominator factors are inverted once, as one product.
+        """
+        num = self.num.eval_mod(assign, p)
         den = self.den.eval_mod(assign, p)
-        if den == 0:
-            raise EvalDegenerate("denominator hit zero at sample point")
-        acc = self.num.eval_mod(assign, p) * pow(den, p - 2, p) % p
         for f, e in self.factored.items():
             v = f.eval_mod(assign, p)
-            if v == 0:
-                if e < 0:
-                    raise EvalDegenerate("denominator hit zero at sample point")
-                return 0
-            acc = acc * pow(v, e if e > 0 else p - 1 + e, p) % p
-        return acc
+            if e > 0:
+                num = num * pow(v, e, p) % p
+            else:
+                den = den * pow(v, -e, p) % p
+        if den == 0:
+            raise EvalDegenerate("denominator hit zero at sample point")
+        return num * pow(den, -1, p) % p
 
     def eval_exact(self, assign):
         """Evaluate at exact rational assignments; raises DivisionByZero on poles."""
@@ -611,17 +654,6 @@ class RatFun:
             acc *= v**e
         return acc
 
-    def as_fraction(self):
-        """Constant value as a Fraction; raises ValueError if not constant."""
-        if self.factored or not self.num.is_const() or not self.den.is_const():
-            n, d = self.expand()
-            if not n.is_const() or not d.is_const():
-                raise ValueError("not a constant")
-            return Fraction(n.const_value()) / Fraction(d.const_value())
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self.num.const_value()) / Fraction(self.den.const_value())
-
     # -- serialization
 
     def __str__(self):
@@ -642,15 +674,14 @@ def _linear_split(poly):
     """
     if not poly.terms or any(sum(e) != 1 for e in poly.terms):
         return None
-    coeffs = [Fraction(0)] * NVARS
+    coeffs = [0] * NVARS
     for e, c in poly.terms.items():
-        coeffs[e.index(1)] += Fraction(c)
-    lcm = math.lcm(*(q.denominator for q in coeffs if q))
-    ints = [int(q * lcm) for q in coeffs]
-    g = math.gcd(*(abs(n) for n in ints if n))
+        coeffs[e.index(1)] = c
+    lcm = math.lcm(*(c.denominator for c in coeffs if c))
+    ints = [int(c * lcm) for c in coeffs]
+    g = math.gcd(*ints)
     form = LinearForm.canonical(*(n // g for n in ints))
-    content = Fraction(g, lcm) * form.sign
-    return content, form.unsigned()
+    return _coef(Fraction(g * form.sign, lcm)), form.unsigned()
 
 
 def _coerce(x):
@@ -708,7 +739,7 @@ def rf_sum(terms):
     for t in terms:
         num, den = t.num, t.den
         if den.is_const():
-            num = num.scale(Fraction(1, 1) / den.const_value())
+            num = num.scale(Fraction(1) / den.const_value())
             idx = None
         else:
             idx = len(polydens)
@@ -746,7 +777,6 @@ def rf_sum(terms):
 class EvalPoint:
     prime: int
     assign: tuple
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -767,12 +797,12 @@ class EqResult:
     backend: str = "symbolic"
 
 
-def sample_points(backend, n_denominators_hint=0):
+def sample_points(backend):
     """Deterministic stream of candidate evaluation points for a backend."""
     rng = random.Random(backend.seed)
     while True:
         assign = tuple(rng.randrange(1, backend.prime) for _ in range(NVARS))
-        yield EvalPoint(backend.prime, assign, backend.seed)
+        yield EvalPoint(backend.prime, assign)
 
 
 def rf_equal(a, b, backend="symbolic"):
@@ -872,7 +902,7 @@ class _Parser:
                 first = False
             if self.peek() is None:
                 raise ParseError("unterminated polynomial")
-            coeff = Fraction(sign)
+            coeff = sign
             exp = [0, 0, 0, 0]
             saw = False
             while True:
@@ -903,9 +933,7 @@ class _Parser:
                 break
             if not saw:
                 raise ParseError(f"empty term near {self.peek()!r}")
-            c = coeff if coeff.denominator != 1 else coeff.numerator
-            e = tuple(exp)
-            poly = poly + MultiPoly({e: c})
+            poly = poly + MultiPoly({tuple(exp): coeff})
             first = False
         if first:
             raise ParseError("empty polynomial")
@@ -956,8 +984,7 @@ def _poly_to_form(poly):
     for e, c in poly.terms.items():
         if sum(e) != 1:
             raise ParseError(f"not a linear form: {poly}")
-        if not isinstance(c, int) and Fraction(c).denominator != 1:
+        if type(c) is not int:
             raise ParseError(f"non-integer form coefficient in {poly}")
-        idx = e.index(1)
-        coeffs[idx] = int(c)
+        coeffs[e.index(1)] = c
     return LinearForm.canonical(*coeffs)

@@ -13,11 +13,10 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import (
-    FixedPoint,
     chi_X,
     chi_pair,
     contribution,
@@ -25,11 +24,9 @@ from .geom import (
     fiber_plus,
     js_fixed_points,
     sqrt_class,
-    example_term_l1_k2,
     compositions,
-    i0_contribution,
 )
-from .kclass import KClass, euler_class
+from .kclass import euler_class
 from .ratfun import (
     EvalBackend,
     EvalDegenerate,
@@ -461,10 +458,6 @@ def check_wallcross(k, i0, t_max, backend="symbolic",
 
 # ---------------------------------------------------------------------------
 # the proved localization identity over Lmm(k) with trivial reference
-
-
-def _lam0_form(mult):
-    return LinearForm.canonical(-mult, -mult, -mult, 0)
 
 
 def _js_form(c_lam0, c_lam3, c_m=0):

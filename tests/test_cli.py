@@ -165,3 +165,36 @@ def test_no_cache_leaves_no_directory(runner, tmp_path):
     res = runner.invoke(main, ["js", "--k", "1", "--dmax", "1", "--no-cache"])
     assert res.exit_code == 0
     assert not (tmp_path / "cache").exists()
+
+
+# ---------------------------------------------------------------------------
+# counts out of range are usage errors, never a traceback or a vacuous PASS
+
+
+def test_js_rank_zero_is_usage_error(runner):
+    assert runner.invoke(main, ["js", "--k", "0"]).exit_code == 2
+
+
+def test_insertion_free_rank_zero_is_usage_error(runner):
+    assert runner.invoke(main, ["insertion-free", "--k", "0"]).exit_code == 2
+
+
+def test_wallcross_negative_tmax_is_usage_error(runner):
+    res = runner.invoke(main, ["wallcross", "--wall", "Lmm:2", "--i0", "OX",
+                               "--tmax", "-1"])
+    assert res.exit_code == 2
+
+
+def test_js_dmax_below_one_is_usage_error(runner):
+    # check_js starts at d = 1, so dmax < 1 would check nothing
+    for dmax in ("-1", "0"):
+        res = runner.invoke(main, ["js", "--k", "1", "--dmax", dmax])
+        assert res.exit_code == 2
+        assert "PASS" not in res.output
+
+
+def test_eval_zero_points_is_usage_error(runner):
+    res = runner.invoke(main, ["js", "--k", "1", "--dmax", "1",
+                               "--backend", "eval", "--points", "0"])
+    assert res.exit_code == 2
+    assert "PASS" not in res.output

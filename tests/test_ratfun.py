@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wallx.geom import contribution, fiber_plus, js_fixed_points
 from wallx.ratfun import (
     DEFAULT_PRIME,
     DivisionByZero,
     EvalBackend,
+    EvalDegenerate,
     LinearForm,
     MultiPoly,
     ParseError,
@@ -20,6 +22,7 @@ from wallx.ratfun import (
     rf_equal,
     rf_sum,
 )
+from wallx.series import wallcross_quotient
 
 L1 = RatFun.var("lam1")
 L2 = RatFun.var("lam2")
@@ -170,6 +173,17 @@ def test_eval_mod_positive_form_zero_gives_zero():
     assert f.eval_mod((5, 5, 1, 2), DEFAULT_PRIME) == 0
 
 
+def test_eval_mod_rejects_pole_after_numerator_zero():
+    # a numerator form ordered before a denominator form, both vanishing at
+    # the point: the point is a pole and must be rejected, not scored as 0
+    r = RatFun({LinearForm.canonical(1, -1, 0, 0): 1,
+                LinearForm.canonical(0, 0, 1, -1): -1})
+    assert list(r.factored.values()) == [1, -1]
+    with pytest.raises(EvalDegenerate):
+        r.eval_mod((5, 5, 2, 2), DEFAULT_PRIME)
+    assert r.eval_mod((5, 5, 2, 3), DEFAULT_PRIME) == 0
+
+
 def test_multipoly_divmod_exact_division():
     p = MultiPoly.var("lam1") * MultiPoly.var("lam1") - MultiPoly.var("lam2") * MultiPoly.var("lam2")
     d = LinearForm.canonical(1, -1, 0, 0)
@@ -199,3 +213,80 @@ def test_substitute_m_multiplicative(a, b):
 def test_fraction_coefficients_supported():
     half = RatFun.const(Fraction(1, 2))
     assert half + half == RatFun.const(1)
+
+
+# ---------------------------------------------------------------------------
+# integral coefficients are ints
+
+
+def _integral_are_ints(poly):
+    return all(type(c) is int or c.denominator != 1
+               for c in poly.terms.values())
+
+
+def _assert_integral_coefficients_are_ints(rf):
+    assert _integral_are_ints(rf.num) and _integral_are_ints(rf.den), str(rf)
+
+
+def test_contribution_coefficients_are_ints():
+    for k in range(1, 4):
+        for d in range(4):
+            for fp in js_fixed_points(k, d):
+                _assert_integral_coefficients_are_ints(contribution(fp))
+    for l in (1, 2):
+        for d in range(3):
+            for fp in fiber_plus(2, ("IlP1", l), d):
+                _assert_integral_coefficients_are_ints(contribution(fp))
+
+
+def test_wallcross_quotient_coefficients_are_ints():
+    quotient = wallcross_quotient(2, ("IlP1", 1), 2)
+    for d in range(3):
+        _assert_integral_coefficients_are_ints(quotient.coeff(d))
+
+
+def test_fraction_inputs_are_stored_as_ints():
+    p = MultiPoly({(1, 0, 0, 0): Fraction(4, 2), (0, 0, 0, 0): Fraction(1, 2)})
+    assert type(p.terms[(1, 0, 0, 0)]) is int
+    assert p.terms[(0, 0, 0, 0)] == Fraction(1, 2)
+    assert type(MultiPoly.const(Fraction(-3, 1)).const_value()) is int
+    parsed = parse_ratfun("prod[ ] * ( 4/2*lam1*lam2 ) / ( 1 )")
+    assert type(parsed.num.terms[(1, 1, 0, 0)]) is int
+
+
+int_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_polys, int_polys, st.integers(-3, 3),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)))
+def test_integer_polys_stay_int_from_int_or_fraction_input(a, b, n, rest):
+    form = LinearForm.canonical(1, *rest)
+    results = []
+    for conv in (int, Fraction):
+        pa = MultiPoly({e: conv(c) for e, c in a.items()})
+        pb = MultiPoly({e: conv(c) for e, c in b.items()})
+        out = [pa * pb, pa + pb, pa - pb, pa.scale(conv(n))]
+        q, exact = pa.divmod_linear(form)
+        out.append(q)
+        # every value here is integral, so every coefficient is an int
+        assert all(_integral_are_ints(p) for p in out)
+        results.append((out, exact))
+    assert results[0] == results[1]
+
+
+half_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.integers(-3, 3).map(lambda n: Fraction(n, 2)), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_polys, half_polys, st.integers(-3, 3),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)))
+def test_fraction_arithmetic_leaves_integral_values_as_ints(a, b, n, rest):
+    # 1/2 + 1/2 and 2 * 1/2 are integral: they must come out as ints
+    pa, pb = MultiPoly(a), MultiPoly(b)
+    q, _ = pa.divmod_linear(LinearForm.canonical(2, *rest))
+    for p in (pa * pb, pa + pb, pa - pb, pa.scale(n), pa.subs_m_lam3(), q):
+        assert _integral_are_ints(p)
