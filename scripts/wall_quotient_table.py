@@ -11,24 +11,20 @@ import sys
 import time
 
 from wallx.geom import parse_i0
-from wallx.ratfun import RatFun, binomial_rf
-from wallx.series import wallcross_quotient
+from wallx.series import wall_target, wallcross_quotient
 
 
 def main(argv):
     k = int(argv[1]) if len(argv) > 1 else 2
     i0 = parse_i0(argv[2]) if len(argv) > 2 else parse_i0("IlP1:1")
     t_max = int(argv[3]) if len(argv) > 3 else 3
-    x = k * RatFun.var("m") / RatFun.var("lam3")
     t0 = time.monotonic()
     q = wallcross_quotient(k, i0, t_max)
     print(f"quotient at wall index {k}, reference {argv[2] if len(argv) > 2 else 'IlP1:1'}"
           f" ({time.monotonic() - t0:.1f}s)")
+    target = wall_target(k, t_max)
     for d in range(t_max + 1):
-        target = binomial_rf(x, d)
-        if d % 2:
-            target = -target
-        mark = "ok " if q.coeff(d) == target else "BAD"
+        mark = "ok " if q.coeff(d) == target.coeff(d) else "BAD"
         print(f"  t^{d} [{mark}] {q.coeff(d)}")
     return 0
 

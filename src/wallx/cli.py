@@ -2,14 +2,16 @@
 
 Exit codes: 0 = all checks passed, 1 = an identity check failed, 2 = usage
 error, 3 = internal pole/enumeration error.  Reports are deterministic for a
-fixed command and seed (thread count never changes the output), and check
-results are cached on disk keyed by the command, its canonical parameters,
-and the artifact version.
+fixed command and seed (`--threads` is accepted and has no effect), and
+check results are cached on disk keyed by the command, its canonical
+parameters, the package version and a digest of the package sources.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -23,6 +25,8 @@ from . import __version__
 from .geom import (
     UnsupportedConfiguration,
     contribution,
+    fiber_minus,
+    fiber_plus,
     i0_label,
     js_fixed_points,
     parse_i0,
@@ -33,12 +37,9 @@ from .ratfun import (
     DivisionByZero,
     EvalBackend,
     EvalDegenerate,
-    ParseError,
     PoleAtSubstitution,
     PoleAtZeroWeight,
-    RatFun,
     ZeroForm,
-    binomial_rf,
 )
 from .series import (
     CapExceeded,
@@ -50,6 +51,7 @@ from .series import (
     primary_series,
     product_series,
     sign_search,
+    wall_target,
 )
 
 INTERNAL_ERRORS = (
@@ -72,9 +74,19 @@ def cache_dir():
     return pathlib.Path(os.environ.get("WALLX_CACHE", ".wallx-cache"))
 
 
+@functools.cache
+def source_digest():
+    """SHA-256 over the names and bytes of the package's *.py sources."""
+    h = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def cache_key(command, params):
     payload = json.dumps(
-        {"command": command, "params": params, "version": __version__},
+        {"command": command, "params": params, "version": __version__,
+         "source": source_digest()},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -95,9 +107,16 @@ def cache_get(key):
 
 
 def cache_put(key, data):
+    """Write via a per-process temp file: no reader sees half an entry."""
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
-    (d / f"{key}.json").write_bytes(data)
+    tmp = d / f"{key}.json.{os.getpid()}.tmp"
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, d / f"{key}.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +124,11 @@ def cache_put(key, data):
 
 
 def make_backend(backend, points, seed):
+    """The backend for --backend/--points/--seed and its cache params."""
     if backend == "symbolic":
-        return "symbolic"
-    return EvalBackend(points=points, seed=seed)
+        return "symbolic", {"backend": "symbolic"}
+    return (EvalBackend(points=points, seed=seed),
+            {"backend": "eval", "points": points, "seed": seed})
 
 
 def parse_sign_overrides(pairs):
@@ -167,26 +188,27 @@ def write_csv(path, rows):
         w.writerows(rows)
 
 
+@contextlib.contextmanager
+def internal_errors_exit_3():
+    """Turn an internal error into one stderr line and exit code 3."""
+    try:
+        yield
+    except INTERNAL_ERRORS as exc:
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
+
+
 def run_check(compute, command, cache_params, no_cache, json_path, csv_path):
     """Cache-aware driver for the identity-check subcommands."""
     key = cache_key(command, cache_params)
     data = None if no_cache else cache_get(key)
     if data is None:
-        try:
+        with internal_errors_exit_3():
             report = compute()
-        except INTERNAL_ERRORS as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
         data = report.to_json().encode()
         if not no_cache:
             cache_put(key, data)
     sys.exit(emit_report(data, json_path, csv_path))
-
-
-def backend_params(backend, points, seed):
-    if backend == "symbolic":
-        return {"backend": "symbolic"}
-    return {"backend": "eval", "points": points, "seed": seed}
 
 
 backend_opts = [
@@ -199,7 +221,9 @@ backend_opts = [
 ]
 
 report_opts = [
-    click.option("--threads", type=int, default=1, show_default=True),
+    click.option("--threads", type=click.IntRange(min=1), default=1,
+                 show_default=True, expose_value=False,
+                 help="Accepted and ignored: checks run in one thread."),
     click.option("--json", "json_path", type=click.Path(), default=None,
                  help="Write the JSON report here."),
     click.option("--csv", "csv_path", type=click.Path(), default=None,
@@ -227,7 +251,8 @@ def main():
 
 
 @main.command()
-@click.option("--kmax", type=int, default=3, show_default=True)
+@click.option("--kmax", type=click.IntRange(min=0), default=3,
+              show_default=True)
 def walls(kmax):
     """List all walls with index up to KMAX."""
     for label, (a, b) in walls_up_to(kmax):
@@ -238,7 +263,8 @@ def walls(kmax):
 @main.command()
 @click.option("--theta", required=True,
               help="Stability parameter as two rationals p/q,p/q.")
-@click.option("--kmax", type=int, default=10, show_default=True)
+@click.option("--kmax", type=click.IntRange(min=0), default=10,
+              show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def classify(theta, kmax, json_path):
     """Locate THETA among walls and chambers."""
@@ -269,13 +295,12 @@ def classify(theta, kmax, json_path):
               show_default=True)
 @add_options(backend_opts)
 @add_options(report_opts)
-def js(k, dmax, backend, points, seed, threads, json_path, csv_path, no_cache):
+def js(k, dmax, backend, points, seed, json_path, csv_path, no_cache):
     """Check the localization sum at the wall Lmm:k against its closed forms."""
-    be = make_backend(backend, points, seed)
+    be, be_params = make_backend(backend, points, seed)
     run_check(
-        lambda: check_js(k, dmax, backend=be, threads=threads),
-        "js",
-        {"k": k, "dmax": dmax, **backend_params(backend, points, seed)},
+        lambda: check_js(k, dmax, backend=be),
+        "js", {"k": k, "dmax": dmax, **be_params},
         no_cache, json_path, csv_path,
     )
 
@@ -291,7 +316,7 @@ def js(k, dmax, backend, points, seed, threads, json_path, csv_path, no_cache):
 @add_options(backend_opts)
 @add_options(report_opts)
 def wallcross(wall, i0_text, tmax, sign_overrides, backend, points, seed,
-              threads, json_path, csv_path, no_cache):
+              json_path, csv_path, no_cache):
     """Check the wall quotient series against (1-t)^{k m/lam3}."""
     try:
         label = parse_wall_label(wall)
@@ -304,14 +329,23 @@ def wallcross(wall, i0_text, tmax, sign_overrides, backend, points, seed,
     except UnsupportedConfiguration as exc:
         raise click.UsageError(str(exc))
     overrides = parse_sign_overrides(sign_overrides)
-    be = make_backend(backend, points, seed)
+    if overrides:
+        with internal_errors_exit_3():
+            known = {fp.label for d in range(tmax + 1)
+                     for fiber in (fiber_plus, fiber_minus)
+                     for fp in fiber(label.index, i0, d)}
+        unknown = sorted(set(overrides) - known)
+        if unknown:
+            raise click.UsageError(
+                f"--sign-override names no fixed point up to t^{tmax}: "
+                + ", ".join(unknown))
+    be, be_params = make_backend(backend, points, seed)
     run_check(
         lambda: check_wallcross(label.index, i0, tmax, backend=be,
-                                sign_override=overrides, threads=threads),
+                                sign_override=overrides),
         "wallcross",
         {"wall": str(label), "i0": i0_label(i0), "tmax": tmax,
-         "sign_override": sorted((overrides or {}).items()),
-         **backend_params(backend, points, seed)},
+         "sign_override": sorted((overrides or {}).items()), **be_params},
         no_cache, json_path, csv_path,
     )
 
@@ -321,10 +355,10 @@ def wallcross(wall, i0_text, tmax, sign_overrides, backend, points, seed,
 @click.option("--dmax", type=click.IntRange(min=0), default=4,
               show_default=True)
 @add_options(report_opts)
-def dimred(k, dmax, threads, json_path, csv_path, no_cache):
+def dimred(k, dmax, json_path, csv_path, no_cache):
     """Check the specialization m = lam3 against the 3-fold model."""
     run_check(
-        lambda: check_dimred(k, dmax, threads=threads),
+        lambda: check_dimred(k, dmax),
         "dimred", {"k": k, "dmax": dmax},
         no_cache, json_path, csv_path,
     )
@@ -335,10 +369,10 @@ def dimred(k, dmax, threads, json_path, csv_path, no_cache):
 @click.option("--dmax", type=click.IntRange(min=0), default=3,
               show_default=True)
 @add_options(report_opts)
-def insertion_free(k, dmax, threads, json_path, csv_path, no_cache):
+def insertion_free(k, dmax, json_path, csv_path, no_cache):
     """Check the bare square-root Euler class series."""
     run_check(
-        lambda: check_insertion_free(k, dmax, threads=threads),
+        lambda: check_insertion_free(k, dmax),
         "insertion-free", {"k": k, "dmax": dmax},
         no_cache, json_path, csv_path,
     )
@@ -353,7 +387,8 @@ def insertion_free(k, dmax, threads, json_path, csv_path, no_cache):
               type=click.Choice(["PT", "MacMahon", "NC", "primary:I",
                                  "primary:II_III", "primary:IV",
                                  "primary:other"]))
-@click.option("--qmax", type=int, default=3, show_default=True)
+@click.option("--qmax", type=click.IntRange(min=0), default=3,
+              show_default=True)
 @click.option("--tmax", type=click.IntRange(min=0), default=None,
               help="Laurent t window (defaults to qmax).")
 @click.option("--gamma", default="1", show_default=True,
@@ -361,15 +396,12 @@ def insertion_free(k, dmax, threads, json_path, csv_path, no_cache):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def series(kind, qmax, tmax, gamma, csv_path):
     """Expand a named reference series."""
-    try:
+    with internal_errors_exit_3():
         if kind.startswith("primary:"):
             s = primary_series(kind.split(":", 1)[1], Fraction(gamma),
                                qmax, tmax)
         else:
             s = product_series(kind, qmax, tmax)
-    except INTERNAL_ERRORS as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
     rows = []
     for (n, j) in sorted(s.coeffs):
         rows.append((f"q^{n}*t^{j}", str(s.coeffs[(n, j)])))
@@ -383,12 +415,9 @@ def series(kind, qmax, tmax, gamma, csv_path):
               help='Fixed-point label, e.g. "js:k=2,d=3,comp=2,1".')
 def contribution_cmd(label):
     """Print the signed equivariant contribution of one fixed point."""
-    try:
+    with internal_errors_exit_3():
         fp = parse_label(label)
         value = contribution(fp)
-    except INTERNAL_ERRORS as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
     click.echo(f"label   : {fp.label}")
     click.echo(f"support : {fp.support}")
     click.echo(f"chi,deg : {fp.chi},{fp.deg}")
@@ -398,23 +427,18 @@ def contribution_cmd(label):
 @main.command()
 @click.option("--k", type=click.IntRange(min=1), required=True)
 @click.option("--d", type=click.IntRange(min=0), required=True)
-@click.option("--cap", type=int, default=20, show_default=True,
+@click.option("--cap", type=click.IntRange(min=0), default=20,
+              show_default=True,
               help="Abort if more than CAP fixed points are involved.")
 @add_options(backend_opts)
 def signsearch(k, d, cap, backend, points, seed):
     """Search sign assignments making the degree-d localization sum match
     (-1)^d binom(k m/lam3, d)."""
-    be = make_backend(backend, points, seed)
+    be, _ = make_backend(backend, points, seed)
     fps = js_fixed_points(k, d)
-    x = k * RatFun.var("m") / RatFun.var("lam3")
-    target = binomial_rf(x, d)
-    if d % 2:
-        target = -target
-    try:
-        signs = sign_search(fps, target, cap=cap, backend=be)
-    except INTERNAL_ERRORS as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
+    with internal_errors_exit_3():
+        signs = sign_search(fps, wall_target(k, d).coeff(d), cap=cap,
+                            backend=be)
     if signs is None:
         click.echo("no sign assignment matches")
         sys.exit(1)

@@ -132,6 +132,11 @@ def taut_class(F):
     return chi_X(F).dual().twist((0, 0, 0, 1))
 
 
+def with_point_sign(fp, value):
+    """The fixed-point sign rule: (-1)^(chi + deg + sign_extra) * value."""
+    return -value if (fp.chi + fp.deg + fp.sign_extra) % 2 else value
+
+
 def contribution(fp):
     """Signed Euler-class contribution of one fixed point.
 
@@ -142,9 +147,7 @@ def contribution(fp):
     if e_sqrt.is_zero():
         return RatFun.zero()
     e_taut = euler_class(taut_class(fp.sheaf))
-    sign = -1 if (fp.chi + fp.deg + fp.sign_extra) % 2 else 1
-    out = e_sqrt * e_taut
-    return out if sign == 1 else -out
+    return with_point_sign(fp, e_sqrt * e_taut)
 
 
 # ---------------------------------------------------------------------------

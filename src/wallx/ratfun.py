@@ -578,6 +578,11 @@ class RatFun:
         return result
 
     def __eq__(self, other):
+        """Equality by full cross-multiplication of the expanded quotients.
+
+        The checkers decide equality with rf_equal, through rf_sum; this
+        independent path is the reference that rf_sum is tested against.
+        """
         if not isinstance(other, (RatFun, int, Fraction)):
             return NotImplemented
         other = _coerce(other)
@@ -692,21 +697,6 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {x!r} to RatFun")
 
 
-def arith(a, b, op):
-    """Named arithmetic entry point: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero RatFun")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def binomial_rf(x, d):
     """x (x-1) ... (x-d+1) / d! as a RatFun."""
     result = RatFun.const(Fraction(1, math.factorial(d)))
@@ -788,6 +778,10 @@ class EvalBackend:
     def describe(self):
         return f"eval(points={self.points}, seed={self.seed}, prime={self.prime})"
 
+    def sz_bound(self, deg):
+        """(deg / prime)^points, capped at 1 per point."""
+        return Fraction(min(deg, self.prime), self.prime) ** self.points
+
 
 @dataclass(frozen=True)
 class EqResult:
@@ -805,6 +799,32 @@ def sample_points(backend):
         yield EvalPoint(backend.prime, assign)
 
 
+def sz_samples(backend, evaluate):
+    """Yield (point, evaluate(point)) at backend.points accepted points.
+
+    Points come from sample_points; a point where evaluate raises
+    EvalDegenerate (a pole) is skipped.  Raises EvalDegenerate once
+    20 * backend.points draws have not yielded enough accepted points.
+    """
+    max_draws = 20 * backend.points
+    stream = sample_points(backend)
+    accepted = draws = 0
+    while accepted < backend.points:
+        if draws == max_draws:
+            raise EvalDegenerate(
+                f"only {accepted} of {backend.points} sample points "
+                f"avoided a pole in {max_draws} draws"
+            )
+        point = next(stream)
+        draws += 1
+        try:
+            value = evaluate(point)
+        except EvalDegenerate:
+            continue
+        accepted += 1
+        yield point, value
+
+
 def rf_equal(a, b, backend="symbolic"):
     """Decide a == b symbolically or by seeded modular evaluation."""
     if backend == "symbolic":
@@ -814,28 +834,14 @@ def rf_equal(a, b, backend="symbolic"):
         return EqResult(False, witness=diff)
     assert isinstance(backend, EvalBackend)
     p = backend.prime
-    deg = a.degree_bound() + b.degree_bound()
-    bound = Fraction(min(deg, p), p) ** backend.points
-    stream = sample_points(backend)
-    checked = 0
-    attempts = 0
-    max_attempts = backend.points * 20
-    while checked < backend.points:
-        if attempts >= max_attempts:
-            raise EvalDegenerate(
-                f"{max_attempts} sample attempts all hit denominator zeros"
-            )
-        point = next(stream)
-        attempts += 1
-        try:
-            va = a.eval_mod(point.assign, p)
-            vb = b.eval_mod(point.assign, p)
-        except EvalDegenerate:
-            continue
+    bound = backend.sz_bound(a.degree_bound() + b.degree_bound())
+    def values(point):
+        return a.eval_mod(point.assign, p), b.eval_mod(point.assign, p)
+
+    for point, (va, vb) in sz_samples(backend, values):
         if va != vb:
             return EqResult(False, witness=point, sz_bound=bound,
                             backend=backend.describe())
-        checked += 1
     return EqResult(True, sz_bound=bound, backend=backend.describe())
 
 

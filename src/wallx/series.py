@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,9 +21,11 @@ from .geom import (
     contribution,
     fiber_minus,
     fiber_plus,
+    i0_label,
     js_fixed_points,
     sqrt_class,
     compositions,
+    with_point_sign,
 )
 from .kclass import euler_class
 from .ratfun import (
@@ -35,7 +36,7 @@ from .ratfun import (
     binomial_rf,
     rf_equal,
     rf_sum,
-    sample_points,
+    sz_samples,
 )
 
 
@@ -45,19 +46,6 @@ class NonUnitDivisor(ZeroDivisionError):
 
 class CapExceeded(ValueError):
     pass
-
-
-def pmap(fn, items, threads=1):
-    """Order-preserving map, optionally over a thread pool.
-
-    Results are assembled in input order, so the output is independent of
-    the thread count (all work items are pure).
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +127,28 @@ class TruncSeries:
         return True
 
 
-def series_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
+def signed_binomial(x, d):
+    """(-1)^d binom(x, d), the coefficient of u^d in (1 - u)^x."""
+    c = binomial_rf(x, d)
+    return c if d % 2 == 0 else -c
 
 
 def binom_series(x, sign, order):
     """(1 - t^{+-1})^x truncated: sum_d (-1)^d binom(x, d) t^{+-d}."""
     step = 1 if sign == "t" else -1
-    coeffs = {}
-    for d in range(order + 1):
-        c = binomial_rf(x, d)
-        coeffs[step * d] = c if d % 2 == 0 else -c
+    coeffs = {step * d: signed_binomial(x, d) for d in range(order + 1)}
     lo = 0 if step == 1 else -order
     hi = order if step == 1 else 0
     return TruncSeries(coeffs, lo, hi)
+
+
+def wall_target(k, order):
+    """(1 - t)^{k m / lam3} to t^order.
+
+    Its t^d coefficient (-1)^d binom(k m / lam3, d) is the target of the
+    wall quotient and of the degree-d localization sum at the wall Lmm(k).
+    """
+    return binom_series(k * RatFun.var("m") / RatFun.var("lam3"), "t", order)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +192,7 @@ def _qt_binom_factor(x, k, tstep, q_order, t_lo, t_hi):
     for j in range(q_order // k + 1):
         if not (t_lo <= tstep * j <= t_hi):
             continue
-        c = binomial_rf(x, j)
-        coeffs[(k * j, tstep * j)] = c if j % 2 == 0 else -c
+        coeffs[(k * j, tstep * j)] = signed_binomial(x, j)
     return QTSeries(coeffs, q_order, t_lo, t_hi)
 
 
@@ -343,22 +332,20 @@ def _signed_contribution(fp, sign_override=None):
     return c
 
 
-def _fiber_terms(k, i0, t_max, sign_override=None, threads=1):
+def _fiber_terms(k, i0, t_max, sign_override=None):
     """Per-degree contribution lists for both sides of the wall."""
     num, den = {}, {}
     for d in range(t_max + 1):
-        plus = fiber_plus(k, i0, d)
-        num[d] = pmap(lambda fp: _signed_contribution(fp, sign_override),
-                      plus, threads)
-        minus = fiber_minus(k, i0, d)
-        den[d] = pmap(lambda fp: _signed_contribution(fp, sign_override),
-                      minus, threads)
+        num[d] = [_signed_contribution(fp, sign_override)
+                  for fp in fiber_plus(k, i0, d)]
+        den[d] = [_signed_contribution(fp, sign_override)
+                  for fp in fiber_minus(k, i0, d)]
     return num, den
 
 
-def wallcross_quotient(k, i0, t_max, sign_override=None, threads=1):
+def wallcross_quotient(k, i0, t_max, sign_override=None):
     """[sum_d t^d sum_plus contrib] / [sum_d t^d sum_minus contrib]."""
-    num, den = _fiber_terms(k, i0, t_max, sign_override, threads)
+    num, den = _fiber_terms(k, i0, t_max, sign_override)
     nseries = TruncSeries({d: rf_sum(v) for d, v in num.items()}, 0, t_max)
     dseries = TruncSeries({d: rf_sum(v) for d, v in den.items()}, 0, t_max)
     return nseries / dseries
@@ -383,58 +370,36 @@ def _eval_quotient_at(num, den, point, t_max):
     return q
 
 
-def check_wallcross(k, i0, t_max, backend="symbolic",
-                    sign_override=None, threads=1):
+def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
     """Compare the wall quotient against (1-t)^{k m / lam3} by degree."""
     t0 = time.monotonic()
-    x = k * RatFun.var("m") / RatFun.var("lam3")
-    rhs_coeffs = {
-        d: (binomial_rf(x, d) if d % 2 == 0 else -binomial_rf(x, d))
-        for d in range(t_max + 1)
-    }
+    rhs = wall_target(k, t_max)
     degrees = []
     sz = None
     if backend == "symbolic":
-        quotient = wallcross_quotient(k, i0, t_max, sign_override, threads)
+        quotient = wallcross_quotient(k, i0, t_max, sign_override)
         for d in range(t_max + 1):
-            lhs = quotient.coeff(d)
-            rhs = rhs_coeffs[d]
-            ok = rf_sum([lhs, -rhs]).is_zero()
+            lhs, target = quotient.coeff(d), rhs.coeff(d)
+            ok = rf_equal(lhs, target).equal
             degrees.append(DegreeRecord(
-                d=d, lhs=str(lhs), rhs=str(rhs),
+                d=d, lhs=str(lhs), rhs=str(target),
                 verdict="equal" if ok else "unequal",
                 backend="symbolic",
             ))
     else:
-        num, den = _fiber_terms(k, i0, t_max, sign_override, threads)
+        num, den = _fiber_terms(k, i0, t_max, sign_override)
         maxdeg = max(
             max((t.degree_bound() for v in num.values() for t in v), default=0),
             max((t.degree_bound() for v in den.values() for t in v), default=0),
-        ) + max(r.degree_bound() for r in rhs_coeffs.values())
-        sz = float(Fraction(min(maxdeg, backend.prime), backend.prime)
-                   ** backend.points)
-        per_degree = {d: [] for d in range(t_max + 1)}
-        stream = sample_points(backend)
-        used = 0
-        attempts = 0
-        while used < backend.points:
-            if attempts > 20 * backend.points:
-                raise EvalDegenerate("sampling kept hitting poles")
-            point = next(stream)
-            attempts += 1
-            try:
-                q = _eval_quotient_at(num, den, point, t_max)
-                rhs_vals = {
-                    d: rhs_coeffs[d].eval_mod(point.assign, backend.prime)
-                    for d in range(t_max + 1)
-                }
-            except EvalDegenerate:
-                continue
-            for d in range(t_max + 1):
-                per_degree[d].append((q[d], rhs_vals[d]))
-            used += 1
+        ) + max(r.degree_bound() for r in rhs.coeffs.values())
+        sz = float(backend.sz_bound(maxdeg))
+        values = [value for _, value in sz_samples(backend, lambda point: (
+            _eval_quotient_at(num, den, point, t_max),
+            {d: rhs.coeff(d).eval_mod(point.assign, backend.prime)
+             for d in range(t_max + 1)},
+        ))]
         for d in range(t_max + 1):
-            pairs = per_degree[d]
+            pairs = [(q[d], r[d]) for q, r in values]
             ok = all(a == b for a, b in pairs)
             degrees.append(DegreeRecord(
                 d=d,
@@ -444,7 +409,6 @@ def check_wallcross(k, i0, t_max, backend="symbolic",
                 backend=_backend_name(backend),
                 points=backend.points,
             ))
-    from .geom import i0_label
     return CheckReport(
         command="wallcross",
         params={"wall": f"Lmm:{k}", "i0": i0_label(i0), "tmax": t_max},
@@ -501,22 +465,19 @@ def js_closed_formula(k, d):
     return rf_sum(terms)
 
 
-def check_js(k, d_max, backend="symbolic", threads=1):
+def check_js(k, d_max, backend="symbolic"):
     """Three-way comparison of the localization sum at the wall Lmm(k).
 
     For each degree: the fixed-point sum, the closed product formula, and
     (-1)^d binom(k m / lam3, d) must agree pairwise.
     """
     t0 = time.monotonic()
-    x = k * RatFun.var("m") / RatFun.var("lam3")
+    target = wall_target(k, d_max)
     degrees = []
     for d in range(1, d_max + 1):
-        terms = pmap(contribution, js_fixed_points(k, d), threads)
-        loc = rf_sum(terms)
+        loc = rf_sum([contribution(fp) for fp in js_fixed_points(k, d)])
         closed = js_closed_formula(k, d)
-        binom = binomial_rf(x, d)
-        if d % 2:
-            binom = -binom
+        binom = target.coeff(d)
         checks = {
             "localization=closed": rf_equal(loc, closed, backend).equal,
             "localization=binomial": rf_equal(loc, binom, backend).equal,
@@ -555,7 +516,7 @@ def chiZ_class(F):
     return chi_pair(F, F, "Z3fold") - cx + cx.dual().twist((0, 0, 1, 0))
 
 
-def check_dimred(k, d_max, threads=1):
+def check_dimred(k, d_max):
     """Specialization m = lam3 against the 3-fold model, point by point.
 
     Thickened points must die (their insertion class contains the weight
@@ -588,16 +549,16 @@ def check_dimred(k, d_max, threads=1):
                 target = euler_class(chiZ_class(fp.sheaf))
                 if fp.chi % 2:
                     target = -target
-                ok = rf_sum([sub, -target]).is_zero()
+                ok = rf_equal(sub, target).equal
                 detail.append(f"{fp.label}:on_Z:"
                               f"{'equal' if ok else 'unequal'}")
             else:
-                ok = rf_sum([sub, -RatFun.const(1)]).is_zero()
+                ok = rf_equal(sub, RatFun.const(1)).equal
                 detail.append(f"{fp.label}:on_Y:"
                               f"{'equal' if ok else 'unequal'}")
         total = rf_sum(subbed)
         expected = RatFun.const((-1) ** d * math.comb(k, d))
-        total_ok = rf_sum([total, -expected]).is_zero()
+        total_ok = rf_equal(total, expected).equal
         all_ok = total_ok and not any(
             "NONZERO" in x or "unequal" in x for x in detail
         )
@@ -621,7 +582,7 @@ def check_dimred(k, d_max, threads=1):
 # insertion-free limit
 
 
-def check_insertion_free(k, d_max, threads=1):
+def check_insertion_free(k, d_max):
     """Series of bare square-root Euler classes over the JS fixed points.
 
     Expected: exp(-t/lam3) for k=1 (coefficients (-1/lam3)^d / d!) and the
@@ -636,15 +597,14 @@ def check_insertion_free(k, d_max, threads=1):
             e = euler_class(sqrt_class(fp.sheaf))
             if e.is_zero():
                 continue
-            sign = -1 if (fp.chi + fp.deg + fp.sign_extra) % 2 else 1
-            terms.append(e if sign == 1 else -e)
+            terms.append(with_point_sign(fp, e))
         total = rf_sum(terms)
         if k == 1:
             expected = (neg_inv_l3 ** d) * RatFun.const(
                 Fraction(1, math.factorial(d)))
         else:
             expected = RatFun.const(1 if d == 0 else 0)
-        ok = rf_sum([total, -expected]).is_zero()
+        ok = rf_equal(total, expected).equal
         degrees.append(DegreeRecord(
             d=d, lhs=str(total), rhs=str(expected),
             verdict="equal" if ok else "unequal",

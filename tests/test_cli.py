@@ -3,10 +3,13 @@ on-disk result cache."""
 
 import csv
 import json
+import pathlib
 
+import click
 import pytest
 from click.testing import CliRunner
 
+import wallx.cli as cli_mod
 from wallx.cli import cache_get, cache_key, cache_put, main
 
 
@@ -126,7 +129,6 @@ def test_cache_round_trip(runner, tmp_path, monkeypatch):
 
 def test_cache_version_and_param_sensitivity():
     assert cache_key("js", {"k": 1}) != cache_key("js", {"k": 2})
-    import wallx.cli as cli_mod
     old = cli_mod.__version__
     try:
         k1 = cache_key("js", {"k": 1})
@@ -134,6 +136,28 @@ def test_cache_version_and_param_sensitivity():
         assert cache_key("js", {"k": 1}) != k1
     finally:
         cli_mod.__version__ = old
+
+
+def test_cache_key_follows_source_digest(monkeypatch):
+    k1 = cache_key("js", {"k": 1})
+    monkeypatch.setattr(cli_mod, "source_digest", lambda: "0" * 64)
+    assert cache_key("js", {"k": 1}) != k1
+
+
+def test_cache_write_failing_midway_leaves_no_entry(runner, tmp_path,
+                                                    monkeypatch):
+    key = cache_key("js", {"k": 1})
+    real_write = pathlib.Path.write_bytes
+
+    def half_write(self, data):
+        real_write(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", half_write)
+    with pytest.raises(OSError):
+        cache_put(key, b'{"x": 1}')
+    assert not (tmp_path / "cache" / f"{key}.json").exists()
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_cache_hit_reuses_bytes(runner, tmp_path):
@@ -198,3 +222,54 @@ def test_eval_zero_points_is_usage_error(runner):
                                "--backend", "eval", "--points", "0"])
     assert res.exit_code == 2
     assert "PASS" not in res.output
+
+
+def test_series_negative_qmax_is_usage_error(runner):
+    res = runner.invoke(main, ["series", "--kind", "PT", "--qmax", "-1"])
+    assert res.exit_code == 2
+
+
+def test_walls_and_classify_negative_kmax_are_usage_errors(runner):
+    assert runner.invoke(main, ["walls", "--kmax", "-1"]).exit_code == 2
+    res = runner.invoke(main, ["classify", "--theta", "-1,1", "--kmax", "-1"])
+    assert res.exit_code == 2
+
+
+def test_signsearch_negative_cap_is_usage_error(runner):
+    res = runner.invoke(main, ["signsearch", "--k", "2", "--d", "2",
+                               "--cap", "-1"])
+    assert res.exit_code == 2
+
+
+def test_threads_below_one_is_usage_error(runner):
+    for threads in ("-5", "0"):
+        res = runner.invoke(main, ["js", "--k", "1", "--dmax", "1",
+                                   "--threads", threads])
+        assert res.exit_code == 2
+        assert "PASS" not in res.output
+
+
+def test_every_count_option_has_a_minimum():
+    # any int is a valid seed; every other integer option is a count
+    for command in main.commands.values():
+        for param in command.params:
+            if not isinstance(param.type, click.types.IntParamType):
+                continue
+            if param.name == "seed":
+                continue
+            where = f"{command.name} --{param.name}"
+            assert isinstance(param.type, click.IntRange), where
+            assert param.type.min is not None, where
+
+
+def test_unknown_sign_override_label_is_usage_error(runner, tmp_path):
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, [
+        "wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "1",
+        "--sign-override", "nosuch=-1", "--json", str(report),
+    ])
+    assert res.exit_code == 2
+    assert "nosuch" in res.output
+    assert "PASS" not in res.output
+    assert not report.exists()
+    assert not (tmp_path / "cache").exists()
