@@ -153,6 +153,13 @@ def parse_theta(text):
         raise click.UsageError(f"bad --theta {text!r}; expected p/q,p/q")
 
 
+def parse_gamma(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise click.UsageError(f"bad --gamma {text!r}; expected p/q")
+
+
 def render_doc(doc):
     """Human table for a check report document."""
     lines = [f"command: {doc['command']}"]
@@ -396,10 +403,10 @@ def insertion_free(k, dmax, json_path, csv_path, no_cache):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def series(kind, qmax, tmax, gamma, csv_path):
     """Expand a named reference series."""
+    gamma = parse_gamma(gamma)
     with internal_errors_exit_3():
         if kind.startswith("primary:"):
-            s = primary_series(kind.split(":", 1)[1], Fraction(gamma),
-                               qmax, tmax)
+            s = primary_series(kind.split(":", 1)[1], gamma, qmax, tmax)
         else:
             s = product_series(kind, qmax, tmax)
     rows = []

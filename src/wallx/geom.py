@@ -91,34 +91,60 @@ def chi_X(F):
     return total
 
 
+def _exterior_powers(normal):
+    """(a, b, twist, (-1)^p) of wedge^p N, one entry per p-subset of N.
+
+    Subsets come in order of p, then in itertools.combinations order.
+    """
+    out = []
+    for p in range(len(normal) + 1):
+        for subset in itertools.combinations(normal, p):
+            out.append((
+                sum(n.a for n in subset),
+                sum(n.b for n in subset),
+                tuple(sum(n.twist[i] for n in subset) for i in range(4)),
+                -1 if p % 2 else 1,
+            ))
+    return tuple(out)
+
+
+EXTERIOR_POWERS = {name: _exterior_powers(normal)
+                   for name, normal in AMBIENT_NORMAL.items()}
+
+
 def chi_pair(F, G, ambient):
     """Adjunction chi-pairing of two sheaves inside an ambient space.
 
     Alternating sum over exterior powers of the normal bundle of P1:
     sum_p (-1)^p chi_P1(Hom(L, L' x wedge^p N)) over all summand pairs.
+    Each term chi_p1(a, b) is t0^k over one range of k with multiplicity +1,
+    or over the complementary range with -1 (see kclass.chi_p1); t0^k
+    twisted by t is (t0 - k, t1 - k, t2 - k, t3).
     """
-    normal = AMBIENT_NORMAL[ambient]
+    pairs = [(Lp.a - L.a, Lp.b - L.b, Lp.twist[0] - L.twist[0],
+              Lp.twist[1] - L.twist[1], Lp.twist[2] - L.twist[2],
+              Lp.twist[3] - L.twist[3])
+             for L in F.summands for Lp in G.summands]
     total = {}
-    for p in range(len(normal) + 1):
-        for subset in itertools.combinations(normal, p):
-            wa = sum(n.a for n in subset)
-            wb = sum(n.b for n in subset)
-            wt = [sum(n.twist[i] for n in subset) for i in range(4)]
-            sign = -1 if p % 2 else 1
-            for L in F.summands:
-                for Lp in G.summands:
-                    rel = chi_p1(Lp.a - L.a + wa, Lp.b - L.b + wb)
-                    t = [Lp.twist[i] - L.twist[i] + wt[i] for i in range(4)]
-                    for w, c in rel.terms.items():
-                        key = (w[0] + t[0], w[1] + t[1], w[2] + t[2], w[3] + t[3])
-                        s = total.get(key, 0) + sign * c
-                        # a weight that cancels leaves the order, as it did
-                        # under KClass.__add__: the order of the Euler-class
-                        # factors fixes the order of the later expansions
-                        if s:
-                            total[key] = s
-                        else:
-                            del total[key]
+    for wa, wb, (w0, w1, w2, w3), sign in EXTERIOR_POWERS[ambient]:
+        for da, db, d0, d1, d2, d3 in pairs:
+            a = da + wa
+            b = db + wb
+            if -a <= b:
+                ks, c = range(-a, b + 1), sign
+            else:
+                ks, c = range(b + 1, -a), -sign
+            t0, t1, t2, t3 = d0 + w0, d1 + w1, d2 + w2, d3 + w3
+            for k in ks:
+                key = (t0 - k, t1 - k, t2 - k, t3)
+                s = total.get(key, 0) + c
+                # a weight that cancels leaves the order, as it did under
+                # KClass.__add__: the order of the Euler-class factors fixes
+                # the order of the later expansions
+                if s:
+                    total[key] = s
+                else:
+                    del total[key]
     return KClass(total)
 
 
@@ -191,7 +217,8 @@ def js_fixed_points(k, d):
     One point per composition (d_0, ..., d_{k-1}) of d: the summand for slot
     i is O((k-1-i) Zinf + i Z0) thickened by sum_{j<d_i} t3^j.
     """
-    assert k >= 1 and d >= 0
+    if k < 1 or d < 0:
+        raise UnsupportedConfiguration(f"no JS fixed points at k={k}, d={d}")
     points = []
     for comp in compositions(d, k):
         summands = []
@@ -221,13 +248,22 @@ def _i0_sheaf(i0):
     raise UnsupportedConfiguration(f"unknown I0 {i0!r}")
 
 
+def _parse_int(value, text):
+    """int(value), or UnsupportedConfiguration naming the text it came from."""
+    try:
+        return int(value)
+    except ValueError:
+        raise UnsupportedConfiguration(
+            f"bad integer {value!r} in {text!r}") from None
+
+
 def parse_i0(text):
     if text == "OX":
         return ("OX", 0)
     if text == "IP1":
         return ("IP1", 1)
     if text.startswith("IlP1:"):
-        l = int(text.split(":", 1)[1])
+        l = _parse_int(text.split(":", 1)[1], text)
         if l < 1:
             raise UnsupportedConfiguration("IlP1 requires l >= 1")
         return ("IlP1", l)
@@ -427,7 +463,10 @@ def example_term_l1_k2(d1, d2, d3, d4):
 
 
 def parse_label(text):
-    """Parse a fixed-point label back into the FixedPoint it names."""
+    """Parse a fixed-point label back into the FixedPoint it names.
+
+    Any text that names no fixed point raises UnsupportedConfiguration.
+    """
     head, _, rest = text.partition(":")
     fields = {}
     current = None
@@ -438,20 +477,21 @@ def parse_label(text):
         elif current is not None:
             fields[current] += "," + part
     if head == "js":
-        k, d = int(fields["k"]), int(fields["d"])
-        want = text
+        k = _parse_int(fields.get("k", ""), text)
+        d = _parse_int(fields.get("d", ""), text)
         for fp in js_fixed_points(k, d):
-            if fp.label == want:
+            if fp.label == text:
                 return fp
         raise UnsupportedConfiguration(f"no such fixed point {text!r}")
     if head in ("plus", "minus"):
         wall = rest.split(",", 1)[0]
         if not wall.startswith("Lmm"):
             raise UnsupportedConfiguration(f"unclassified wall in {text!r}")
-        k = int(wall[3:])
-        i0 = parse_i0(fields["i0"])
+        k = _parse_int(wall[3:], text)
+        i0 = parse_i0(fields.get("i0", ""))
         if head == "plus":
-            comp = tuple(int(x) for x in fields["comp"].split(","))
+            comp = tuple(_parse_int(x, text)
+                         for x in fields.get("comp", "").split(","))
             d = sum(comp)
             for fp in fiber_plus(k, i0, d):
                 if fp.label == text:

@@ -8,7 +8,7 @@ A KClass is a finite Z-linear combination of weights.
 
 from __future__ import annotations
 
-from .ratfun import PoleAtZeroWeight, RatFun, ZeroForm, linear_form_of_weight
+from .ratfun import MultiPoly, PoleAtZeroWeight, RatFun, linear_form_of_weight
 
 ZERO_WEIGHT = (0, 0, 0, 0)
 
@@ -20,6 +20,14 @@ def weight(w1=0, w2=0, w3=0, wm=0, w0=0):
 
 def t0_weight(k):
     return weight(w0=k)
+
+
+def _kclass(terms):
+    """KClass over a dict of nonzero int multiplicities built by KClass
+    arithmetic, taken as it is."""
+    v = object.__new__(KClass)
+    v.terms = terms
+    return v
 
 
 class KClass:
@@ -57,10 +65,10 @@ class KClass:
                 out.pop(w, None)
             else:
                 out[w] = s
-        return KClass(out)
+        return _kclass(out)
 
     def __neg__(self):
-        return KClass({w: -c for w, c in self.terms.items()})
+        return _kclass({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -75,17 +83,17 @@ class KClass:
                     out.pop(w, None)
                 else:
                     out[w] = s
-        return KClass(out)
+        return _kclass(out)
 
     def twist(self, w):
         """Tensor with the single weight w."""
-        return KClass({
+        return _kclass({
             (a[0] + w[0], a[1] + w[1], a[2] + w[2], a[3] + w[3]): c
             for a, c in self.terms.items()
         })
 
     def dual(self):
-        return KClass({tuple(-x for x in w): c for w, c in self.terms.items()})
+        return _kclass({tuple(-x for x in w): c for w, c in self.terms.items()})
 
     def scale(self, n):
         return KClass({w: c * n for w, c in self.terms.items()})
@@ -145,10 +153,10 @@ def chi_p1(a, b):
     range when b < -a-1.  The rank is a+b+1 in every case.
     """
     if -a <= b:
-        return KClass({t0_weight(k): 1 for k in range(-a, b + 1)})
+        return _kclass({t0_weight(k): 1 for k in range(-a, b + 1)})
     if b == -a - 1:
         return KClass.zero()
-    return KClass({t0_weight(k): -1 for k in range(b + 1, -a)})
+    return _kclass({t0_weight(k): -1 for k in range(b + 1, -a)})
 
 
 def euler_class(v):
@@ -169,8 +177,11 @@ def euler_class(v):
         if w == ZERO_WEIGHT:
             continue
         form = linear_form_of_weight((0, *w))
-        factored[form.unsigned()] = factored.get(form.unsigned(), 0) + c
+        f = form.unsigned()
+        factored[f] = factored.get(f, 0) + c
         if form.sign == -1 and c % 2:
             sign = -sign
-    out = RatFun(factored)
-    return out if sign == 1 else -out
+    # already the normal form: unsigned forms with nonzero exponents over a
+    # constant numerator +-1 and denominator 1
+    return RatFun({f: e for f, e in factored.items() if e},
+                  MultiPoly.const(sign), normalize=False)

@@ -93,6 +93,22 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
+def _power(base, n):
+    """base ** n for n >= 1 by binary powering, with n - 1 products at most.
+
+    The first factor is taken as it is rather than multiplied into a 1, and
+    base is squared only while a higher bit of n is left.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -184,14 +200,7 @@ class MultiPoly:
 
     def __pow__(self, n):
         assert isinstance(n, int) and n >= 0
-        result = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else MultiPoly.const(1)
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -315,15 +324,18 @@ class LinearForm:
     coeffs: tuple
     sign: int = field(default=1, compare=False)
 
+    def __hash__(self):
+        # equality compares coeffs alone (sign is compare=False)
+        return hash(self.coeffs)
+
     @staticmethod
     def canonical(c1, c2, c3, cm):
-        coeffs = (c1, c2, c3, cm)
-        if not any(coeffs):
+        lead = c1 or c2 or c3 or cm
+        if not lead:
             raise ZeroForm("all coefficients vanish")
-        lead = next(c for c in coeffs if c != 0)
         if lead < 0:
-            return LinearForm(tuple(-c for c in coeffs), -1)
-        return LinearForm(coeffs, 1)
+            return LinearForm((-c1, -c2, -c3, -cm), -1)
+        return LinearForm((c1, c2, c3, cm), 1)
 
     def unsigned(self):
         return self if self.sign == 1 else LinearForm(self.coeffs, 1)
@@ -568,14 +580,7 @@ class RatFun:
         assert isinstance(n, int)
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFun.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n) if n else RatFun.const(1)
 
     def __eq__(self, other):
         """Equality by full cross-multiplication of the expanded quotients.
@@ -616,17 +621,24 @@ class RatFun:
             num = num.scale(-1)
         return RatFun(factored, num, den)
 
-    def eval_mod(self, assign, p):
+    def eval_mod(self, assign, p, table=None):
         """Evaluate at residues mod p.  Raises EvalDegenerate on a pole.
 
-        Every factor is evaluated, so a point where a denominator form
-        vanishes is rejected even when a numerator form vanishes there too;
-        the denominator factors are inverted once, as one product.
+        Form values are looked up in `table`, a dict from LinearForm to its
+        residue at this assign and p, and added to it when missing; callers
+        that evaluate many values at one point share one table.  Every
+        factor is looked up, so a point where a denominator form vanishes is
+        rejected even when a numerator form vanishes there too; the
+        denominator factors are inverted once, as one product.
         """
+        if table is None:
+            table = {}
         num = self.num.eval_mod(assign, p)
         den = self.den.eval_mod(assign, p)
         for f, e in self.factored.items():
-            v = f.eval_mod(assign, p)
+            v = table.get(f)
+            if v is None:
+                v = table[f] = f.eval_mod(assign, p)
             if e > 0:
                 num = num * pow(v, e, p) % p
             else:

@@ -352,11 +352,16 @@ def wallcross_quotient(k, i0, t_max, sign_override=None):
 
 
 def _eval_quotient_at(num, den, point, t_max):
-    """Residues of the quotient series coefficients at one sample point."""
-    p = point.prime
-    nvals = {d: sum(t.eval_mod(point.assign, p) for t in num[d]) % p
+    """Residues of the quotient series coefficients at one sample point.
+
+    All terms share one table of form values, so a linear form that recurs
+    across the point's contributions is evaluated once.
+    """
+    p, assign = point.prime, point.assign
+    table = {}
+    nvals = {d: sum(t.eval_mod(assign, p, table) for t in num[d]) % p
              for d in range(t_max + 1)}
-    dvals = {d: sum(t.eval_mod(point.assign, p) for t in den[d]) % p
+    dvals = {d: sum(t.eval_mod(assign, p, table) for t in den[d]) % p
              for d in range(t_max + 1)}
     if dvals[0] == 0:
         raise EvalDegenerate("denominator constant term vanished")

@@ -97,6 +97,32 @@ def test_contribution_command(runner):
     assert "prod[ m^1 ; lam3^-1 ] * ( -1 ) / ( 1 )" in res.output
 
 
+@pytest.mark.parametrize("label", [
+    "js:k=0,d=1,comp=1", "js:k=2,d=-1,comp=1", "js:k=2",
+    "js:k=x,d=1,comp=1", "plus:Lmm2,i0=IlP1:1,comp=a",
+])
+def test_contribution_bad_label_exits_3(runner, label):
+    res = runner.invoke(main, ["contribution", "--label", label])
+    assert res.exit_code == 3
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: UnsupportedConfiguration:")
+
+
+@pytest.mark.parametrize("gamma", ["abc", "1/0"])
+def test_series_bad_gamma_is_usage_error(runner, gamma):
+    res = runner.invoke(main, ["series", "--kind", "primary:I",
+                               "--gamma", gamma])
+    assert res.exit_code == 2
+    assert f"bad --gamma {gamma!r}" in res.output
+
+
+def test_wallcross_bad_i0_thickness_is_usage_error(runner):
+    res = runner.invoke(main, ["wallcross", "--wall", "Lmm:2",
+                               "--i0", "IlP1:x"])
+    assert res.exit_code == 2
+
+
 def test_series_command_csv(runner, tmp_path):
     cpath = tmp_path / "s.csv"
     res = runner.invoke(main, ["series", "--kind", "NC", "--qmax", "1",

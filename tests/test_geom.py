@@ -1,5 +1,6 @@
 """Fixed-point enumeration, pairing classes, and signed contributions."""
 
+import itertools
 from math import comb
 
 import pytest
@@ -24,7 +25,7 @@ from wallx.geom import (
     sqrt_class,
     taut_class,
 )
-from wallx.kclass import KClass
+from wallx.kclass import KClass, chi_p1
 from wallx.ratfun import PoleAtZeroWeight, RatFun, parse_ratfun, rf_sum
 
 
@@ -32,6 +33,46 @@ def test_compositions_are_lex_and_complete():
     out = list(compositions(2, 2))
     assert out == [(0, 2), (1, 1), (2, 0)]
     assert len(list(compositions(4, 3))) == comb(4 + 2, 2)
+
+
+def _sample_points():
+    """JS, fiber_plus and fiber_minus points up to d = 3."""
+    points = [fp for k in (1, 2, 3) for d in range(4)
+              for fp in js_fixed_points(k, d)]
+    for k, i0 in ((2, "IlP1:1"), (2, "IlP1:2"), (3, "IP1")):
+        for d in range(4):
+            points += fiber_plus(k, parse_i0(i0), d)
+            points += fiber_minus(k, parse_i0(i0), d)
+    return points
+
+
+def _chi_pair_by_kclass(F, G, ambient):
+    """chi_pair as a KClass sum of one twisted chi_p1 per pair and subset."""
+    normal = AMBIENT_NORMAL[ambient]
+    total = KClass.zero()
+    for p in range(len(normal) + 1):
+        for subset in itertools.combinations(normal, p):
+            wa = sum(n.a for n in subset)
+            wb = sum(n.b for n in subset)
+            for L in F.summands:
+                for Lp in G.summands:
+                    t = tuple(Lp.twist[i] - L.twist[i]
+                              + sum(n.twist[i] for n in subset)
+                              for i in range(4))
+                    rel = chi_p1(Lp.a - L.a + wa, Lp.b - L.b + wb).twist(t)
+                    total = total - rel if p % 2 else total + rel
+    return total
+
+
+def test_chi_pair_matches_kclass_sum_in_value_and_order():
+    # the order of the terms fixes the order of the Euler-class factors
+    sheaves = [fp.sheaf for fp in _sample_points()]
+    for F, G in zip(sheaves, sheaves[1:] + sheaves[:1]):
+        for ambient in AMBIENT_NORMAL:
+            for a, b in ((F, F), (F, G)):
+                got = chi_pair(a, b, ambient)
+                want = _chi_pair_by_kclass(a, b, ambient)
+                assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_chi_X_of_structure_sheaf_of_line():
@@ -156,6 +197,12 @@ def test_parse_label_rejects_unknown():
         parse_label("js:k=2,d=1,comp=7,7")
     with pytest.raises(UnsupportedConfiguration):
         parse_label("nonsense")
+    for bad in ("js:k=0,d=1,comp=1", "js:k=2,d=-1,comp=1", "js:k=2",
+                "js:k=x,d=1,comp=1", "plus:Lmm2,i0=IlP1:1,comp=a",
+                "plus:Lmm2,i0=OX,comp=-1", "plus:Lmm2,i0=IlP1:x,comp=1",
+                "plus:Lmm2", "minus:Lmmx,i0=OX"):
+        with pytest.raises(UnsupportedConfiguration):
+            parse_label(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wallx.geom import fiber_minus, fiber_plus, js_fixed_points, parse_i0
+from wallx.geom import sqrt_class, taut_class
 from wallx.kclass import (
+    ZERO_WEIGHT,
     KClass,
     chi_p1,
     euler_class,
@@ -15,7 +18,7 @@ from wallx.kclass import (
     t0_weight,
     weight,
 )
-from wallx.ratfun import PoleAtZeroWeight, RatFun
+from wallx.ratfun import PoleAtZeroWeight, RatFun, linear_form_of_weight
 
 
 def test_weight_folds_scaling_exponent():
@@ -76,6 +79,39 @@ def test_euler_class_single_weight():
     assert e == RatFun.var("lam3")
     e = euler_class(KClass({(0, 0, 1, 0): -1}))
     assert e == RatFun.var("lam3").inverse()
+
+
+def _euler_class_by_normalize(v):
+    """euler_class of a class without zero weight, built by RatFun's
+    normalisation and negated when the sign is odd."""
+    factored, sign = {}, 1
+    for w, c in v.terms.items():
+        form = linear_form_of_weight((0, *w))
+        factored[form.unsigned()] = factored.get(form.unsigned(), 0) + c
+        if form.sign == -1 and c % 2:
+            sign = -sign
+    out = RatFun(factored)
+    return out if sign == 1 else -out
+
+
+def test_euler_class_is_the_normal_form():
+    points = [fp for k in (1, 2, 3) for d in range(4)
+              for fp in js_fixed_points(k, d)]
+    for k, i0 in ((2, "IlP1:1"), (2, "IlP1:2"), (3, "IP1")):
+        for d in range(4):
+            points += fiber_plus(k, parse_i0(i0), d)
+            points += fiber_minus(k, parse_i0(i0), d)
+    checked = 0
+    for fp in points:
+        for v in (sqrt_class(fp.sheaf), taut_class(fp.sheaf)):
+            if ZERO_WEIGHT in v.terms:
+                continue
+            got, want = euler_class(v), _euler_class_by_normalize(v)
+            assert list(got.factored.items()) == list(want.factored.items())
+            assert got.num == want.num and got.den == want.den
+            assert str(got) == str(want)
+            checked += 1
+    assert checked > 400
 
 
 def _random_kclass(rng):

@@ -18,6 +18,7 @@ from wallx.ratfun import (
     RatFun,
     ZeroForm,
     binomial_rf,
+    parse_poly,
     parse_ratfun,
     rf_equal,
     rf_sum,
@@ -77,6 +78,34 @@ def test_semantic_equality_cross_multiplied():
 
 def test_pow_negative_exponent():
     assert (L3 ** -2) * (L3 ** 2) == RatFun.const(1)
+
+
+def test_pow_multiplies_no_more_than_needed(monkeypatch):
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    p = parse_poly("lam1 + 2*lam2 - m")
+    for n, want in ((0, 0), (1, 0), (2, 1), (3, 2)):
+        products.clear()
+        p ** n
+        assert len(products) == want
+
+
+def test_pow_equals_repeated_products():
+    p = parse_poly("lam1 + 2*lam2 - m + 3")
+    r = (L1 + 2) / (L3 - M)
+    for n in range(6):
+        pn, rn = MultiPoly.const(1), RatFun.const(1)
+        for _ in range(n):
+            pn, rn = pn * p, rn * r
+        assert p ** n == pn
+        assert r ** n == rn
+        assert r ** -n == rn.inverse()
 
 
 def test_binomial_rf_integer_points():

@@ -1,6 +1,7 @@
 """Truncated series arithmetic, reference products, and the identity
 checkers with both backends."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -18,9 +19,11 @@ from wallx.geom import (
 from wallx.kclass import KClass, euler_class
 from wallx import ratfun
 from wallx.ratfun import (
+    DEFAULT_PRIME,
     EvalBackend,
     EvalDegenerate,
     EvalPoint,
+    LinearForm,
     RatFun,
     binomial_rf,
     rf_equal,
@@ -28,6 +31,8 @@ from wallx.ratfun import (
 )
 from wallx.series import (
     CapExceeded,
+    _eval_quotient_at,
+    _fiber_terms,
     CheckReport,
     DegreeRecord,
     NonUnitDivisor,
@@ -271,3 +276,64 @@ def test_sampler_gives_up_after_twenty_draws_per_point(monkeypatch):
     with pytest.raises(EvalDegenerate):
         check_wallcross(2, parse_i0("OX"), 1, backend=backend)
     assert len(draws) == 20 * backend.points
+
+
+# ---------------------------------------------------------------------------
+# one table of form values per sample point
+
+
+def _eval_quotient_fresh_tables(num, den, point, t_max):
+    """_eval_quotient_at with a fresh form table for every term."""
+    p, assign = point.prime, point.assign
+    nv = [sum(t.eval_mod(assign, p, {}) for t in num[d]) % p
+          for d in range(t_max + 1)]
+    dv = [sum(t.eval_mod(assign, p, {}) for t in den[d]) % p
+          for d in range(t_max + 1)]
+    inv0 = pow(dv[0], -1, p)
+    q = []
+    for d in range(t_max + 1):
+        acc = nv[d] - sum(dv[j] * q[d - j] for j in range(1, d + 1))
+        q.append(acc * inv0 % p)
+    return dict(enumerate(q))
+
+
+@pytest.mark.parametrize("k,i0,t_max", [(2, "IlP1:1", 4), (3, "IP1", 2),
+                                        (3, "OX", 3)])
+def test_eval_quotient_shared_table_matches_fresh_tables(monkeypatch, k, i0,
+                                                         t_max):
+    num, den = _fiber_terms(k, parse_i0(i0), t_max)
+    terms = [t for side in (num, den) for v in side.values() for t in v]
+    forms = {f for t in terms for f in t.factored}
+    evaluated = []
+    form_eval = LinearForm.eval_mod
+
+    def counted(f, assign, p):
+        evaluated.append(f)
+        return form_eval(f, assign, p)
+
+    points = list(itertools.islice(
+        ratfun.sample_points(EvalBackend(seed=7)), 3))
+    for point in points:
+        want = _eval_quotient_fresh_tables(num, den, point, t_max)
+        monkeypatch.setattr(LinearForm, "eval_mod", counted)
+        evaluated.clear()
+        assert _eval_quotient_at(num, den, point, t_max) == want
+        monkeypatch.undo()
+        # each distinct form is evaluated once per point
+        assert sorted(evaluated) == sorted(forms)
+
+
+def test_shared_table_still_rejects_a_pole():
+    # lam1 - lam2 vanishes at the point: first met as a numerator factor,
+    # its value 0 then comes from the table for the denominator factor
+    f = LinearForm.canonical(1, -1, 0, 0)
+    point = EvalPoint(DEFAULT_PRIME, (5, 5, 7, 11))
+    zero, pole = RatFun.from_form(f), RatFun.from_form(f, -1)
+    table = {}
+    assert zero.eval_mod(point.assign, point.prime, table) == 0
+    assert table == {f: 0}
+    with pytest.raises(EvalDegenerate):
+        pole.eval_mod(point.assign, point.prime, table)
+    with pytest.raises(EvalDegenerate):
+        _eval_quotient_at({0: [zero], 1: [pole]},
+                          {0: [RatFun.const(1)], 1: []}, point, 1)
