@@ -7,25 +7,35 @@ Runs, in this process, with --no-cache and a fresh empty WALLX_CACHE:
 every SYMBOLIC_MENU command and every EVAL_MENU check at --seed 42 (both
 menus read from bench/workloads.py), and the four criterion-10 commands of
 tests/test_acceptance.py.  Prints one `sha256[:16]  command` line per JSON
-report, or `exit N` in place of the digest when a command wrote none.
+report, or `exit N` in place of the digest when a command wrote none.  A last
+`sha256[:16]  chamber seed 42` line digests the outcomes of the chamber
+workload's checks at seed 42, called straight into wallx.quiver as
+bench/passrun.py calls them: every classify_theta result, and every
+(check_relations, is_cyclic, is_stable_graded) triple with its witness.
 
-Comparing the output of two checkouts checks that their reports are
-byte-identical.  The wallx sources are taken from this checkout's src/.
+Comparing the output of two checkouts checks that their reports and quiver
+outcomes are byte-identical.  The wallx sources are taken from this
+checkout's src/.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import pathlib
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from wallx import quiver  # noqa: E402
 from wallx.cli import main as cli_main  # noqa: E402
+
+CHAMBER_SEED = 42
 
 CRITERION_10 = (
     ["js", "--k", "2", "--dmax", "2"],
@@ -36,16 +46,16 @@ CRITERION_10 = (
 )
 
 
-def load_workloads():
+def load_bench(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py")
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
 def commands():
-    w = load_workloads()
+    w = load_bench("workloads")
     yield from w.SYMBOLIC_MENU
     for i0, k, tmax in w.EVAL_MENU:
         yield w._wallcross(k, i0, tmax, "--backend", "eval",
@@ -67,6 +77,31 @@ def report_bytes(args, path):
     return code, path.read_bytes() if path.is_file() else None
 
 
+def chamber_digest():
+    """Digest of the chamber checks at CHAMBER_SEED, run and encoded as a
+    benchmark pass does, with each stability witness added as sorted lists."""
+    passrun = load_bench("passrun")
+    outcomes = []
+    for item in load_bench("workloads").make_checks("chamber", CHAMBER_SEED):
+        item["theta_obj"] = quiver.Theta(*map(Fraction, item["theta"]))
+        try:
+            if item["kind"] == "theta":
+                raw = quiver.classify_theta(item["theta_obj"], item["kmax"])
+                outcomes.append(passrun.encode(item, raw))
+                continue
+            raw = passrun.rep_check(item)
+        except Exception as exc:
+            outcomes.append({"error": f"{type(exc).__name__}: {exc}"})
+            continue
+        out = passrun.encode(item, raw)
+        witness = raw[2][1]
+        out["witness"] = (None if witness is None else
+                          [sorted(witness[0]), sorted(witness[1]), witness[2]])
+        outcomes.append(out)
+    data = json.dumps(outcomes, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["WALLX_CACHE"] = str(pathlib.Path(tmp) / "cache")
@@ -76,6 +111,7 @@ def main():
             digest = (hashlib.sha256(data).hexdigest()[:16]
                       if data is not None else f"exit {code}")
             print(f"{digest}  {' '.join(args)}", flush=True)
+    print(f"{chamber_digest()}  chamber seed {CHAMBER_SEED}", flush=True)
     return 0
 
 

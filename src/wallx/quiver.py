@@ -7,16 +7,21 @@ bookkeeping, the translation to the Z_t parametrisation, and exact linear
 algebra checks on framed representations: the eight quiver relations,
 cyclicity (closure of the framing vector), and stability certification for
 representations carrying a multiplicity-free weight grading.
+
+Matrix, framing and seed entries hold the invariant of the ratfun kernel
+(`ratfun._coef`): an entry is an int whenever its value is integral and a
+Fraction otherwise, never a float.  The 0/1 matrices of the usual checks so
+stay in int arithmetic, and every pivot division is exact.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .ratfun import DivisionByZero
+from .ratfun import DivisionByZero, _coef
 
 FAMILIES = ("Lmm", "Lpm", "Lmp", "Lpp", "Linf_minus", "Linf_plus")
 
@@ -232,25 +237,24 @@ def wall_object(label):
 # Exact matrix helpers (maps stored as rows-of-target x cols-of-source).
 
 def mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_coef(x) for x in row) for row in rows)
 
 
 def zero_mat(nrows, ncols):
-    return tuple((Fraction(0),) * ncols for _ in range(nrows))
+    return tuple((0,) * ncols for _ in range(nrows))
 
 
 def mat_mul(A, B):
     if not A or not B:
-        return tuple(() if not B or not B[0] else (Fraction(0),) * len(B[0])
+        return tuple(() if not B or not B[0] else (0,) * len(B[0])
                      for _ in A)
-    n, k, m = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m))
-        for i in range(n))
+    cols = tuple(zip(*B))
+    return tuple(tuple(_coef(sum(map(mul, row, col))) for col in cols)
+                 for row in A)
 
 
 def mat_vec(A, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in A)
+    return tuple(_coef(sum(map(mul, row, v))) for row in A)
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,8 @@ class FramedRep:
             a1=m(a1, d1, d0), a2=m(a2, d1, d0),
             b1=m(b1, d0, d1), b2=m(b2, d0, d1),
             c=m(c, d0, d0), dd=m(dd, d1, d1),
-            framing=tuple(Fraction(x) for x in (framing or (0,) * d0)),
+            framing=tuple(_coef(x) for x in
+                          ((0,) * d0 if framing is None else framing)),
             grading0=grading0, grading1=grading1)
 
     def arrows(self):
@@ -342,9 +347,8 @@ def _reduce_against(basis, vec):
     v = list(vec)
     for piv, row in basis:
         if v[piv] != 0:
-            coef = v[piv] / row[piv]
-            for j in range(len(v)):
-                v[j] -= coef * row[j]
+            coef = _coef(Fraction(v[piv], row[piv]))
+            v = [_coef(x - coef * y) for x, y in zip(v, row)]
     return v
 
 
@@ -361,13 +365,15 @@ def _basis_insert(basis, vec):
 def subrep_closure(rep, seeds):
     """Smallest arrow-stable pair of subspaces containing the seed vectors.
 
-    Seeds are (space, vector) pairs with space 0 or 1.  Returns the
-    dimension vector of the closure.
+    Seeds are (space, vector) pairs with space 0 or 1, each vector of that
+    space's dimension.  Returns the dimension vector of the closure.
     """
     bases = ([], [])
     work = []
     for space, vec in seeds:
-        vec = tuple(Fraction(x) for x in vec)
+        vec = tuple(_coef(x) for x in vec)
+        if len(vec) != rep.dims[space]:
+            raise ValueError("seed vector has wrong length")
         if _basis_insert(bases[space], vec):
             work.append((space, vec))
     while work:
@@ -407,25 +413,44 @@ def _check_graded_precondition(rep):
 
 
 def _arrow_closed_subsets(rep):
-    """All (S0, S1) basis subsets closed under every arrow."""
-    d0, d1 = rep.dims
+    """All (S0, S1) basis subsets closed under every arrow.
+
+    Subsets are scanned as bitmasks: reach[src][tgt][m] is the bitmask of
+    the target indices that the arrows src -> tgt send the source subset m
+    to, so (m0, m1) is closed when reach[s][t][m_s] lies inside m_t for
+    every pair of spaces.  Each index subset is made a frozenset once, up
+    front, and only closed pairs are collected.
+    """
+    dims = rep.dims
+    # reach of each single source index, then of every source bitmask
+    single = [[[0] * dims[s] for _ in range(2)] for s in range(2)]
+    for _, M, src, tgt in rep.arrows():
+        row = single[src][tgt]
+        for i, targets in enumerate(M):
+            for j, x in enumerate(targets):
+                if x != 0:
+                    row[j] |= 1 << i
+    reach = [[_mask_unions(single[s][t]) for t in range(2)] for s in range(2)]
+    subsets = [[frozenset(i for i in range(d) if m >> i & 1)
+                for m in range(1 << d)] for d in dims]
     out = []
-    for bits0 in itertools.product((0, 1), repeat=d0):
-        S0 = frozenset(i for i in range(d0) if bits0[i])
-        for bits1 in itertools.product((0, 1), repeat=d1):
-            S1 = frozenset(i for i in range(d1) if bits1[i])
-            sets = (S0, S1)
-            ok = True
-            for _, M, src, tgt in rep.arrows():
-                for j in sets[src]:
-                    if any(M[i][j] != 0 and i not in sets[tgt]
-                           for i in range(len(M))):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((S0, S1))
+    for m0 in range(1 << dims[0]):
+        if reach[0][0][m0] & ~m0:
+            continue
+        r01 = reach[0][1][m0]
+        for m1 in range(1 << dims[1]):
+            if r01 & ~m1 or reach[1][1][m1] & ~m1 or reach[1][0][m1] & ~m0:
+                continue
+            out.append((subsets[0][m0], subsets[1][m1]))
+    return out
+
+
+def _mask_unions(single):
+    """For every bitmask m over len(single) indices, the OR of single[j]
+    over the bits j set in m."""
+    out = [0]
+    for bits in single:
+        out += [x | bits for x in out]
     return out
 
 

@@ -473,22 +473,24 @@ class RatFun:
             self.num = MultiPoly.const(content)
         self.factored = {f: e for f, e in self.factored.items() if e != 0}
         # cancel factored forms against the residual den, then pull any
-        # remaining copies of them out of the residual num
-        for f in list(self.factored):
-            while not self.den.is_const():
-                q, exact = self.den.divmod_linear(f)
-                if not exact:
-                    break
-                self.den = q
-                self.factored[f] = self.factored.get(f, 0) - 1
-            while not self.num.is_const():
-                q, exact = self.num.divmod_linear(f)
-                if not exact:
-                    break
-                self.num = q
-                self.factored[f] = self.factored.get(f, 0) + 1
-            if self.factored.get(f) == 0:
-                del self.factored[f]
+        # remaining copies of them out of the residual num; there is nothing
+        # to cancel when both are constants
+        if not (self.num.is_const() and self.den.is_const()):
+            for f in list(self.factored):
+                while not self.den.is_const():
+                    q, exact = self.den.divmod_linear(f)
+                    if not exact:
+                        break
+                    self.den = q
+                    self.factored[f] = self.factored.get(f, 0) - 1
+                while not self.num.is_const():
+                    q, exact = self.num.divmod_linear(f)
+                    if not exact:
+                        break
+                    self.num = q
+                    self.factored[f] = self.factored.get(f, 0) + 1
+                if self.factored.get(f) == 0:
+                    del self.factored[f]
         # monic positive denominator
         _, lead = self.den.leading()
         if lead != 1:
