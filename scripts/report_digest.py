@@ -6,8 +6,11 @@ Usage: python3 scripts/report_digest.py
 Runs, in this process, with --no-cache and a fresh empty WALLX_CACHE:
 every SYMBOLIC_MENU command and every EVAL_MENU check at --seed 42 (both
 menus read from bench/workloads.py), and the four criterion-10 commands of
-tests/test_acceptance.py.  Prints one `sha256[:16]  command` line per JSON
-report, or `exit N` in place of the digest when a command wrote none.  A last
+tests/test_acceptance.py, and the rf_sum-heavy EXTRA commands outside the
+menus.  Prints one `sha256[:16]  command` line per JSON report, or `exit N`
+in place of the digest when a command wrote none.  The PRINTED commands
+(every `series --kind` and a `signsearch`) write no report; their line
+digests the exit code and everything they print.  A last
 `sha256[:16]  chamber seed 42` line digests the outcomes of the chamber
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
@@ -33,7 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from wallx import quiver  # noqa: E402
-from wallx.cli import main as cli_main  # noqa: E402
+from wallx.cli import main as cli_main, series as cli_series  # noqa: E402
 
 CHAMBER_SEED = 42
 
@@ -43,6 +46,21 @@ CRITERION_10 = (
      "--backend", "eval", "--points", "5", "--seed", "42"],
     ["dimred", "--k", "2", "--dmax", "3"],
     ["insertion-free", "--k", "2", "--dmax", "3"],
+)
+
+EXTRA = (
+    ["js", "--k", "4", "--dmax", "3"],
+    ["js", "--k", "5", "--dmax", "2"],
+    ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "5"],
+    ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "2"],
+    ["dimred", "--k", "3", "--dmax", "4"],
+)
+
+SERIES_KINDS = next(p for p in cli_series.params if p.name == "kind").type.choices
+
+PRINTED = (
+    *(["series", "--kind", kind, "--qmax", "2"] for kind in SERIES_KINDS),
+    ["signsearch", "--k", "2", "--d", "2"],
 )
 
 
@@ -61,19 +79,26 @@ def commands():
         yield w._wallcross(k, i0, tmax, "--backend", "eval",
                            "--points", str(w.EVAL_POINTS), "--seed", "42")
     yield from CRITERION_10
+    yield from EXTRA
+
+
+def run_cli(args):
+    """Run one CLI command in this process; (exit code, printed text)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli_main(args, standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
 
 def report_bytes(args, path):
     """Run one CLI command; (exit code, JSON report bytes or None)."""
     path.unlink(missing_ok=True)
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            cli_main(args + ["--no-cache", "--json", str(path)],
-                     standalone_mode=False)
-            code = 0
-        except SystemExit as exc:
-            code = exc.code
+    code, _ = run_cli(args + ["--no-cache", "--json", str(path)])
     return code, path.read_bytes() if path.is_file() else None
 
 
@@ -111,6 +136,10 @@ def main():
             digest = (hashlib.sha256(data).hexdigest()[:16]
                       if data is not None else f"exit {code}")
             print(f"{digest}  {' '.join(args)}", flush=True)
+        for args in PRINTED:
+            code, text = run_cli(list(args))
+            digest = hashlib.sha256(f"exit {code}\n{text}".encode()).hexdigest()
+            print(f"{digest[:16]}  {' '.join(args)}", flush=True)
     print(f"{chamber_digest()}  chamber seed {CHAMBER_SEED}", flush=True)
     return 0
 

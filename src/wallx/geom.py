@@ -148,14 +148,15 @@ def chi_pair(F, G, ambient):
     return KClass(total)
 
 
-def sqrt_class(F):
-    """Half Ext-class -chi_X(F) + chi_Y(F, F)."""
-    return -chi_X(F) + chi_pair(F, F, "Y3fold")
+def sqrt_class(F, cx=None):
+    """Half Ext-class -chi_X(F) + chi_Y(F, F); cx is chi_X(F) if known."""
+    return -(chi_X(F) if cx is None else cx) + chi_pair(F, F, "Y3fold")
 
 
-def taut_class(F):
-    """Insertion class chi_X(F)^dual tensored with e^m."""
-    return chi_X(F).dual().twist((0, 0, 0, 1))
+def taut_class(F, cx=None):
+    """Insertion class chi_X(F)^dual tensored with e^m; cx is chi_X(F) if
+    known."""
+    return (chi_X(F) if cx is None else cx).dual().twist((0, 0, 0, 1))
 
 
 def with_point_sign(fp, value):
@@ -166,14 +167,15 @@ def with_point_sign(fp, value):
 def contribution(fp):
     """Signed Euler-class contribution of one fixed point.
 
-    (-1)^(chi + deg + sign_extra) e(sqrt_class) e(taut_class); vanishes
-    exactly when the square-root class has a positive zero-weight part.
+    (-1)^(chi + deg + sign_extra) e(sqrt_class + taut_class), which is
+    e(sqrt_class) e(taut_class): the sqrt weights have m-weight 0 and the
+    taut weights m-weight 1, so the two classes share no weight and no
+    linear form.  It vanishes exactly when the square-root class has a
+    positive zero-weight part.
     """
-    e_sqrt = euler_class(sqrt_class(fp.sheaf))
-    if e_sqrt.is_zero():
-        return RatFun.zero()
-    e_taut = euler_class(taut_class(fp.sheaf))
-    return with_point_sign(fp, e_sqrt * e_taut)
+    F = fp.sheaf
+    cx = chi_X(F)
+    return with_point_sign(fp, euler_class(sqrt_class(F, cx) + taut_class(F, cx)))
 
 
 # ---------------------------------------------------------------------------

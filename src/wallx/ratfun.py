@@ -89,6 +89,13 @@ def _poly(terms):
     return p
 
 
+def _residue(c, p):
+    """A rational c mod p; ValueError when its denominator is 0 mod p."""
+    if type(c) is int:
+        return c % p
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
 def _grlex_key(exp):
     return (sum(exp), exp)
 
@@ -209,17 +216,28 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def eval_mod(self, assign, p):
+        """Value mod p at the residues assign, from one power table per variable.
+
+        Raises ValueError when a coefficient's denominator is 0 mod p.
+        """
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and ZERO_EXP in terms:
+            return _residue(terms[ZERO_EXP], p)
+        tables = []
+        for a, top in zip(assign, map(max, zip(*terms))):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * a % p)
+            tables.append(row)
+        t0, t1, t2, t3 = tables
         total = 0
-        for e, c in self.terms.items():
-            if type(c) is int:
-                cv = c % p
-            else:
-                cv = c.numerator * pow(c.denominator, -1, p) % p
-            for i in range(NVARS):
-                if e[i]:
-                    cv = cv * pow(assign[i], e[i], p) % p
-            total = (total + cv) % p
-        return total
+        for (e0, e1, e2, e3), c in terms.items():
+            if type(c) is not int:
+                c = _residue(c, p)
+            total += c * t0[e0] * t1[e1] * t2[e2] * t3[e3]
+        return total % p
 
     def subs_m_lam3(self):
         """Substitute m -> lam3 (exponent folding (e1,e2,e3,em) -> (e1,e2,e3+em,0))."""
@@ -477,19 +495,12 @@ class RatFun:
         # to cancel when both are constants
         if not (self.num.is_const() and self.den.is_const()):
             for f in list(self.factored):
-                while not self.den.is_const():
-                    q, exact = self.den.divmod_linear(f)
-                    if not exact:
-                        break
-                    self.den = q
-                    self.factored[f] = self.factored.get(f, 0) - 1
-                while not self.num.is_const():
-                    q, exact = self.num.divmod_linear(f)
-                    if not exact:
-                        break
-                    self.num = q
-                    self.factored[f] = self.factored.get(f, 0) + 1
-                if self.factored.get(f) == 0:
+                self.den, down = _divide_out(self.den, f)
+                self.num, up = _divide_out(self.num, f)
+                e = self.factored[f] - down + up
+                if e:
+                    self.factored[f] = e
+                else:
                     del self.factored[f]
         # monic positive denominator
         _, lead = self.den.leading()
@@ -509,12 +520,9 @@ class RatFun:
             return RatFun.zero()
         for f in forms:
             f = f.unsigned()
-            while not num.is_const():
-                q, exact = num.divmod_linear(f)
-                if not exact:
-                    break
-                num = q
-                factored[f] = factored.get(f, 0) + 1
+            num, up = _divide_out(num, f)
+            if up:
+                factored[f] = factored.get(f, 0) + up
         return RatFun(factored, num, self.den)
 
     # -- predicates
@@ -626,8 +634,9 @@ class RatFun:
     def eval_mod(self, assign, p, table=None):
         """Evaluate at residues mod p.  Raises EvalDegenerate on a pole.
 
-        Form values are looked up in `table`, a dict from LinearForm to its
-        residue at this assign and p, and added to it when missing; callers
+        Form values are looked up in `table`, a dict from a form's coeffs
+        tuple (hashed in C, unlike the form) to the form's residue at this
+        assign and p, and added to it when missing; callers
         that evaluate many values at one point share one table.  Every
         factor is looked up, so a point where a denominator form vanishes is
         rejected even when a numerator form vanishes there too; the
@@ -638,9 +647,9 @@ class RatFun:
         num = self.num.eval_mod(assign, p)
         den = self.den.eval_mod(assign, p)
         for f, e in self.factored.items():
-            v = table.get(f)
+            v = table.get(f.coeffs)
             if v is None:
-                v = table[f] = f.eval_mod(assign, p)
+                v = table[f.coeffs] = f.eval_mod(assign, p)
             if e > 0:
                 num = num * pow(v, e, p) % p
             else:
@@ -703,6 +712,87 @@ def _linear_split(poly):
     return _coef(Fraction(g * form.sign, lcm)), form.unsigned()
 
 
+# Residues of the variables off the pivot at the hyperplane test's point.  Any
+# fixed values serve: a zero value only sends the test on to exact division.
+_HYPERPLANE_BASE = (0x2545F4914F6CDD1D, 0x1B873593CC9E2D51,
+                    0x27D4EB2F165667C5, 0x3C6EF372FE94F82A)
+
+
+def _hyperplane_point(coeffs):
+    """A fixed point mod DEFAULT_PRIME on the hyperplane sum coeffs * vars = 0.
+
+    The pivot variable (the first with a nonzero coefficient) is solved for;
+    the others take _HYPERPLANE_BASE.  None when the pivot coefficient is
+    0 mod p, so that the pivot cannot be solved for.
+    """
+    p = DEFAULT_PRIME
+    piv = next(i for i in range(NVARS) if coeffs[i])
+    if coeffs[piv] % p == 0:
+        return None
+    point = [b % p for b in _HYPERPLANE_BASE]
+    point[piv] = 0
+    rest = sum(c * a for c, a in zip(coeffs, point))
+    point[piv] = -rest * pow(coeffs[piv], -1, p) % p
+    return tuple(point)
+
+
+def _may_divide(poly, form):
+    """False only when form provably does not divide poly.
+
+    poly is evaluated mod DEFAULT_PRIME at the form's fixed hyperplane point.
+    Let v be the lcm of poly's coefficient denominators.  If form divides
+    poly, it divides the integer polynomial v * poly, and by Gauss's lemma
+    v * poly = form0 * Q with form0 the primitive part of form and Q an
+    integer polynomial.  The content of form divides its pivot coefficient,
+    which is nonzero mod p, so form0 vanishes at the point with form, and
+    poly's value v^-1 * form0 * Q is 0 mod p.  So a nonzero value proves that
+    form does not divide poly.  A zero value, or a coefficient denominator
+    that is 0 mod p, answers "may divide".
+    """
+    point = _hyperplane_point(form.coeffs)
+    if point is None:
+        return True
+    try:
+        return poly.eval_mod(point, DEFAULT_PRIME) == 0
+    except ValueError:
+        return True
+
+
+def _divide_out(poly, form):
+    """(poly / form^n, n) for the largest n with form^n dividing poly.
+
+    The hyperplane test runs before each synthetic division, so a division
+    that would fail is mostly never started; an exact division decides.
+    """
+    n = 0
+    while not poly.is_const() and _may_divide(poly, form):
+        q, exact = poly.divmod_linear(form)
+        if not exact:
+            break
+        poly = q
+        n += 1
+    return poly, n
+
+
+def _content(poly):
+    """The positive rational content of poly: poly / content is an integer
+    polynomial whose coefficients have gcd 1 (Knuth, TAOCP 2, 4.6.1)."""
+    coeffs = poly.terms.values()
+    v = math.lcm(*(c.denominator for c in coeffs))
+    if v == 1:
+        return math.gcd(*coeffs)
+    return Fraction(math.gcd(*(c.numerator * (v // c.denominator)
+                               for c in coeffs)), v)
+
+
+def _scale_integral(poly, m):
+    """poly * m for a rational m that makes every coefficient an integer."""
+    n, d = m.numerator, m.denominator
+    if d == 1:
+        return poly.scale(n)
+    return _poly({e: c * n // d for e, c in poly.terms.items()})
+
+
 def _coerce(x):
     if isinstance(x, RatFun):
         return x
@@ -722,8 +812,13 @@ def binomial_rf(x, d):
 def rf_sum(terms):
     """Exact sum of RatFuns over the shared factored denominator.
 
-    Collects the common linear-form part, expands only each term's leftover
-    factors, sums the numerators, and pulls linear factors back out of the
+    Collects the common linear-form part and brings every term over one
+    integer content: term i's residual num_i / den_i is written as
+    (s_i * num_i) / (s_i * den_i), with s_i = 1 / den_i for a constant den_i
+    and s_i = 1 / content(den_i) otherwise, and content is the lcm of the
+    denominators of the s_i * num_i.  Each term's leftover factors are then
+    expanded and the numerators summed in integer arithmetic, content goes
+    into the denominator once, and linear factors are pulled back out of the
     result by trial division.
     """
     terms = [t for t in terms if not t.is_zero()]
@@ -737,28 +832,30 @@ def rf_sum(terms):
     common = {
         f: min(t.factored.get(f, 0) for t in terms) for f in allforms
     }
-    # residual denominators: constant ones fold into coefficients
-    polydens = []
-    prepared = []  # (num MultiPoly, leftover factored dict, polyden index or None)
+    polydens = []  # the non-constant residual denominators, made integral
+    prepared = []  # (num, s_i, leftover factored dict, polyden index or None)
+    content = 1
     for t in terms:
         num, den = t.num, t.den
         if den.is_const():
-            num = num.scale(Fraction(1) / den.const_value())
+            scale = Fraction(1) / den.const_value()
             idx = None
         else:
+            scale = Fraction(1) / _content(den)
             idx = len(polydens)
-            polydens.append(den)
+            polydens.append(_scale_integral(den, scale))
+        content = math.lcm(content, (scale * _content(num)).denominator)
         left = {f: e - common.get(f, 0) for f, e in t.factored.items()}
         for f, c in common.items():
             if f not in t.factored:
                 left[f] = -c
-        prepared.append((num, {f: e for f, e in left.items() if e}, idx))
+        prepared.append((num, scale, {f: e for f, e in left.items() if e}, idx))
     total_num = MultiPoly()
-    total_den = _ONE
+    total_den = MultiPoly.const(content)
     for dpoly in polydens:
         total_den = total_den * dpoly
-    for num, left, idx in prepared:
-        expanded = num
+    for num, scale, left, idx in prepared:
+        expanded = _scale_integral(num, content * scale)
         for f, e in left.items():
             assert e >= 0, "common part must minorize every term"
             expanded = expanded * (f.to_poly() ** e)
@@ -769,8 +866,7 @@ def rf_sum(terms):
     raw = RatFun(common, total_num, total_den, normalize=False)
     if raw.is_zero():
         return RatFun.zero()
-    out = raw.extract_linear(sorted(allforms))
-    return out
+    return raw.extract_linear(sorted(allforms))
 
 
 # ---------------------------------------------------------------------------

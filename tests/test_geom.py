@@ -1,6 +1,8 @@
 """Fixed-point enumeration, pairing classes, and signed contributions."""
 
+import importlib.util
 import itertools
+import pathlib
 from math import comb
 
 import pytest
@@ -24,8 +26,9 @@ from wallx.geom import (
     parse_label,
     sqrt_class,
     taut_class,
+    with_point_sign,
 )
-from wallx.kclass import KClass, chi_p1
+from wallx.kclass import KClass, chi_p1, euler_class
 from wallx.ratfun import PoleAtZeroWeight, RatFun, parse_ratfun, rf_sum
 
 
@@ -174,6 +177,39 @@ def test_contribution_oracles(label, expected):
     fp = parse_label(label)
     assert str(contribution(fp)) == expected
     assert contribution(fp) == parse_ratfun(expected)
+
+
+def _eval_menu():
+    """EVAL_MENU of bench/workloads.py: (i0, k, tmax) triples."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.EVAL_MENU
+
+
+def _two_factor_contribution(fp):
+    """The contribution as the product e(sqrt_class) * e(taut_class)."""
+    e_sqrt = euler_class(sqrt_class(fp.sheaf))
+    if e_sqrt.is_zero():
+        return RatFun.zero()
+    return with_point_sign(fp, e_sqrt * euler_class(taut_class(fp.sheaf)))
+
+
+def test_contribution_is_the_two_factor_product():
+    points = {}
+    for i0, k, tmax in _eval_menu():
+        for d in range(tmax + 1):
+            for fp in (*fiber_plus(k, parse_i0(i0), d),
+                       *fiber_minus(k, parse_i0(i0), d)):
+                points[fp.label] = fp
+    for k in range(1, 5):
+        for d in range(4):
+            for fp in js_fixed_points(k, d):
+                points[fp.label] = fp
+    assert len(points) > 1000
+    for fp in points.values():
+        assert str(contribution(fp)) == str(_two_factor_contribution(fp))
 
 
 def test_i0_contribution_oracle():

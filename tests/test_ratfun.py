@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wallx import ratfun
 from wallx.geom import contribution, fiber_plus, js_fixed_points
 from wallx.ratfun import (
     DEFAULT_PRIME,
@@ -319,3 +320,151 @@ def test_fraction_arithmetic_leaves_integral_values_as_ints(a, b, n, rest):
     q, _ = pa.divmod_linear(LinearForm.canonical(2, *rest))
     for p in (pa * pb, pa + pb, pa - pb, pa.scale(n), pa.subs_m_lam3(), q):
         assert _integral_are_ints(p)
+
+
+# ---------------------------------------------------------------------------
+# rf_sum's integer content and the hyperplane test
+
+
+@st.composite
+def content_terms(draw):
+    """A RatFun with a Fraction scalar, some factored forms, and a constant
+    (possibly non-unit, left unnormalized) or non-constant residual den."""
+    scalar = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                      draw(st.integers(1, 12)))
+    num = MultiPoly(draw(int_polys))
+    if num.is_zero():
+        num = MultiPoly.const(1)
+    num = num.scale(scalar)
+    factored = {LinearForm.canonical(1, *rest): e
+                for rest, e in draw(st.lists(
+                    st.tuples(st.tuples(*[st.integers(-2, 2)] * 3),
+                              st.integers(-2, 2).filter(bool)),
+                    max_size=2))}
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return RatFun(factored, num)
+    if kind == 1:
+        den = MultiPoly.const(Fraction(draw(st.integers(1, 5)), 3))
+        return RatFun(factored, num, den, normalize=False)
+    # degree 2 and not a linear form: stays a residual den, and becomes
+    # monic with Fraction coefficients when its lead is not 1
+    den = MultiPoly({(2, 0, 0, 0): draw(st.integers(1, 3)),
+                     (0, 1, 0, 1): draw(st.integers(-3, 3)),
+                     (0, 0, 0, 0): draw(st.integers(-3, 3))})
+    return RatFun(factored, num, den)
+
+
+def _cross_multiplied(terms):
+    total_num, total_den = MultiPoly(), MultiPoly.const(1)
+    for t in terms:
+        n, d = t.expand()
+        total_num = total_num * d + n * total_den
+        total_den = total_den * d
+    return RatFun({}, total_num, total_den, normalize=False)
+
+
+def _rf_sum_products(terms):
+    """rf_sum(terms), and for each MultiPoly product it made, whether both
+    factors had only int coefficients."""
+    mul = MultiPoly.__mul__
+    seen = []
+
+    def int_only(a, b):
+        seen.append(all(type(c) is int
+                        for p in (a, b) for c in p.terms.values()))
+        return mul(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MultiPoly, "__mul__", int_only)
+        out = rf_sum(terms)
+    return out, seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(content_terms(), min_size=2, max_size=4))
+def test_rf_sum_over_integer_content_matches_cross_multiplication(terms):
+    got, seen = _rf_sum_products(terms)
+    assert all(seen)
+    assert got == _cross_multiplied(terms)
+
+
+def test_rf_sum_of_fraction_scalars_multiplies_only_integer_polynomials():
+    # js-style summands (1/(i! d!) scalars times forms over forms), and a
+    # residual den that is monic with a Fraction coefficient
+    terms = [RatFun.const(Fraction(1, 2)) * (M - L3) / L3,
+             RatFun.const(Fraction(-1, 6)) * (M - 2 * L3) * L1 / (L3 * L3),
+             RatFun.const(Fraction(3, 4)) / (2 * L1 * L1 + L2 * M + 1)]
+    assert any(type(c) is not int for c in terms[2].den.terms.values())
+    got, seen = _rf_sum_products(terms)
+    assert seen and all(seen)
+    assert got == _cross_multiplied(terms)
+
+
+linear_forms = st.tuples(*[st.integers(-3, 3)] * 4).filter(any).map(
+    lambda c: LinearForm.canonical(*c))
+mixed_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.one_of(st.integers(-5, 5),
+              st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_forms, mixed_polys, st.integers(1, 3))
+def test_hyperplane_test_never_rejects_a_multiple(f, g, scale):
+    g = MultiPoly(g)
+    if g.is_zero():
+        return
+    # also the non-primitive scale * f, such as 2*lam3
+    for form in (f, LinearForm.canonical(*(scale * c for c in f.coeffs))):
+        assert ratfun._may_divide(form.to_poly() * g, form)
+
+
+def test_hyperplane_test_examples():
+    two_lam3 = LinearForm.canonical(0, 0, 2, 0)
+    g = MultiPoly({(1, 0, 0, 0): Fraction(1, 3), (0, 0, 0, 1): Fraction(-5, 2)})
+    assert ratfun._may_divide(two_lam3.to_poly() * g, two_lam3)
+    assert not ratfun._may_divide(g, two_lam3)
+    lam1 = LinearForm.canonical(1, 0, 0, 0)
+    # a coefficient denominator that is 0 mod p may divide
+    bad = MultiPoly({(0, 1, 0, 0): Fraction(1, DEFAULT_PRIME)})
+    assert ratfun._may_divide(bad, lam1)
+
+
+def _extracted_strings():
+    out = [str(rf_sum([contribution(fp) for fp in js_fixed_points(k, d)]))
+           for k in (2, 3) for d in (1, 2, 3)]
+    quotient = wallcross_quotient(2, ("IlP1", 1), 3)
+    out += [str(quotient.coeff(d)) for d in range(4)]
+    f, g = LinearForm.canonical(1, -1, 0, 0), LinearForm.canonical(0, 0, 1, 0)
+    rest = MultiPoly({(1, 1, 0, 0): 3, (0, 0, 2, 0): -1, (0, 0, 0, 1): 1})
+    raw = RatFun({}, f.to_poly() ** 2 * g.to_poly() * rest, normalize=False)
+    out.append(str(raw.extract_linear([f, g])))
+    return out
+
+
+def test_extract_linear_same_string_without_hyperplane_test(monkeypatch):
+    want = _extracted_strings()
+    monkeypatch.setattr(ratfun, "_may_divide", lambda poly, form: True)
+    assert _extracted_strings() == want
+
+
+def test_planted_non_divisible_num_needs_no_synthetic_division(monkeypatch):
+    f = LinearForm.canonical(1, 1, 0, 0)
+    num = (f.to_poly() ** 3) * MultiPoly({(0, 0, 1, 0): 1, (0, 0, 0, 1): 2}) \
+        + MultiPoly.const(1)
+    calls = []
+    divmod_linear = MultiPoly.divmod_linear
+
+    def counted(self, form):
+        calls.append(form)
+        return divmod_linear(self, form)
+
+    monkeypatch.setattr(MultiPoly, "divmod_linear", counted)
+    out = RatFun({}, num, normalize=False).extract_linear([f])
+    assert calls == []
+    assert out.factored == {} and out.num == num
+    # a divisible num still goes through exact division
+    RatFun({}, num - MultiPoly.const(1), normalize=False).extract_linear([f])
+    assert calls
