@@ -50,8 +50,10 @@ CRITERION_10 = (
 
 EXTRA = (
     ["js", "--k", "4", "--dmax", "3"],
+    ["js", "--k", "4", "--dmax", "4"],
     ["js", "--k", "5", "--dmax", "2"],
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "5"],
+    ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "6"],
     ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "2"],
     ["dimred", "--k", "3", "--dmax", "4"],
 )

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -182,17 +183,29 @@ def emit_report(doc_bytes, json_path, csv_path):
     doc = json.loads(doc_bytes)
     click.echo(render_doc(doc))
     if json_path:
-        pathlib.Path(json_path).write_bytes(doc_bytes)
+        write_output(json_path, doc_bytes)
     if csv_path:
         write_csv(csv_path, [(rec["d"], rec["lhs"]) for rec in doc["degrees"]])
     return 0 if doc["pass"] else 1
 
 
+def write_output(path, data):
+    """Write an output file; a path that cannot be written is a usage error,
+    reported as one stderr line with exit code 2."""
+    try:
+        pathlib.Path(path).write_bytes(data)
+    except OSError as exc:
+        click.echo(f"error: cannot write {path}: {exc.strerror or exc}",
+                   err=True)
+        sys.exit(2)
+
+
 def write_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["degree", "expression"])
-        w.writerows(rows)
+    text = io.StringIO(newline="")
+    w = csv.writer(text)
+    w.writerow(["degree", "expression"])
+    w.writerows(rows)
+    write_output(path, text.getvalue().encode())
 
 
 @contextlib.contextmanager
@@ -214,7 +227,12 @@ def run_check(compute, command, cache_params, no_cache, json_path, csv_path):
             report = compute()
         data = report.to_json().encode()
         if not no_cache:
-            cache_put(key, data)
+            try:
+                cache_put(key, data)
+            except OSError as exc:
+                # the cache only saves a recomputation; the report stands
+                click.echo(f"warning: cannot write cache entry: {exc}",
+                           err=True)
     sys.exit(emit_report(data, json_path, csv_path))
 
 
@@ -288,8 +306,7 @@ def classify(theta, kmax, json_path):
             "t": str(res.t) if res.t is not None else None,
             "interval": list(res.interval) if res.interval else None,
         }
-        pathlib.Path(json_path).write_text(
-            json.dumps(doc, indent=2) + "\n")
+        write_output(json_path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ stay in int arithmetic, and every pivot division is exact.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -458,6 +459,18 @@ def theta_value(theta, d0, d1):
     return theta.th0 * d0 + theta.th1 * d1
 
 
+def _integral_theta(theta):
+    """theta scaled by the lcm of the denominators of its coordinates.
+
+    The scale is positive, so every theta_value keeps its sign and every
+    comparison between two values keeps its outcome, ties included.
+    """
+    th0, th1 = Fraction(theta.th0), Fraction(theta.th1)
+    scale = math.lcm(th0.denominator, th1.denominator)
+    return Theta(th0.numerator * (scale // th0.denominator),
+                 th1.numerator * (scale // th1.denominator))
+
+
 def is_stable_graded(rep, theta):
     """Certify framed stability by exhaustive subrepresentation search.
 
@@ -467,8 +480,11 @@ def is_stable_graded(rep, theta):
     have Theta-value < Theta(V).  Exact ties downgrade the verdict to
     semistable; a strict violation returns ('unstable', witness) with
     witness = (S0, S1, has_framing).  Candidates are scanned largest first.
+    Values are compared for theta scaled to integer coordinates, in int
+    arithmetic.
     """
     _check_graded_precondition(rep)
+    theta = _integral_theta(theta)
     d0, d1 = rep.dims
     total = theta_value(theta, d0, d1)
     fsupp = frozenset(i for i, x in enumerate(rep.framing) if x != 0)

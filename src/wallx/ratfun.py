@@ -809,6 +809,55 @@ def binomial_rf(x, d):
     return result
 
 
+def _times(poly, factors, power):
+    """poly * prod power(key, e) over the (key, e) of factors, in key order."""
+    for key in sorted(factors):
+        poly = poly * power(key, factors[key])
+    return poly
+
+
+def _shared_expansion(group, power):
+    """Sum of coef * prod power(key, e) over the (coef, factors) of group.
+
+    A greedy multivariate Horner scheme (Ceberio & Kreinovich, ACM SIGSAM
+    Bulletin 38(1), 2004) on a sum of products: the factors that every term
+    of the group holds are multiplied once onto the group's sum, and the
+    terms are split on the factor held by the most of them (the smallest key
+    among ties), each part expanded the same way; a term that shares no
+    factor with the others multiplies out its own.
+    """
+    common = {}
+    for key in group[0][1]:
+        e = min(factors.get(key, 0) for _, factors in group)
+        if e:
+            common[key] = e
+    if common:
+        group = [(coef, {key: e - common.get(key, 0)
+                         for key, e in factors.items()
+                         if e != common.get(key, 0)})
+                 for coef, factors in group]
+    counts = {}
+    for _, factors in group:
+        for key in factors:
+            counts[key] = counts.get(key, 0) + 1
+    total = MultiPoly()
+    while len(group) > 1 and counts:
+        key = min(counts, key=lambda k: (-counts[k], k))
+        if counts[key] == 1:
+            break
+        held = [t for t in group if key in t[1]]
+        group = [t for t in group if key not in t[1]]
+        for _, factors in held:
+            for k in factors:
+                counts[k] -= 1
+                if not counts[k]:
+                    del counts[k]
+        total = total + _shared_expansion(held, power)
+    for coef, factors in group:
+        total = total + _times(coef, factors, power)
+    return _times(total, common, power)
+
+
 def rf_sum(terms):
     """Exact sum of RatFuns over the shared factored denominator.
 
@@ -816,10 +865,13 @@ def rf_sum(terms):
     integer content: term i's residual num_i / den_i is written as
     (s_i * num_i) / (s_i * den_i), with s_i = 1 / den_i for a constant den_i
     and s_i = 1 / content(den_i) otherwise, and content is the lcm of the
-    denominators of the s_i * num_i.  Each term's leftover factors are then
-    expanded and the numerators summed in integer arithmetic, content goes
-    into the denominator once, and linear factors are pulled back out of the
-    result by trial division.
+    denominators of the s_i * num_i.  The numerator is the sum over the
+    terms of content * s_i * num_i times the term's leftover form powers and
+    every other term's integral residual denominator; it is expanded in
+    integer arithmetic by _shared_expansion, which multiplies a cofactor
+    shared by a group of terms once for the group.  content goes into the
+    denominator once, and linear factors are pulled back out of the result
+    by trial division.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
@@ -850,19 +902,28 @@ def rf_sum(terms):
             if f not in t.factored:
                 left[f] = -c
         prepared.append((num, scale, {f: e for f, e in left.items() if e}, idx))
-    total_num = MultiPoly()
     total_den = MultiPoly.const(content)
     for dpoly in polydens:
         total_den = total_den * dpoly
+    # a factor's key is (0, *coeffs) for a form and (1, j) for polydens[j]
+    bases = {(1, j): dpoly for j, dpoly in enumerate(polydens)}
+    bases.update(((0, *f.coeffs), f.to_poly()) for f in allforms)
+    group = []
     for num, scale, left, idx in prepared:
-        expanded = _scale_integral(num, content * scale)
+        factors = {(1, j): 1 for j in range(len(polydens)) if j != idx}
         for f, e in left.items():
             assert e >= 0, "common part must minorize every term"
-            expanded = expanded * (f.to_poly() ** e)
-        for j, dpoly in enumerate(polydens):
-            if j != idx:
-                expanded = expanded * dpoly
-        total_num = total_num + expanded
+            factors[(0, *f.coeffs)] = e
+        group.append((_scale_integral(num, content * scale), factors))
+    powers = {}
+
+    def power(key, e):
+        p = powers.get((key, e))
+        if p is None:
+            p = powers[key, e] = bases[key] ** e
+        return p
+
+    total_num = _shared_expansion(group, power)
     raw = RatFun(common, total_num, total_den, normalize=False)
     if raw.is_zero():
         return RatFun.zero()

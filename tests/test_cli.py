@@ -142,6 +142,26 @@ def test_thread_count_invisible_in_json(runner, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["js", "--k", "2", "--dmax", "1", "--json"],
+    ["js", "--k", "2", "--dmax", "1", "--csv"],
+    ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "1",
+     "--csv"],
+    ["dimred", "--k", "2", "--dmax", "1", "--json"],
+    ["insertion-free", "--k", "2", "--dmax", "1", "--csv"],
+    ["series", "--kind", "NC", "--qmax", "1", "--csv"],
+    ["classify", "--theta", "-1,1", "--json"],
+])
+def test_unwritable_output_path_is_usage_error(runner, tmp_path, args):
+    res = runner.invoke(main, args + [str(tmp_path / "missing" / "out")])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: cannot write ")
+    assert not (tmp_path / "missing").exists()
+
+
 # ---------------------------------------------------------------------------
 # cache
 
@@ -209,6 +229,28 @@ def test_cache_corruption_recomputes(runner, tmp_path):
     assert res.exit_code == 0
     assert "corrupt cache entry" in res.output
     assert json.loads(cache_files[0].read_text())["command"] == "js"
+
+
+def test_unwritable_cache_keeps_report_and_verdict(runner, tmp_path,
+                                                   monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("WALLX_CACHE", str(blocker / "cache"))
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, ["js", "--k", "2", "--dmax", "1",
+                               "--json", str(out)])
+    assert res.exit_code == 0
+    assert "PASS" in res.stdout
+    assert json.loads(out.read_text())["pass"] is True
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: cannot write cache")
+    # a failed identity still exits 1
+    res = runner.invoke(main, [
+        "wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "1",
+        "--sign-override", "plus:Lmm2,i0=IlP1:1,comp=1,0,0,0=-1",
+    ])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("warning: cannot write cache")
 
 
 def test_no_cache_leaves_no_directory(runner, tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallx import quiver
 from wallx.quiver import (
     ClassifyResult,
     FramedRep,
@@ -310,6 +311,42 @@ def test_verdicts_invariant_under_rescaling_every_arrow():
     assert {v[0] for v in seen} == {"pass", "fail"}
     assert {v[1] for v in seen} == {True, False}
     assert {v[2] for v in seen} == {"stable", "semistable", "unstable"}
+
+
+def test_stability_compares_int_values_and_ignores_positive_theta_scale(
+        monkeypatch):
+    # theta is scaled to integer coordinates before any value is compared;
+    # a positive scale keeps every sign and tie, so the verdict and witness
+    # equal those of the unscaled Fraction comparison, for theta and for
+    # its positive multiples
+    seen = []
+    theta_value = quiver.theta_value
+
+    def recorded(theta, d0, d1):
+        value = theta_value(theta, d0, d1)
+        seen.append(type(value))
+        return value
+
+    monkeypatch.setattr(quiver, "theta_value", recorded)
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(200):
+        dims, arrows = _random_graded_arrows(rng)
+        framing = [0] * dims[0]
+        if dims[0]:
+            framing[rng.randrange(dims[0])] = 1
+        theta = Theta.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quiver, "_integral_theta", lambda th: th)
+            ref = _verdicts(dims, arrows, framing, theta)[2]
+        seen.clear()
+        for scale in (1, Fraction(7, 5), 3, Fraction(1, 12)):
+            scaled = Theta(theta.th0 * scale, theta.th1 * scale)
+            assert _verdicts(dims, arrows, framing, scaled)[2] == ref
+        assert set(seen) <= {int}
+        kinds.add(ref[0])
+    assert kinds == {"stable", "semistable", "unstable"}
 
 
 def _brute_closed_subsets(rep):

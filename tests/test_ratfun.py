@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wallx import ratfun
-from wallx.geom import contribution, fiber_plus, js_fixed_points
+from wallx.geom import (
+    contribution,
+    fiber_minus,
+    fiber_plus,
+    js_fixed_points,
+    parse_i0,
+)
 from wallx.ratfun import (
     DEFAULT_PRIME,
     DivisionByZero,
@@ -468,3 +474,100 @@ def test_planted_non_divisible_num_needs_no_synthetic_division(monkeypatch):
     # a divisible num still goes through exact division
     RatFun({}, num - MultiPoly.const(1), normalize=False).extract_linear([f])
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# rf_sum's shared-factor expansion
+
+
+@st.composite
+def shared_form_sums(draw):
+    """Terms over one small pool of forms, so that they share cofactors, with
+    Fraction scalars and non-constant residual nums and dens; and the same
+    terms followed by their negations in another order."""
+    pool = draw(st.lists(linear_forms, min_size=1, max_size=3, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(2, 4))):
+        scalar = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                          draw(st.integers(1, 12)))
+        num = MultiPoly(draw(int_polys))
+        if num.is_zero():
+            num = MultiPoly.const(1)
+        factored = {f: draw(st.integers(-1, 2)) for f in pool}
+        if draw(st.booleans()):
+            den = MultiPoly.const(1)
+        else:
+            # degree 2 and not a linear form, so it stays a residual den
+            den = MultiPoly({(2, 0, 0, 0): draw(st.integers(1, 3)),
+                             (0, 0, 1, 1): draw(st.integers(-3, 3)),
+                             (0, 0, 0, 0): draw(st.integers(1, 3))})
+        terms.append(RatFun(factored, num.scale(scalar), den))
+    return terms, terms + [-t for t in draw(st.permutations(terms))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_form_sums())
+def test_rf_sum_of_shared_forms_matches_cross_multiplication(case):
+    terms, cancelling = case
+    assert rf_sum(terms) == _cross_multiplied(terms)
+    assert rf_sum(cancelling).is_zero()
+
+
+def _flat_expansion(group, power):
+    """The numerator rf_sum expands, one term at a time with no sharing."""
+    total = MultiPoly()
+    for coef, factors in group:
+        for key, e in factors.items():
+            coef = coef * power(key, e)
+        total = total + coef
+    return total
+
+
+def _flat_rf_sum(terms):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfun, "_shared_expansion", _flat_expansion)
+        return rf_sum(terms)
+
+
+def _localization_sums():
+    for k in (1, 2, 3, 4):
+        for d in (1, 2, 3):
+            yield [contribution(fp) for fp in js_fixed_points(k, d)]
+    i0 = parse_i0("IlP1:1")
+    for d in range(4):
+        for fiber in (fiber_plus, fiber_minus):
+            yield [contribution(fp) for fp in fiber(2, i0, d)]
+
+
+def test_rf_sum_string_equals_flat_expansion():
+    for terms in _localization_sums():
+        assert str(rf_sum(terms)) == str(_flat_rf_sum(terms))
+
+
+def _term_pairs(sum_fn, terms):
+    """(result, sum of len(a) * len(b) over the MultiPoly products made)."""
+    mul = MultiPoly.__mul__
+    pairs = [0]
+
+    def counted(a, b):
+        pairs[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MultiPoly, "__mul__", counted)
+        out = sum_fn(terms)
+    return out, pairs[0]
+
+
+def test_shared_cofactor_is_multiplied_once():
+    # 1/f1 + ... + 1/f5: term i's cofactor is the product of the four other
+    # forms, so any two terms share a product of three
+    forms = [L1 + L2, L2 - L3, L1 + 2 * L3, M - L3, L1 + M]
+    terms = [RatFun.const(i + 1) / f for i, f in enumerate(forms)]
+    shared, shared_pairs = _term_pairs(rf_sum, terms)
+    flat, flat_pairs = _term_pairs(_flat_rf_sum, terms)
+    assert str(shared) == str(flat)
+    assert shared_pairs < flat_pairs
+    # the same on a js localization sum, whose terms share most forms
+    terms = [contribution(fp) for fp in js_fixed_points(3, 3)]
+    assert _term_pairs(rf_sum, terms)[1] < _term_pairs(_flat_rf_sum, terms)[1]
