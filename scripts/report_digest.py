@@ -6,8 +6,9 @@ Usage: python3 scripts/report_digest.py
 Runs, in this process, with --no-cache and a fresh empty WALLX_CACHE:
 every SYMBOLIC_MENU command and every EVAL_MENU check at --seed 42 (both
 menus read from bench/workloads.py), and the four criterion-10 commands of
-tests/test_acceptance.py, and the rf_sum-heavy EXTRA commands outside the
-menus.  Prints one `sha256[:16]  command` line per JSON report, or `exit N`
+tests/test_acceptance.py, and the EXTRA commands outside the menus:
+rf_sum-heavy symbolic ones, and eval ones, of which one fails by a sign
+override and exits 1.  Prints one `sha256[:16]  command` line per JSON report, or `exit N`
 in place of the digest when a command wrote none.  The PRINTED commands
 (every `series --kind` and a `signsearch`) write no report; their line
 digests the exit code and everything they print.  A last
@@ -56,6 +57,15 @@ EXTRA = (
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "6"],
     ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "2"],
     ["dimred", "--k", "3", "--dmax", "4"],
+    ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "8",
+     "--backend", "eval"],
+    ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "3",
+     "--backend", "eval"],
+    ["js", "--k", "3", "--dmax", "3", "--backend", "eval"],
+    # a sign override that makes the identity fail (exit 1)
+    ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "3",
+     "--backend", "eval",
+     "--sign-override", "plus:Lmm2,i0=IlP1:1,comp=0,1,0,0=-1"],
 )
 
 SERIES_KINDS = next(p for p in cli_series.params if p.name == "kind").type.choices

@@ -119,32 +119,32 @@ def chi_pair(F, G, ambient):
     sum_p (-1)^p chi_P1(Hom(L, L' x wedge^p N)) over all summand pairs.
     Each term chi_p1(a, b) is t0^k over one range of k with multiplicity +1,
     or over the complementary range with -1 (see kclass.chi_p1); t0^k
-    twisted by t is (t0 - k, t1 - k, t2 - k, t3).
+    twisted by t is (t0 - k, t1 - k, t2 - k, t3).  Summand pairs with the
+    same differences give the same terms, so each distinct difference is
+    expanded once, with its count as a multiplicity.
     """
-    pairs = [(Lp.a - L.a, Lp.b - L.b, Lp.twist[0] - L.twist[0],
-              Lp.twist[1] - L.twist[1], Lp.twist[2] - L.twist[2],
-              Lp.twist[3] - L.twist[3])
-             for L in F.summands for Lp in G.summands]
+    pairs = {}
+    for L in F.summands:
+        for Lp in G.summands:
+            key = (Lp.a - L.a, Lp.b - L.b, Lp.twist[0] - L.twist[0],
+                   Lp.twist[1] - L.twist[1], Lp.twist[2] - L.twist[2],
+                   Lp.twist[3] - L.twist[3])
+            pairs[key] = pairs.get(key, 0) + 1
     total = {}
     for wa, wb, (w0, w1, w2, w3), sign in EXTERIOR_POWERS[ambient]:
-        for da, db, d0, d1, d2, d3 in pairs:
+        for (da, db, d0, d1, d2, d3), n in pairs.items():
             a = da + wa
             b = db + wb
             if -a <= b:
-                ks, c = range(-a, b + 1), sign
+                ks, c = range(-a, b + 1), sign * n
             else:
-                ks, c = range(b + 1, -a), -sign
+                ks, c = range(b + 1, -a), -sign * n
             t0, t1, t2, t3 = d0 + w0, d1 + w1, d2 + w2, d3 + w3
             for k in ks:
                 key = (t0 - k, t1 - k, t2 - k, t3)
-                s = total.get(key, 0) + c
-                # a weight that cancels leaves the order, as it did under
-                # KClass.__add__: the order of the Euler-class factors fixes
-                # the order of the later expansions
-                if s:
-                    total[key] = s
-                else:
-                    del total[key]
+                total[key] = total.get(key, 0) + c
+    # weights that cancel are dropped here; the order of the rest reaches no
+    # report, since rf_sum and str sort the forms they meet
     return KClass(total)
 
 

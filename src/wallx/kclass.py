@@ -159,6 +159,12 @@ def chi_p1(a, b):
     return _kclass({t0_weight(k): -1 for k in range(b + 1, -a)})
 
 
+# weight (w1, w2, w3, wm) -> (unsigned form, whether its form's sign is -1),
+# filled through linear_form_of_weight, the one weight -> form rule; an entry
+# depends on its key alone, so every caller in the process may share it
+_FORM_OF_WEIGHT = {}
+
+
 def euler_class(v):
     """Product of the weight linear forms with multiplicities.
 
@@ -171,17 +177,25 @@ def euler_class(v):
         return RatFun.zero()
     if zm < 0:
         raise PoleAtZeroWeight("zero weight with negative multiplicity")
-    factored = {}
+    # the zero weight is stored only with a nonzero multiplicity, so every
+    # weight left has a form; w and -w give one form, and exponents are
+    # summed under the form's coeffs, which hash in C, unlike the form
+    exps = {}
+    forms = {}
     sign = 1
+    table = _FORM_OF_WEIGHT
     for w, c in v.terms.items():
-        if w == ZERO_WEIGHT:
-            continue
-        form = linear_form_of_weight((0, *w))
-        f = form.unsigned()
-        factored[f] = factored.get(f, 0) + c
-        if form.sign == -1 and c % 2:
+        entry = table.get(w)
+        if entry is None:
+            form = linear_form_of_weight((0, *w))
+            entry = table[w] = (form.unsigned(), form.sign == -1)
+        f, flip = entry
+        key = f.coeffs
+        exps[key] = exps.get(key, 0) + c
+        forms[key] = f
+        if flip and c % 2:
             sign = -sign
     # already the normal form: unsigned forms with nonzero exponents over a
     # constant numerator +-1 and denominator 1
-    return RatFun({f: e for f, e in factored.items() if e},
+    return RatFun({forms[key]: e for key, e in exps.items() if e},
                   MultiPoly.const(sign), normalize=False)

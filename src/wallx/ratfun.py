@@ -650,7 +650,11 @@ class RatFun:
             v = table.get(f.coeffs)
             if v is None:
                 v = table[f.coeffs] = f.eval_mod(assign, p)
-            if e > 0:
+            if e == 1:
+                num = num * v % p
+            elif e == -1:
+                den = den * v % p
+            elif e > 0:
                 num = num * pow(v, e, p) % p
             else:
                 den = den * pow(v, -e, p) % p
@@ -867,11 +871,11 @@ def rf_sum(terms):
     and s_i = 1 / content(den_i) otherwise, and content is the lcm of the
     denominators of the s_i * num_i.  The numerator is the sum over the
     terms of content * s_i * num_i times the term's leftover form powers and
-    every other term's integral residual denominator; it is expanded in
-    integer arithmetic by _shared_expansion, which multiplies a cofactor
-    shared by a group of terms once for the group.  content goes into the
-    denominator once, and linear factors are pulled back out of the result
-    by trial division.
+    every distinct integral residual denominator s_j * den_j other than its
+    own; it is expanded in integer arithmetic by _shared_expansion, which
+    multiplies a cofactor shared by a group of terms once for the group.
+    The denominator is content times each distinct s_j * den_j once, and
+    linear factors are pulled back out of the result by trial division.
     """
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
@@ -884,7 +888,9 @@ def rf_sum(terms):
     common = {
         f: min(t.factored.get(f, 0) for t in terms) for f in allforms
     }
-    polydens = []  # the non-constant residual denominators, made integral
+    # the distinct non-constant residual denominators, made integral, each
+    # mapped to its index: terms with equal ones share one factor
+    polydens = {}
     prepared = []  # (num, s_i, leftover factored dict, polyden index or None)
     content = 1
     for t in terms:
@@ -894,8 +900,8 @@ def rf_sum(terms):
             idx = None
         else:
             scale = Fraction(1) / _content(den)
-            idx = len(polydens)
-            polydens.append(_scale_integral(den, scale))
+            idx = polydens.setdefault(_scale_integral(den, scale),
+                                      len(polydens))
         content = math.lcm(content, (scale * _content(num)).denominator)
         left = {f: e - common.get(f, 0) for f, e in t.factored.items()}
         for f, c in common.items():
@@ -905,8 +911,9 @@ def rf_sum(terms):
     total_den = MultiPoly.const(content)
     for dpoly in polydens:
         total_den = total_den * dpoly
-    # a factor's key is (0, *coeffs) for a form and (1, j) for polydens[j]
-    bases = {(1, j): dpoly for j, dpoly in enumerate(polydens)}
+    # a factor's key is (0, *coeffs) for a form and (1, j) for the
+    # residual denominator of index j
+    bases = {(1, j): dpoly for dpoly, j in polydens.items()}
     bases.update(((0, *f.coeffs), f.to_poly()) for f in allforms)
     group = []
     for num, scale, left, idx in prepared:

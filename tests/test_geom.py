@@ -1,5 +1,6 @@
 """Fixed-point enumeration, pairing classes, and signed contributions."""
 
+import functools
 import importlib.util
 import itertools
 import pathlib
@@ -7,6 +8,7 @@ from math import comb
 
 import pytest
 
+from wallx import kclass
 from wallx.geom import (
     AMBIENT_NORMAL,
     EquivLineBundle,
@@ -29,7 +31,14 @@ from wallx.geom import (
     with_point_sign,
 )
 from wallx.kclass import KClass, chi_p1, euler_class
-from wallx.ratfun import PoleAtZeroWeight, RatFun, parse_ratfun, rf_sum
+from wallx.ratfun import (
+    MultiPoly,
+    PoleAtZeroWeight,
+    RatFun,
+    linear_form_of_weight,
+    parse_ratfun,
+    rf_sum,
+)
 
 
 def test_compositions_are_lex_and_complete():
@@ -67,15 +76,16 @@ def _chi_pair_by_kclass(F, G, ambient):
     return total
 
 
-def test_chi_pair_matches_kclass_sum_in_value_and_order():
-    # the order of the terms fixes the order of the Euler-class factors
+def test_chi_pair_matches_kclass_sum_in_value():
+    # value only: the order of the weights reaches no report (see
+    # test_rf_sum_string_does_not_depend_on_factor_order)
     sheaves = [fp.sheaf for fp in _sample_points()]
     for F, G in zip(sheaves, sheaves[1:] + sheaves[:1]):
         for ambient in AMBIENT_NORMAL:
             for a, b in ((F, F), (F, G)):
                 got = chi_pair(a, b, ambient)
                 want = _chi_pair_by_kclass(a, b, ambient)
-                assert list(got.terms.items()) == list(want.terms.items())
+                assert got.terms == want.terms
 
 
 def test_chi_X_of_structure_sheaf_of_line():
@@ -196,7 +206,9 @@ def _two_factor_contribution(fp):
     return with_point_sign(fp, e_sqrt * euler_class(taut_class(fp.sheaf)))
 
 
-def test_contribution_is_the_two_factor_product():
+@functools.cache
+def _menu_and_js_points():
+    """Every fixed point of the EVAL_MENU checks and of js, k <= 4, d <= 3."""
     points = {}
     for i0, k, tmax in _eval_menu():
         for d in range(tmax + 1):
@@ -208,8 +220,56 @@ def test_contribution_is_the_two_factor_product():
             for fp in js_fixed_points(k, d):
                 points[fp.label] = fp
     assert len(points) > 1000
-    for fp in points.values():
+    return tuple(points.values())
+
+
+def test_contribution_is_the_two_factor_product():
+    for fp in _menu_and_js_points():
         assert str(contribution(fp)) == str(_two_factor_contribution(fp))
+
+
+def _reference_contribution(fp):
+    """The contribution with the sqrt class's pairing summed as KClasses and
+    each weight's form taken from linear_form_of_weight, with no table."""
+    F = fp.sheaf
+    v = -chi_X(F) + _chi_pair_by_kclass(F, F, "Y3fold") + taut_class(F)
+    if v.zero_mult() > 0:
+        return RatFun.zero()
+    factored, sign = {}, 1
+    for w, c in v.terms.items():
+        form = linear_form_of_weight((0, *w))
+        f = form.unsigned()
+        factored[f] = factored.get(f, 0) + c
+        if form.sign == -1 and c % 2:
+            sign = -sign
+    value = RatFun({f: e for f, e in factored.items() if e},
+                   MultiPoly.const(sign), normalize=False)
+    return with_point_sign(fp, value)
+
+
+def _signed_factors(rf):
+    return {(f.coeffs, f.sign): e for f, e in rf.factored.items()}
+
+
+def test_contribution_equals_untabled_reference():
+    for fp in _menu_and_js_points():
+        got, want = contribution(fp), _reference_contribution(fp)
+        assert _signed_factors(got) == _signed_factors(want)
+        assert got.num == want.num and got.den == want.den
+        assert str(got) == str(want)
+
+
+def test_form_of_weight_table_entries():
+    weights = set()
+    for fp in _menu_and_js_points():
+        if not contribution(fp).is_zero():
+            weights.update(
+                (sqrt_class(fp.sheaf) + taut_class(fp.sheaf)).terms)
+    assert len(weights) > 100 and weights <= kclass._FORM_OF_WEIGHT.keys()
+    for w, (f, flip) in kclass._FORM_OF_WEIGHT.items():
+        form = linear_form_of_weight((0, *w))
+        assert f.coeffs == form.coeffs and f.sign == 1
+        assert flip == (form.sign == -1)
 
 
 def test_i0_contribution_oracle():

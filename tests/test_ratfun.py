@@ -1,6 +1,7 @@
 """Exact rational-function kernel: arithmetic, normal form, grammar, and the
 seeded modular evaluation backend."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -370,6 +371,29 @@ def _cross_multiplied(terms):
     return RatFun({}, total_num, total_den, normalize=False)
 
 
+def _equals_quotient(got, ref):
+    """got == ref for a ref with no factored part, N / D.
+
+    Each copy of a denominator form of got divides D where that division is
+    exact, and otherwise multiplies got's denominator; then up * D' is
+    compared with N * down, one product per side.  RatFun.__eq__ would
+    multiply out got's full denominator against the full D instead.
+    """
+    n, d = ref.num, ref.den
+    up, down = got.num, got.den
+    for f, e in got.factored.items():
+        if e > 0:
+            up = up * f.to_poly() ** e
+            continue
+        for _ in range(-e):
+            q, exact = d.divmod_linear(f)
+            if exact:
+                d = q
+            else:
+                down = down * f.to_poly()
+    return (up * d - n * down).is_zero()
+
+
 def _rf_sum_products(terms):
     """rf_sum(terms), and for each MultiPoly product it made, whether both
     factors had only int coefficients."""
@@ -392,7 +416,7 @@ def _rf_sum_products(terms):
 def test_rf_sum_over_integer_content_matches_cross_multiplication(terms):
     got, seen = _rf_sum_products(terms)
     assert all(seen)
-    assert got == _cross_multiplied(terms)
+    assert _equals_quotient(got, _cross_multiplied(terms))
 
 
 def test_rf_sum_of_fraction_scalars_multiplies_only_integer_polynomials():
@@ -404,7 +428,19 @@ def test_rf_sum_of_fraction_scalars_multiplies_only_integer_polynomials():
     assert any(type(c) is not int for c in terms[2].den.terms.values())
     got, seen = _rf_sum_products(terms)
     assert seen and all(seen)
-    assert got == _cross_multiplied(terms)
+    assert _equals_quotient(got, _cross_multiplied(terms))
+
+
+def test_rf_sum_shares_an_equal_residual_denominator():
+    # both terms hold the same quadratic residual den: it enters the sum
+    # once, not squared
+    t = L3 / (L1 * L1 + L2 * M + 1)
+    assert str(rf_sum([t, t])) == \
+        "prod[ lam3^1 ] * ( 2 ) / ( lam1^2 + lam2*m + 1 )"
+    # a den that differs by its content shares the factor too
+    u = L3 / (2 * L1 * L1 + 2 * L2 * M + 2)
+    assert str(rf_sum([t, u, t])) == \
+        "prod[ lam3^1 ] * ( 5/2 ) / ( lam1^2 + lam2*m + 1 )"
 
 
 linear_forms = st.tuples(*[st.integers(-3, 3)] * 4).filter(any).map(
@@ -509,7 +545,7 @@ def shared_form_sums(draw):
 @given(shared_form_sums())
 def test_rf_sum_of_shared_forms_matches_cross_multiplication(case):
     terms, cancelling = case
-    assert rf_sum(terms) == _cross_multiplied(terms)
+    assert _equals_quotient(rf_sum(terms), _cross_multiplied(terms))
     assert rf_sum(cancelling).is_zero()
 
 
@@ -544,6 +580,28 @@ def test_rf_sum_string_equals_flat_expansion():
         assert str(rf_sum(terms)) == str(_flat_rf_sum(terms))
 
 
+def _shuffled_factors(terms, rng):
+    """The terms with each one's factored dict in a seeded random order."""
+    out = []
+    for t in terms:
+        items = list(t.factored.items())
+        rng.shuffle(items)
+        out.append(RatFun(dict(items), t.num, t.den, normalize=False))
+    return out
+
+
+def test_rf_sum_string_does_not_depend_on_factor_order():
+    # the order of a contribution's factors comes from the order of the
+    # weights of its character, which no report may depend on
+    rng = random.Random(11)
+    for terms in _localization_sums():
+        want = str(rf_sum(terms))
+        reversed_terms = [RatFun(dict(reversed(t.factored.items())), t.num,
+                                 t.den, normalize=False) for t in terms]
+        assert str(rf_sum(reversed_terms)) == want
+        assert str(rf_sum(_shuffled_factors(terms, rng))) == want
+
+
 def _term_pairs(sum_fn, terms):
     """(result, sum of len(a) * len(b) over the MultiPoly products made)."""
     mul = MultiPoly.__mul__
@@ -571,3 +629,37 @@ def test_shared_cofactor_is_multiplied_once():
     # the same on a js localization sum, whose terms share most forms
     terms = [contribution(fp) for fp in js_fixed_points(3, 3)]
     assert _term_pairs(rf_sum, terms)[1] < _term_pairs(_flat_rf_sum, terms)[1]
+
+
+# ---------------------------------------------------------------------------
+# eval_mod: exponent +-1 multiplies the form's value in, others use pow
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(linear_forms, st.integers(-3, 3).filter(bool)),
+                min_size=1, max_size=5),
+       st.tuples(*[st.integers(1, DEFAULT_PRIME - 1)] * 4),
+       st.integers(1, 50))
+def test_eval_mod_matches_pow_reference(pairs, assign, c):
+    p = DEFAULT_PRIME
+    r = RatFun({f.unsigned(): e for f, e in pairs}, MultiPoly.const(c),
+               normalize=False)
+    num, den = c, 1
+    for f, e in r.factored.items():
+        v = sum(x * a for x, a in zip(f.coeffs, assign)) % p
+        if e > 0:
+            num = num * pow(v, e, p) % p
+        else:
+            den = den * pow(v, -e, p) % p
+    if den:
+        assert r.eval_mod(assign, p) == num * pow(den, -1, p) % p
+    else:
+        with pytest.raises(EvalDegenerate):
+            r.eval_mod(assign, p)
+    # on the hyperplane of a denominator form, the point is a pole whatever
+    # the exponent, also when the numerator vanishes first
+    for f, e in r.factored.items():
+        point = ratfun._hyperplane_point(f.coeffs)
+        if e < 0 and point is not None:
+            with pytest.raises(EvalDegenerate):
+                r.eval_mod(point, p, {})
