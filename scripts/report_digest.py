@@ -10,8 +10,9 @@ tests/test_acceptance.py, and the EXTRA commands outside the menus:
 rf_sum-heavy symbolic ones, and eval ones, of which one fails by a sign
 override and exits 1.  Prints one `sha256[:16]  command` line per JSON report, or `exit N`
 in place of the digest when a command wrote none.  The PRINTED commands
-(every `series --kind` and a `signsearch`) write no report; their line
-digests the exit code and everything they print.  A last
+(every `series --kind`, a `signsearch` and six `contribution --label`
+ones) write no report; their line digests the exit code and everything
+they print.  A last
 `sha256[:16]  chamber seed 42` line digests the outcomes of the chamber
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
@@ -73,6 +74,14 @@ SERIES_KINDS = next(p for p in cli_series.params if p.name == "kind").type.choic
 PRINTED = (
     *(["series", "--kind", kind, "--qmax", "2"] for kind in SERIES_KINDS),
     ["signsearch", "--k", "2", "--d", "2"],
+    *(["contribution", "--label", label] for label in (
+        "js:k=2,d=3,comp=2,1",
+        "js:k=3,d=2,comp=0,1,1",
+        "plus:Lmm2,i0=IlP1:1,comp=0,1,0,0",
+        "plus:Lmm3,i0=IP1,comp=0,0,0,0,0,0,1",
+        "minus:Lmm3,i0=IP1,subset=1",
+        "minus:Lmm2,i0=IlP1:2",
+    )),
 )
 
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .kclass import KClass, chi_p1, euler_class, weight
-from .ratfun import LinearForm, PoleAtZeroWeight, RatFun
+from .ratfun import PoleAtZeroWeight, RatFun
 
 ON_Y = "on_Y"
 ON_Z = "on_Z"
@@ -410,17 +410,12 @@ _LAM = {
 }
 
 
-def _factor(lam3_mult, plus=None, minus=None, with_m=False):
-    c = [0, 0, 0, 1 if with_m else 0]
-    for i in range(3):
-        c[i] += lam3_mult * _LAM[3][i]
-        if plus is not None:
-            c[i] += _LAM[plus][i]
-        if minus is not None:
-            c[i] -= _LAM[minus][i]
-    if not any(c):
-        return None
-    return LinearForm.canonical(*c)
+def _factor(lam3_mult, plus, minus):
+    """Coefficients of lam3_mult * lam3 + lam_plus - lam_minus, or None when
+    they all vanish."""
+    c = tuple(lam3_mult * _LAM[3][i] + _LAM[plus][i] - _LAM[minus][i]
+              for i in range(3))
+    return (*c, 0) if any(c) else None
 
 
 def example_term_l1_k2(d1, d2, d3, d4):
@@ -432,7 +427,7 @@ def example_term_l1_k2(d1, d2, d3, d4):
     """
     ds = {1: d1, 2: d2, 3: d3, 4: d4}
     d = d1 + d2 + d3 + d4
-    result = RatFun.const(-1 if d % 2 else 1)
+    pairs = []
     for i in range(1, 5):
         for kk in range(ds[i]):
             for j in range(1, 5):
@@ -441,23 +436,22 @@ def example_term_l1_k2(d1, d2, d3, d4):
                     raise PoleAtZeroWeight(
                         f"denominator factor vanishes at i={i}, j={j}, k={kk}"
                     )
-                result = result * RatFun.from_form(f, -1)
+                pairs.append((f, -1))
             for j in (1, 2):
                 f = _factor(kk - 1, plus=i, minus=j)
                 if f is None:
                     return RatFun.zero()
-                result = result * RatFun.from_form(f)
+                pairs.append((f, 1))
             for shifted in (False, True):
-                # (m - k lam3 - lam_i), then the same shifted by lam1+lam2+lam3
+                # (m - k lam3 - lam_i), then the same shifted by lam1+lam2+lam3;
+                # its m coefficient is 1, so it never vanishes
                 c = [0, 0, 0, 1]
                 for t in range(3):
                     c[t] -= kk * _LAM[3][t] + _LAM[i][t]
                     if shifted:
                         c[t] += _LAM[1][t] + _LAM[2][t] + _LAM[3][t]
-                if not any(c):
-                    return RatFun.zero()
-                result = result * RatFun.from_form(LinearForm.canonical(*c))
-    return result
+                pairs.append((c, 1))
+    return RatFun.from_forms(pairs, -1 if d % 2 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ A KClass is a finite Z-linear combination of weights.
 
 from __future__ import annotations
 
-from .ratfun import MultiPoly, PoleAtZeroWeight, RatFun, linear_form_of_weight
+from .ratfun import PoleAtZeroWeight, RatFun
 
 ZERO_WEIGHT = (0, 0, 0, 0)
 
@@ -93,10 +93,8 @@ class KClass:
         })
 
     def dual(self):
-        return _kclass({tuple(-x for x in w): c for w, c in self.terms.items()})
-
-    def scale(self, n):
-        return KClass({w: c * n for w, c in self.terms.items()})
+        return _kclass({(-a, -b, -c, -d): m
+                        for (a, b, c, d), m in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, KClass) and self.terms == other.terms
@@ -114,19 +112,6 @@ class KClass:
         return f"sum[ {body} ]"
 
     __repr__ = __str__
-
-
-def kclass_ops(a, b, op):
-    """Named entry point: op in {add, sub, tensor, dual}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "tensor":
-        return a.tensor(b)
-    if op == "dual":
-        return a.dual()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def parse_kclass(s):
@@ -159,12 +144,6 @@ def chi_p1(a, b):
     return _kclass({t0_weight(k): -1 for k in range(b + 1, -a)})
 
 
-# weight (w1, w2, w3, wm) -> (unsigned form, whether its form's sign is -1),
-# filled through linear_form_of_weight, the one weight -> form rule; an entry
-# depends on its key alone, so every caller in the process may share it
-_FORM_OF_WEIGHT = {}
-
-
 def euler_class(v):
     """Product of the weight linear forms with multiplicities.
 
@@ -178,24 +157,6 @@ def euler_class(v):
     if zm < 0:
         raise PoleAtZeroWeight("zero weight with negative multiplicity")
     # the zero weight is stored only with a nonzero multiplicity, so every
-    # weight left has a form; w and -w give one form, and exponents are
-    # summed under the form's coeffs, which hash in C, unlike the form
-    exps = {}
-    forms = {}
-    sign = 1
-    table = _FORM_OF_WEIGHT
-    for w, c in v.terms.items():
-        entry = table.get(w)
-        if entry is None:
-            form = linear_form_of_weight((0, *w))
-            entry = table[w] = (form.unsigned(), form.sign == -1)
-        f, flip = entry
-        key = f.coeffs
-        exps[key] = exps.get(key, 0) + c
-        forms[key] = f
-        if flip and c % 2:
-            sign = -sign
-    # already the normal form: unsigned forms with nonzero exponents over a
-    # constant numerator +-1 and denominator 1
-    return RatFun({forms[key]: e for key, e in exps.items() if e},
-                  MultiPoly.const(sign), normalize=False)
+    # weight left is a nonzero vector (w1, w2, w3, wm), which weight() has
+    # made the coefficient vector of its linear form in lam1, lam2, lam3, m
+    return RatFun.from_forms(v.terms.items())

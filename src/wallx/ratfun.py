@@ -5,7 +5,8 @@ variable: it is eliminated at construction time through the Calabi-Yau
 relation lam0 = -(lam1 + lam2 + lam3).
 
 A RatFun is kept in partially factored form: a product of integer powers of
-linear forms times a residual num/den pair of polynomials.  Every denominator
+linear forms times a residual num/den pair of polynomials.  A linear form is
+its canonical coefficient tuple (see canonical_form).  Every denominator
 produced by localization is a product of linear forms, so cancellation only
 ever needs trial division by linear forms; no general multivariate GCD is
 attempted.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 VARS = ("lam1", "lam2", "lam3", "m")
@@ -257,10 +258,9 @@ class MultiPoly:
         Synthetic division along the form's pivot variable (its first variable
         with nonzero coefficient, which is also its graded-lex leading one).
         """
-        coeffs = form.coeffs
-        piv = next(i for i in range(NVARS) if coeffs[i] != 0)
-        cp = coeffs[piv]
-        rest = [(i, coeffs[i]) for i in range(piv + 1, NVARS) if coeffs[i] != 0]
+        piv = next(i for i in range(NVARS) if form[i] != 0)
+        cp = form[piv]
+        rest = [(i, form[i]) for i in range(piv + 1, NVARS) if form[i] != 0]
         # bucket the dividend by pivot exponent
         by_deg = {}
         for e, c in self.terms.items():
@@ -331,77 +331,50 @@ class MultiPoly:
 # linear forms
 
 
-@dataclass(frozen=True, order=True)
-class LinearForm:
-    """c1*lam1 + c2*lam2 + c3*lam3 + cm*m, canonicalized.
+# A linear form c1*lam1 + c2*lam2 + c3*lam3 + cm*m is the tuple
+# (c1, c2, c3, cm) of its integer coefficients, made canonical by a positive
+# first nonzero coefficient.  Forms hash, compare and sort as tuples.
 
-    The canonical representative has its first nonzero coefficient positive;
-    `sign` records the parity of the normalization that produced it.
-    """
-
-    coeffs: tuple
-    sign: int = field(default=1, compare=False)
-
-    def __hash__(self):
-        # equality compares coeffs alone (sign is compare=False)
-        return hash(self.coeffs)
-
-    @staticmethod
-    def canonical(c1, c2, c3, cm):
-        lead = c1 or c2 or c3 or cm
-        if not lead:
-            raise ZeroForm("all coefficients vanish")
-        if lead < 0:
-            return LinearForm((-c1, -c2, -c3, -cm), -1)
-        return LinearForm((c1, c2, c3, cm), 1)
-
-    def unsigned(self):
-        return self if self.sign == 1 else LinearForm(self.coeffs, 1)
-
-    def to_poly(self):
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = tuple(1 if j == i else 0 for j in range(NVARS))
-                out[e] = c
-        return _poly(out)
-
-    def eval_mod(self, assign, p):
-        return sum(c * a for c, a in zip(self.coeffs, assign)) % p
-
-    def subs_m_lam3(self):
-        """m -> lam3; returns (LinearForm, sign) or (None, 0) if it collapses."""
-        c1, c2, c3, cm = self.coeffs
-        try:
-            f = LinearForm.canonical(c1, c2, c3 + cm, 0)
-        except ZeroForm:
-            return None, 0
-        return f.unsigned(), f.sign
-
-    def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            body = VARS[i] if mag == 1 else f"{mag}*{VARS[i]}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sgn, body in parts[1:]:
-            out += f" {sgn} {body}"
-        return out
+# the unit vector of each variable: the exponent of the variable alone, and
+# the coefficients of the form that is the variable
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
-def linear_form_of_weight(w):
-    """Linear form of a torus weight (w0, w1, w2, w3, wm), eliminating lam0.
+def canonical_form(c1, c2, c3, cm):
+    """(form, sign): the canonical form and the sign +-1 with
+    sign * form == (c1, c2, c3, cm).  Raises ZeroForm when all vanish."""
+    lead = c1 or c2 or c3 or cm
+    if not lead:
+        raise ZeroForm("all coefficients vanish")
+    if lead < 0:
+        return (-c1, -c2, -c3, -cm), -1
+    return (c1, c2, c3, cm), 1
 
-    lam0 = -(lam1+lam2+lam3), so the coefficients become
-    (w1-w0, w2-w0, w3-w0, wm).  Raises ZeroForm when they all vanish
-    (the caller decides the policy for genuinely zero weights).
-    """
-    w0, w1, w2, w3, wm = w
-    return LinearForm.canonical(w1 - w0, w2 - w0, w3 - w0, wm)
+
+def form_poly(form):
+    """The form as a MultiPoly."""
+    return _poly({e: c for e, c in zip(_UNITS, form) if c})
+
+
+def form_value(form, assign, p):
+    """The form's residue mod p at the residues assign."""
+    return sum(c * a for c, a in zip(form, assign)) % p
+
+
+def form_str(form):
+    """The form as text, e.g. `lam1 - 2*m`."""
+    parts = []
+    for i, c in enumerate(form):
+        if not c:
+            continue
+        mag = abs(c)
+        body = VARS[i] if mag == 1 else f"{mag}*{VARS[i]}"
+        parts.append(("-" if c < 0 else "+", body))
+    sign0, body0 = parts[0]
+    out = ("-" if sign0 == "-" else "") + body0
+    for sgn, body in parts[1:]:
+        out += f" {sgn} {body}"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,52 +383,68 @@ def linear_form_of_weight(w):
 _ONE = MultiPoly.const(1)
 
 
+def _ratfun(factored, num, den=_ONE):
+    """RatFun over the given parts, taken as they are, with no normalisation.
+
+    Callers pass parts in normal form; rf_sum's raw sum, which extract_linear
+    then normalises, is the one exception.
+    """
+    r = object.__new__(RatFun)
+    r.factored = factored
+    r.num = num
+    r.den = den
+    return r
+
+
 class RatFun:
-    """prod of LinearForm^exp times residual num/den."""
+    """prod of form^exp times residual num/den.
+
+    `factored` maps canonical forms to nonzero exponents; RatFun(...) takes
+    its keys as canonical and normalises the rest.  Signed coefficient
+    vectors go through from_forms.
+    """
 
     __slots__ = ("factored", "num", "den")
 
-    def __init__(self, factored=None, num=_ONE, den=_ONE, normalize=True):
+    def __init__(self, factored=None, num=_ONE, den=_ONE):
         self.factored = dict(factored or {})
         self.num = num
         self.den = den
-        if normalize:
-            self._normalize()
+        self._normalize()
 
     # -- constructors
 
     @staticmethod
     def zero():
-        return RatFun({}, MultiPoly(), _ONE, normalize=False)
+        return _ratfun({}, MultiPoly())
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
-        if c == 0:
-            return RatFun.zero()
-        num = MultiPoly.const(c.numerator)
-        den = MultiPoly.const(c.denominator)
-        return RatFun({}, num, den)
+        return RatFun.from_forms((), c)
 
     @staticmethod
     def var(name):
-        i = VARS.index(name)
-        coeffs = tuple(1 if j == i else 0 for j in range(NVARS))
-        return RatFun({LinearForm(coeffs): 1})
+        return RatFun.from_forms([(_UNITS[VARS.index(name)], 1)])
 
     @staticmethod
-    def lam0():
-        return RatFun.from_form(LinearForm.canonical(-1, -1, -1, 0))
+    def from_forms(pairs, scalar=1):
+        """scalar * prod form^exp over (coefficients, exp) pairs.
 
-    @staticmethod
-    def from_form(form, exp=1):
-        sign = 1 if form.sign == 1 or exp % 2 == 0 else -1
-        num = MultiPoly.const(sign)
-        return RatFun({form.unsigned(): exp}, num)
-
-    @staticmethod
-    def from_poly(p):
-        return RatFun({}, p)
+        The one sign fold: each coefficient vector, of any sign, is made
+        canonical, and its sign enters the scalar once per odd power.
+        Exponents of equal forms are summed and zero ones dropped, which
+        gives the normal form directly.
+        """
+        if not scalar:
+            return RatFun.zero()
+        factored = {}
+        for coeffs, e in pairs:
+            form, sign = canonical_form(*coeffs)
+            if sign < 0 and e % 2:
+                scalar = -scalar
+            factored[form] = factored.get(form, 0) + e
+        return _ratfun({f: e for f, e in factored.items() if e},
+                       MultiPoly.const(scalar))
 
     # -- normalization
 
@@ -467,16 +456,7 @@ class RatFun:
             return
         if self.den.is_zero():
             raise DivisionByZero("zero residual denominator")
-        fold = {}
-        for f, e in self.factored.items():
-            if e == 0:
-                continue
-            if f.sign != 1:
-                if e % 2:
-                    self.num = self.num.scale(-1)
-                f = f.unsigned()
-            fold[f] = fold.get(f, 0) + e
-        self.factored = {f: e for f, e in fold.items() if e != 0}
+        self.factored = {f: e for f, e in self.factored.items() if e}
         # a residual that is itself one linear form moves to the factored part
         split = _linear_split(self.den)
         if split is not None:
@@ -519,7 +499,6 @@ class RatFun:
         if num.is_zero():
             return RatFun.zero()
         for f in forms:
-            f = f.unsigned()
             num, up = _divide_out(num, f)
             if up:
                 factored[f] = factored.get(f, 0) + up
@@ -540,7 +519,7 @@ class RatFun:
         """Return (N, D) MultiPolys with value = N/D and no factored part."""
         n, d = self.num, self.den
         for f, e in self.factored.items():
-            p = f.to_poly() ** abs(e)
+            p = form_poly(f) ** abs(e)
             if e > 0:
                 n = n * p
             else:
@@ -573,7 +552,7 @@ class RatFun:
         return _coerce(other) * self.inverse()
 
     def __neg__(self):
-        return RatFun(self.factored, self.num.scale(-1), self.den, normalize=False)
+        return _ratfun(self.factored, self.num.scale(-1), self.den)
 
     def __add__(self, other):
         return rf_sum([self, _coerce(other)])
@@ -612,31 +591,25 @@ class RatFun:
 
     def substitute_m(self):
         """Specialize m -> lam3 on the factored representation."""
-        factored = {}
-        num = self.num.subs_m_lam3()
-        den = self.den.subs_m_lam3()
-        sign = 1
+        pairs = []
         for f, e in self.factored.items():
-            nf, s = f.subs_m_lam3()
-            if nf is None:
+            c1, c2, c3, cm = f
+            if not (c1 or c2 or c3 + cm):
                 if e > 0:
                     return RatFun.zero()
-                raise PoleAtSubstitution(f"denominator factor {f} vanishes at m=lam3")
-            factored[nf] = factored.get(nf, 0) + e
-            if e % 2 and s == -1:
-                sign = -sign
+                raise PoleAtSubstitution(
+                    f"denominator factor {form_str(f)} vanishes at m=lam3")
+            pairs.append(((c1, c2, c3 + cm, 0), e))
+        den = self.den.subs_m_lam3()
         if den.is_zero():
             raise PoleAtSubstitution("residual denominator vanishes at m=lam3")
-        if sign == -1:
-            num = num.scale(-1)
-        return RatFun(factored, num, den)
+        return RatFun.from_forms(pairs) * RatFun({}, self.num.subs_m_lam3(), den)
 
     def eval_mod(self, assign, p, table=None):
         """Evaluate at residues mod p.  Raises EvalDegenerate on a pole.
 
-        Form values are looked up in `table`, a dict from a form's coeffs
-        tuple (hashed in C, unlike the form) to the form's residue at this
-        assign and p, and added to it when missing; callers
+        Form values are looked up in `table`, a dict from a form to its
+        residue at this assign and p, and added to it when missing; callers
         that evaluate many values at one point share one table.  Every
         factor is looked up, so a point where a denominator form vanishes is
         rejected even when a numerator form vanishes there too; the
@@ -647,9 +620,9 @@ class RatFun:
         num = self.num.eval_mod(assign, p)
         den = self.den.eval_mod(assign, p)
         for f, e in self.factored.items():
-            v = table.get(f.coeffs)
+            v = table.get(f)
             if v is None:
-                v = table[f.coeffs] = f.eval_mod(assign, p)
+                v = table[f] = form_value(f, assign, p)
             if e == 1:
                 num = num * v % p
             elif e == -1:
@@ -678,7 +651,7 @@ class RatFun:
             raise DivisionByZero("denominator vanishes at point")
         acc = Fraction(num) / den
         for f, e in self.factored.items():
-            v = sum(Fraction(c) * Fraction(a) for c, a in zip(f.coeffs, assign))
+            v = sum(Fraction(c) * Fraction(a) for c, a in zip(f, assign))
             if v == 0:
                 if e < 0:
                     raise DivisionByZero("denominator form vanishes at point")
@@ -690,7 +663,7 @@ class RatFun:
 
     def __str__(self):
         forms = " ; ".join(
-            f"{f}^{self.factored[f]}" for f in sorted(self.factored)
+            f"{form_str(f)}^{self.factored[f]}" for f in sorted(self.factored)
         )
         inner = f" {forms} " if forms else " "
         return f"prod[{inner}] * ( {self.num} ) / ( {self.den} )"
@@ -700,7 +673,7 @@ class RatFun:
 
 
 def _linear_split(poly):
-    """(signed content, canonical LinearForm) if poly is one linear form.
+    """(signed content, canonical form) if poly is one linear form.
 
     Returns None unless every term of poly is homogeneous of degree 1.
     """
@@ -712,8 +685,8 @@ def _linear_split(poly):
     lcm = math.lcm(*(c.denominator for c in coeffs if c))
     ints = [int(c * lcm) for c in coeffs]
     g = math.gcd(*ints)
-    form = LinearForm.canonical(*(n // g for n in ints))
-    return _coef(Fraction(g * form.sign, lcm)), form.unsigned()
+    form, sign = canonical_form(*(n // g for n in ints))
+    return _coef(Fraction(g * sign, lcm)), form
 
 
 # Residues of the variables off the pivot at the hyperplane test's point.  Any
@@ -753,7 +726,7 @@ def _may_divide(poly, form):
     form does not divide poly.  A zero value, or a coefficient denominator
     that is 0 mod p, answers "may divide".
     """
-    point = _hyperplane_point(form.coeffs)
+    point = _hyperplane_point(form)
     if point is None:
         return True
     try:
@@ -911,16 +884,16 @@ def rf_sum(terms):
     total_den = MultiPoly.const(content)
     for dpoly in polydens:
         total_den = total_den * dpoly
-    # a factor's key is (0, *coeffs) for a form and (1, j) for the
+    # a factor's key is (0, *form) for a form and (1, j) for the
     # residual denominator of index j
     bases = {(1, j): dpoly for dpoly, j in polydens.items()}
-    bases.update(((0, *f.coeffs), f.to_poly()) for f in allforms)
+    bases.update(((0, *f), form_poly(f)) for f in allforms)
     group = []
     for num, scale, left, idx in prepared:
         factors = {(1, j): 1 for j in range(len(polydens)) if j != idx}
         for f, e in left.items():
             assert e >= 0, "common part must minorize every term"
-            factors[(0, *f.coeffs)] = e
+            factors[(0, *f)] = e
         group.append((_scale_integral(num, content * scale), factors))
     powers = {}
 
@@ -931,7 +904,7 @@ def rf_sum(terms):
         return p
 
     total_num = _shared_expansion(group, power)
-    raw = RatFun(common, total_num, total_den, normalize=False)
+    raw = _ratfun(common, total_num, total_den)
     if raw.is_zero():
         return RatFun.zero()
     return raw.extract_linear(sorted(allforms))
@@ -1133,10 +1106,10 @@ def parse_ratfun(s):
             fp = p.parse_poly(stop=("^",), allow_power=False)
             p.take("^")
             e = p.parse_int()
-            form = _poly_to_form(fp)
-            factored[form.unsigned()] = factored.get(form.unsigned(), 0) + e
-            if form.sign == -1 and e % 2:
+            form, sign = _poly_to_form(fp)
+            if sign < 0 and e % 2:
                 raise ParseError(f"non-canonical form {fp}")
+            factored[form] = factored.get(form, 0) + e
             if p.peek() == ";":
                 p.take(";")
                 continue
@@ -1171,4 +1144,4 @@ def _poly_to_form(poly):
         if type(c) is not int:
             raise ParseError(f"non-integer form coefficient in {poly}")
         coeffs[e.index(1)] = c
-    return LinearForm.canonical(*coeffs)
+    return canonical_form(*coeffs)

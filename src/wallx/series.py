@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,7 +30,6 @@ from .kclass import euler_class
 from .ratfun import (
     EvalBackend,
     EvalDegenerate,
-    LinearForm,
     RatFun,
     binomial_rf,
     rf_equal,
@@ -65,10 +63,6 @@ class TruncSeries:
             d: c for d, c in self.coeffs.items()
             if self.lo <= d <= self.hi and not c.is_zero()
         }
-
-    @staticmethod
-    def one(order, lo=0):
-        return TruncSeries({0: RatFun.const(1)}, lo, order)
 
     def coeff(self, d):
         return self.coeffs.get(d, RatFun.zero())
@@ -133,13 +127,10 @@ def signed_binomial(x, d):
     return c if d % 2 == 0 else -c
 
 
-def binom_series(x, sign, order):
-    """(1 - t^{+-1})^x truncated: sum_d (-1)^d binom(x, d) t^{+-d}."""
-    step = 1 if sign == "t" else -1
-    coeffs = {step * d: signed_binomial(x, d) for d in range(order + 1)}
-    lo = 0 if step == 1 else -order
-    hi = order if step == 1 else 0
-    return TruncSeries(coeffs, lo, hi)
+def binom_series(x, order):
+    """(1 - t)^x truncated: sum_d (-1)^d binom(x, d) t^d."""
+    return TruncSeries({d: signed_binomial(x, d) for d in range(order + 1)},
+                       0, order)
 
 
 def wall_target(k, order):
@@ -148,7 +139,7 @@ def wall_target(k, order):
     Its t^d coefficient (-1)^d binom(k m / lam3, d) is the target of the
     wall quotient and of the degree-d localization sum at the wall Lmm(k).
     """
-    return binom_series(k * RatFun.var("m") / RatFun.var("lam3"), "t", order)
+    return binom_series(k * RatFun.var("m") / RatFun.var("lam3"), order)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +280,8 @@ class CheckReport:
     degrees: list
     passed: bool
     sz_bound: float | None = None
-    elapsed_ms: float | None = None
 
-    def to_doc(self, include_timing=False):
+    def to_doc(self):
         doc = {
             "command": self.command,
             "params": self.params,
@@ -304,13 +294,10 @@ class CheckReport:
         }
         if self.sz_bound is not None:
             doc["sz_bound"] = self.sz_bound
-        if include_timing and self.elapsed_ms is not None:
-            doc["elapsed_ms"] = self.elapsed_ms
         return doc
 
-    def to_json(self, include_timing=False):
-        return json.dumps(self.to_doc(include_timing), indent=2,
-                          sort_keys=False) + "\n"
+    def to_json(self):
+        return json.dumps(self.to_doc(), indent=2, sort_keys=False) + "\n"
 
 
 def _backend_name(backend):
@@ -377,7 +364,6 @@ def _eval_quotient_at(num, den, point, t_max):
 
 def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
     """Compare the wall quotient against (1-t)^{k m / lam3} by degree."""
-    t0 = time.monotonic()
     rhs = wall_target(k, t_max)
     degrees = []
     sz = None
@@ -421,7 +407,6 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
         degrees=degrees,
         passed=all(r.verdict == "equal" for r in degrees),
         sz_bound=sz,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
     )
 
 
@@ -430,8 +415,8 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
 
 
 def _js_form(c_lam0, c_lam3, c_m=0):
-    """c_lam0 * lam0 + c_lam3 * lam3 + c_m * m as a canonical form."""
-    return LinearForm.canonical(-c_lam0, -c_lam0, c_lam3 - c_lam0, c_m)
+    """Coefficients of c_lam0 * lam0 + c_lam3 * lam3 + c_m * m."""
+    return (-c_lam0, -c_lam0, c_lam3 - c_lam0, c_m)
 
 
 def js_closed_formula(k, d):
@@ -443,30 +428,27 @@ def js_closed_formula(k, d):
     kk = k - 1
     n = k * d
     pref = Fraction((-1) ** n, math.prod(math.factorial(i) for i in range(1, kk + 1)))
+    lam0, lam3 = _js_form(1, 0), _js_form(0, 1)
     terms = []
     for comp in compositions(d, kk + 1):
         scalar = pref / math.prod(math.factorial(di) for di in comp)
-        term = RatFun.const(scalar)
+        pairs = []
         for i in range(kk + 1):
             for j in range(i + 1, kk + 1):
                 # (j - i) + (d_i - d_j) lam3 / lam0
-                f = _js_form(j - i, comp[i] - comp[j])
-                term = term * RatFun.from_form(f) / RatFun.lam0()
+                pairs += ((_js_form(j - i, comp[i] - comp[j]), 1), (lam0, -1))
         for i in range(kk + 1):
             di = comp[i]
             for a in range(di):
                 for b in range(-i, kk - i + 1):
                     # m/lam3 - a - b lam0/lam3
-                    f = _js_form(-b, -a, 1)
-                    term = term * RatFun.from_form(f) / RatFun.var("lam3")
+                    pairs += ((_js_form(-b, -a, 1), 1), (lam3, -1))
             for a in range(1, di + 1):
                 for b in range(1, kk - i + 1):
-                    f = _js_form(b, a)
-                    term = term * RatFun.var("lam3") / RatFun.from_form(f)
+                    pairs += ((lam3, 1), (_js_form(b, a), -1))
                 for b in range(1, i + 1):
-                    f = _js_form(-b, a)
-                    term = term * RatFun.var("lam3") / RatFun.from_form(f)
-        terms.append(term)
+                    pairs += ((lam3, 1), (_js_form(-b, a), -1))
+        terms.append(RatFun.from_forms(pairs, scalar))
     return rf_sum(terms)
 
 
@@ -476,7 +458,6 @@ def check_js(k, d_max, backend="symbolic"):
     For each degree: the fixed-point sum, the closed product formula, and
     (-1)^d binom(k m / lam3, d) must agree pairwise.
     """
-    t0 = time.monotonic()
     target = wall_target(k, d_max)
     degrees = []
     for d in range(1, d_max + 1):
@@ -502,17 +483,11 @@ def check_js(k, d_max, backend="symbolic"):
         seed=_seed_of(backend),
         degrees=degrees,
         passed=all(r.verdict == "equal" for r in degrees),
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
     )
 
 
 # ---------------------------------------------------------------------------
 # dimensional reduction m -> lam3
-
-
-def substitute_m(v):
-    """Specialize the insertion weight m to lam3."""
-    return v.substitute_m()
 
 
 def chiZ_class(F):
@@ -537,13 +512,12 @@ def check_dimred(k, d_max):
     O_P1, whose reduced class is 0 and Euler class 1, while the total
     must be -1.
     """
-    t0 = time.monotonic()
     degrees = []
     for d in range(0, d_max + 1):
         detail = []
         subbed = []
         for fp in js_fixed_points(k, d):
-            sub = substitute_m(contribution(fp))
+            sub = contribution(fp).substitute_m()
             subbed.append(sub)
             if fp.support == "thickened":
                 has_t3 = chi_X(fp.sheaf).terms.get((0, 0, 1, 0), 0) > 0
@@ -579,7 +553,6 @@ def check_dimred(k, d_max):
         seed=None,
         degrees=degrees,
         passed=all(r.verdict == "equal" for r in degrees),
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
     )
 
 
@@ -593,7 +566,6 @@ def check_insertion_free(k, d_max):
     Expected: exp(-t/lam3) for k=1 (coefficients (-1/lam3)^d / d!) and the
     constant series 1 for k >= 2.
     """
-    t0 = time.monotonic()
     degrees = []
     neg_inv_l3 = -(RatFun.var("lam3").inverse())
     for d in range(0, d_max + 1):
@@ -621,7 +593,6 @@ def check_insertion_free(k, d_max):
         seed=None,
         degrees=degrees,
         passed=all(r.verdict == "equal" for r in degrees),
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
     )
 
 

@@ -8,7 +8,6 @@ from math import comb
 
 import pytest
 
-from wallx import kclass
 from wallx.geom import (
     AMBIENT_NORMAL,
     EquivLineBundle,
@@ -35,7 +34,8 @@ from wallx.ratfun import (
     MultiPoly,
     PoleAtZeroWeight,
     RatFun,
-    linear_form_of_weight,
+    _ratfun,
+    canonical_form,
     parse_ratfun,
     rf_sum,
 )
@@ -230,46 +230,28 @@ def test_contribution_is_the_two_factor_product():
 
 def _reference_contribution(fp):
     """The contribution with the sqrt class's pairing summed as KClasses and
-    each weight's form taken from linear_form_of_weight, with no table."""
+    each weight's sign folded here, not by RatFun.from_forms."""
     F = fp.sheaf
     v = -chi_X(F) + _chi_pair_by_kclass(F, F, "Y3fold") + taut_class(F)
     if v.zero_mult() > 0:
         return RatFun.zero()
     factored, sign = {}, 1
     for w, c in v.terms.items():
-        form = linear_form_of_weight((0, *w))
-        f = form.unsigned()
+        f, form_sign = canonical_form(*w)
         factored[f] = factored.get(f, 0) + c
-        if form.sign == -1 and c % 2:
+        if form_sign == -1 and c % 2:
             sign = -sign
-    value = RatFun({f: e for f, e in factored.items() if e},
-                   MultiPoly.const(sign), normalize=False)
+    value = _ratfun({f: e for f, e in factored.items() if e},
+                    MultiPoly.const(sign))
     return with_point_sign(fp, value)
-
-
-def _signed_factors(rf):
-    return {(f.coeffs, f.sign): e for f, e in rf.factored.items()}
 
 
 def test_contribution_equals_untabled_reference():
     for fp in _menu_and_js_points():
         got, want = contribution(fp), _reference_contribution(fp)
-        assert _signed_factors(got) == _signed_factors(want)
+        assert got.factored == want.factored
         assert got.num == want.num and got.den == want.den
         assert str(got) == str(want)
-
-
-def test_form_of_weight_table_entries():
-    weights = set()
-    for fp in _menu_and_js_points():
-        if not contribution(fp).is_zero():
-            weights.update(
-                (sqrt_class(fp.sheaf) + taut_class(fp.sheaf)).terms)
-    assert len(weights) > 100 and weights <= kclass._FORM_OF_WEIGHT.keys()
-    for w, (f, flip) in kclass._FORM_OF_WEIGHT.items():
-        form = linear_form_of_weight((0, *w))
-        assert f.coeffs == form.coeffs and f.sign == 1
-        assert flip == (form.sign == -1)
 
 
 def test_i0_contribution_oracle():

@@ -20,12 +20,14 @@ from wallx.ratfun import (
     DivisionByZero,
     EvalBackend,
     EvalDegenerate,
-    LinearForm,
     MultiPoly,
     ParseError,
     RatFun,
     ZeroForm,
+    _ratfun,
     binomial_rf,
+    canonical_form,
+    form_poly,
     parse_poly,
     parse_ratfun,
     rf_equal,
@@ -44,21 +46,48 @@ M = RatFun.var("m")
 
 
 def test_canonical_form_sign_pinning():
-    f, = {LinearForm.canonical(-1, 0, 2, 0)}.union(
-        {LinearForm.canonical(1, 0, -2, 0)})
-    assert f.coeffs == (1, 0, -2, 0)
+    assert canonical_form(-1, 0, 2, 0) == ((1, 0, -2, 0), -1)
+    assert canonical_form(1, 0, -2, 0) == ((1, 0, -2, 0), 1)
+    assert canonical_form(0, 0, -2, 3) == ((0, 0, 2, -3), -1)
 
 
 def test_canonical_form_rejects_zero():
     with pytest.raises(ZeroForm):
-        LinearForm.canonical(0, 0, 0, 0)
+        canonical_form(0, 0, 0, 0)
+    with pytest.raises(ZeroForm):
+        RatFun.from_forms([((1, 0, 0, 0), 1), ((0, 0, 0, 0), -1)])
 
 
 def test_form_sign_excluded_from_identity():
-    a = LinearForm.canonical(1, 2, 0, 0)
-    b = LinearForm.canonical(-1, -2, 0, 0)
+    (a, sa), (b, sb) = canonical_form(1, 2, 0, 0), canonical_form(-1, -2, 0, 0)
     assert a == b and hash(a) == hash(b)
-    assert {a.sign, b.sign} == {1, -1}
+    assert {sa, sb} == {1, -1}
+
+
+raw_vectors = st.tuples(*[st.integers(-3, 3)] * 4).filter(any)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(raw_vectors,
+                          st.integers(-3, 3).filter(bool)), max_size=6),
+       st.fractions(min_value=-4, max_value=4, max_denominator=9),
+       st.lists(st.tuples(*[rationals] * 4), min_size=1, max_size=3))
+def test_from_forms_is_the_product_of_the_raw_forms(pairs, scalar, points):
+    # coefficient vectors of any sign, repeated or opposite ones included:
+    # the sign fold must give the value of the product as written
+    r = RatFun.from_forms(pairs, scalar)
+    for point in points:
+        values = [sum(c * x for c, x in zip(coeffs, point))
+                  for coeffs, _ in pairs]
+        if not all(values):
+            continue
+        want = scalar
+        for v, (_, e) in zip(values, pairs):
+            want *= v ** e
+        assert r.eval_exact(point) == want
+    text = str(r)
+    assert str(parse_ratfun(text)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +242,7 @@ def test_eval_mod_positive_form_zero_gives_zero():
 def test_eval_mod_rejects_pole_after_numerator_zero():
     # a numerator form ordered before a denominator form, both vanishing at
     # the point: the point is a pole and must be rejected, not scored as 0
-    r = RatFun({LinearForm.canonical(1, -1, 0, 0): 1,
-                LinearForm.canonical(0, 0, 1, -1): -1})
+    r = RatFun({(1, -1, 0, 0): 1, (0, 0, 1, -1): -1})
     assert list(r.factored.values()) == [1, -1]
     with pytest.raises(EvalDegenerate):
         r.eval_mod((5, 5, 2, 2), DEFAULT_PRIME)
@@ -223,8 +251,7 @@ def test_eval_mod_rejects_pole_after_numerator_zero():
 
 def test_multipoly_divmod_exact_division():
     p = MultiPoly.var("lam1") * MultiPoly.var("lam1") - MultiPoly.var("lam2") * MultiPoly.var("lam2")
-    d = LinearForm.canonical(1, -1, 0, 0)
-    q, exact = p.divmod_linear(d)
+    q, exact = p.divmod_linear((1, -1, 0, 0))
     assert exact
     assert q == MultiPoly.var("lam1") + MultiPoly.var("lam2")
 
@@ -299,7 +326,7 @@ int_polys = st.dictionaries(
 @given(int_polys, int_polys, st.integers(-3, 3),
        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)))
 def test_integer_polys_stay_int_from_int_or_fraction_input(a, b, n, rest):
-    form = LinearForm.canonical(1, *rest)
+    form = (1, *rest)
     results = []
     for conv in (int, Fraction):
         pa = MultiPoly({e: conv(c) for e, c in a.items()})
@@ -324,7 +351,7 @@ half_polys = st.dictionaries(
 def test_fraction_arithmetic_leaves_integral_values_as_ints(a, b, n, rest):
     # 1/2 + 1/2 and 2 * 1/2 are integral: they must come out as ints
     pa, pb = MultiPoly(a), MultiPoly(b)
-    q, _ = pa.divmod_linear(LinearForm.canonical(2, *rest))
+    q, _ = pa.divmod_linear((2, *rest))
     for p in (pa * pb, pa + pb, pa - pb, pa.scale(n), pa.subs_m_lam3(), q):
         assert _integral_are_ints(p)
 
@@ -343,7 +370,7 @@ def content_terms(draw):
     if num.is_zero():
         num = MultiPoly.const(1)
     num = num.scale(scalar)
-    factored = {LinearForm.canonical(1, *rest): e
+    factored = {(1, *rest): e
                 for rest, e in draw(st.lists(
                     st.tuples(st.tuples(*[st.integers(-2, 2)] * 3),
                               st.integers(-2, 2).filter(bool)),
@@ -353,7 +380,7 @@ def content_terms(draw):
         return RatFun(factored, num)
     if kind == 1:
         den = MultiPoly.const(Fraction(draw(st.integers(1, 5)), 3))
-        return RatFun(factored, num, den, normalize=False)
+        return _ratfun(factored, num, den)
     # degree 2 and not a linear form: stays a residual den, and becomes
     # monic with Fraction coefficients when its lead is not 1
     den = MultiPoly({(2, 0, 0, 0): draw(st.integers(1, 3)),
@@ -368,7 +395,7 @@ def _cross_multiplied(terms):
         n, d = t.expand()
         total_num = total_num * d + n * total_den
         total_den = total_den * d
-    return RatFun({}, total_num, total_den, normalize=False)
+    return _ratfun({}, total_num, total_den)
 
 
 def _equals_quotient(got, ref):
@@ -383,14 +410,14 @@ def _equals_quotient(got, ref):
     up, down = got.num, got.den
     for f, e in got.factored.items():
         if e > 0:
-            up = up * f.to_poly() ** e
+            up = up * form_poly(f) ** e
             continue
         for _ in range(-e):
             q, exact = d.divmod_linear(f)
             if exact:
                 d = q
             else:
-                down = down * f.to_poly()
+                down = down * form_poly(f)
     return (up * d - n * down).is_zero()
 
 
@@ -444,7 +471,7 @@ def test_rf_sum_shares_an_equal_residual_denominator():
 
 
 linear_forms = st.tuples(*[st.integers(-3, 3)] * 4).filter(any).map(
-    lambda c: LinearForm.canonical(*c))
+    lambda c: canonical_form(*c)[0])
 mixed_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 4),
     st.one_of(st.integers(-5, 5),
@@ -459,16 +486,16 @@ def test_hyperplane_test_never_rejects_a_multiple(f, g, scale):
     if g.is_zero():
         return
     # also the non-primitive scale * f, such as 2*lam3
-    for form in (f, LinearForm.canonical(*(scale * c for c in f.coeffs))):
-        assert ratfun._may_divide(form.to_poly() * g, form)
+    for form in (f, tuple(scale * c for c in f)):
+        assert ratfun._may_divide(form_poly(form) * g, form)
 
 
 def test_hyperplane_test_examples():
-    two_lam3 = LinearForm.canonical(0, 0, 2, 0)
+    two_lam3 = (0, 0, 2, 0)
     g = MultiPoly({(1, 0, 0, 0): Fraction(1, 3), (0, 0, 0, 1): Fraction(-5, 2)})
-    assert ratfun._may_divide(two_lam3.to_poly() * g, two_lam3)
+    assert ratfun._may_divide(form_poly(two_lam3) * g, two_lam3)
     assert not ratfun._may_divide(g, two_lam3)
-    lam1 = LinearForm.canonical(1, 0, 0, 0)
+    lam1 = (1, 0, 0, 0)
     # a coefficient denominator that is 0 mod p may divide
     bad = MultiPoly({(0, 1, 0, 0): Fraction(1, DEFAULT_PRIME)})
     assert ratfun._may_divide(bad, lam1)
@@ -479,9 +506,9 @@ def _extracted_strings():
            for k in (2, 3) for d in (1, 2, 3)]
     quotient = wallcross_quotient(2, ("IlP1", 1), 3)
     out += [str(quotient.coeff(d)) for d in range(4)]
-    f, g = LinearForm.canonical(1, -1, 0, 0), LinearForm.canonical(0, 0, 1, 0)
+    f, g = (1, -1, 0, 0), (0, 0, 1, 0)
     rest = MultiPoly({(1, 1, 0, 0): 3, (0, 0, 2, 0): -1, (0, 0, 0, 1): 1})
-    raw = RatFun({}, f.to_poly() ** 2 * g.to_poly() * rest, normalize=False)
+    raw = _ratfun({}, form_poly(f) ** 2 * form_poly(g) * rest)
     out.append(str(raw.extract_linear([f, g])))
     return out
 
@@ -493,8 +520,8 @@ def test_extract_linear_same_string_without_hyperplane_test(monkeypatch):
 
 
 def test_planted_non_divisible_num_needs_no_synthetic_division(monkeypatch):
-    f = LinearForm.canonical(1, 1, 0, 0)
-    num = (f.to_poly() ** 3) * MultiPoly({(0, 0, 1, 0): 1, (0, 0, 0, 1): 2}) \
+    f = (1, 1, 0, 0)
+    num = (form_poly(f) ** 3) * MultiPoly({(0, 0, 1, 0): 1, (0, 0, 0, 1): 2}) \
         + MultiPoly.const(1)
     calls = []
     divmod_linear = MultiPoly.divmod_linear
@@ -504,11 +531,11 @@ def test_planted_non_divisible_num_needs_no_synthetic_division(monkeypatch):
         return divmod_linear(self, form)
 
     monkeypatch.setattr(MultiPoly, "divmod_linear", counted)
-    out = RatFun({}, num, normalize=False).extract_linear([f])
+    out = _ratfun({}, num).extract_linear([f])
     assert calls == []
     assert out.factored == {} and out.num == num
     # a divisible num still goes through exact division
-    RatFun({}, num - MultiPoly.const(1), normalize=False).extract_linear([f])
+    _ratfun({}, num - MultiPoly.const(1)).extract_linear([f])
     assert calls
 
 
@@ -586,7 +613,7 @@ def _shuffled_factors(terms, rng):
     for t in terms:
         items = list(t.factored.items())
         rng.shuffle(items)
-        out.append(RatFun(dict(items), t.num, t.den, normalize=False))
+        out.append(_ratfun(dict(items), t.num, t.den))
     return out
 
 
@@ -596,8 +623,8 @@ def test_rf_sum_string_does_not_depend_on_factor_order():
     rng = random.Random(11)
     for terms in _localization_sums():
         want = str(rf_sum(terms))
-        reversed_terms = [RatFun(dict(reversed(t.factored.items())), t.num,
-                                 t.den, normalize=False) for t in terms]
+        reversed_terms = [_ratfun(dict(reversed(t.factored.items())), t.num,
+                                  t.den) for t in terms]
         assert str(rf_sum(reversed_terms)) == want
         assert str(rf_sum(_shuffled_factors(terms, rng))) == want
 
@@ -642,11 +669,10 @@ def test_shared_cofactor_is_multiplied_once():
        st.integers(1, 50))
 def test_eval_mod_matches_pow_reference(pairs, assign, c):
     p = DEFAULT_PRIME
-    r = RatFun({f.unsigned(): e for f, e in pairs}, MultiPoly.const(c),
-               normalize=False)
+    r = _ratfun(dict(pairs), MultiPoly.const(c))
     num, den = c, 1
     for f, e in r.factored.items():
-        v = sum(x * a for x, a in zip(f.coeffs, assign)) % p
+        v = sum(x * a for x, a in zip(f, assign)) % p
         if e > 0:
             num = num * pow(v, e, p) % p
         else:
@@ -659,7 +685,7 @@ def test_eval_mod_matches_pow_reference(pairs, assign, c):
     # on the hyperplane of a denominator form, the point is a pole whatever
     # the exponent, also when the numerator vanishes first
     for f, e in r.factored.items():
-        point = ratfun._hyperplane_point(f.coeffs)
+        point = ratfun._hyperplane_point(f)
         if e < 0 and point is not None:
             with pytest.raises(EvalDegenerate):
                 r.eval_mod(point, p, {})
