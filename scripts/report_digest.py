@@ -54,9 +54,12 @@ EXTRA = (
     ["js", "--k", "4", "--dmax", "3"],
     ["js", "--k", "4", "--dmax", "4"],
     ["js", "--k", "5", "--dmax", "2"],
+    ["js", "--k", "5", "--dmax", "4"],
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "5"],
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "6"],
     ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "2"],
+    ["wallcross", "--wall", "Lmm:3", "--i0", "OX", "--tmax", "5"],
+    ["wallcross", "--wall", "Lmm:4", "--i0", "OX", "--tmax", "4"],
     ["dimred", "--k", "3", "--dmax", "4"],
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "8",
      "--backend", "eval"],

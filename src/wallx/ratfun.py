@@ -835,8 +835,133 @@ def _shared_expansion(group, power):
     return _times(total, common, power)
 
 
+def _lattice_basis(forms):
+    """(pivots, rows): the Hermite normal form basis of the lattice the forms
+    generate, or None when its rank is the number of variables they involve.
+
+    Each form is reduced against the rows by integer row operations
+    (Euclid's algorithm on the pivot entries), which keep the rows a basis of
+    the lattice of the forms seen; the pass stops once the rank is NVARS.
+    Then the entries above each pivot are brought into [0, pivot) (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4.2-2.4.3).  A row's
+    first nonzero entry is its positive pivot; the pivot columns increase.
+    """
+    rows = [None] * NVARS
+    for v in forms:
+        for piv in range(NVARS):
+            if not v[piv]:
+                continue
+            row = rows[piv]
+            if row is None:
+                row, v = v, ZERO_EXP
+            while v[piv]:
+                row, v = v, _axpy(1, row, -(row[piv] // v[piv]), v)
+            rows[piv] = row if row[piv] > 0 else _axpy(-1, row, 0, row)
+        if all(rows):
+            return None
+    pivots = [p for p in range(NVARS) if rows[p]]
+    basis = [rows[p] for p in pivots]
+    if len(basis) == sum(map(any, zip(*basis))):
+        return None
+    for k, p in enumerate(pivots):
+        for j in range(k):
+            basis[j] = _axpy(1, basis[j], -(basis[j][p] // basis[k][p]),
+                             basis[k])
+    return pivots, basis
+
+
+def _axpy(a, x, c, y):
+    """a * x + c * y for two coefficient 4-tuples."""
+    return (a * x[0] + c * y[0], a * x[1] + c * y[1],
+            a * x[2] + c * y[2], a * x[3] + c * y[3])
+
+
+def _coordinates(form, pivots, basis):
+    """The integer coordinates of a lattice form in the echelon basis, padded
+    to NVARS with zeros.  The first nonzero one has the sign of the form's
+    first nonzero coefficient, so a canonical form has canonical
+    coordinates."""
+    y = [0] * NVARS
+    for j, p in enumerate(pivots):
+        x = form[p]
+        for i in range(j):
+            x -= y[i] * basis[i][p]
+        y[j] = x // basis[j][p]
+    return tuple(y)
+
+
+def _map_back(red, basis, inputs):
+    """red, a normal form in the coordinates of the basis, with its j-th
+    variable replaced by the form basis[j].
+
+    A factor in inputs (coordinates -> form) maps to its form, another to a
+    canonical vector whose content enters the num.  The num is substituted
+    multiplying only powers of the basis forms, whose integer products
+    take red.num's coefficients as they are summed.
+    """
+    powers = {}
+
+    def power(j, n):
+        if (j, n) not in powers:
+            powers[j, n] = (form_poly(basis[j]) if n == 1
+                            else power(j, n - 1) * power(j, 1))
+        return powers[j, n]
+
+    out = {}
+    for e, c in red.num.terms.items():
+        pows = [power(j, n) for j, n in enumerate(e) if n]
+        term = pows[0] if pows else _ONE
+        for p in pows[1:]:
+            term = term * p
+        for m, v in term.terms.items():
+            out[m] = out.get(m, 0) + c * v
+    num = _poly({m: v for m, v in out.items() if v})
+    factored = {}
+    for y, e in red.factored.items():
+        f = inputs.get(y)
+        if f is None:
+            v = [sum(c * row[i] for c, row in zip(y, basis))
+                 for i in range(NVARS)]
+            g = math.gcd(*v)
+            f = tuple(x // g for x in v)
+            num = num.scale(Fraction(g) ** e)
+        factored[f] = factored.get(f, 0) + e
+    return _ratfun(factored, num, red.den)
+
+
 def rf_sum(terms):
     """Exact sum of RatFuns over the shared factored denominator.
+
+    When every term's residual num/den is constant, some form's exponent
+    differs between terms and the forms span a lattice of rank r smaller
+    than the number of variables they involve, the sum runs in r variables:
+    in the coordinates of the lattice's Hermite normal form basis.  The
+    result is mapped back once by substituting each basis form for its
+    variable, an injective ring map that keeps degrees and divisibility by
+    forms, so the normal form there maps to the normal form of the flat
+    sum.  (The flat sum divides the forms out in sorted order; its result
+    depends on that order only among proportional forms, lam3 before
+    2*lam3, which the coordinates keep in the same order.)
+    """
+    terms = [t for t in terms if not t.is_zero()]
+    if len(terms) < 2:
+        return terms[0] if terms else RatFun.zero()
+    if (any(t.factored != terms[0].factored for t in terms)
+            and all(t.num.is_const() and t.den.is_const() for t in terms)):
+        forms = set().union(*(t.factored for t in terms))
+        lattice = _lattice_basis(forms)
+        if lattice:
+            pivots, basis = lattice
+            coords = {f: _coordinates(f, pivots, basis) for f in forms}
+            red = _rf_sum_flat([
+                _ratfun({coords[f]: e for f, e in t.factored.items()},
+                        t.num, t.den) for t in terms])
+            return _map_back(red, basis, {y: f for f, y in coords.items()})
+    return _rf_sum_flat(terms)
+
+
+def _rf_sum_flat(terms):
+    """rf_sum of at least two nonzero terms in all NVARS variables.
 
     Collects the common linear-form part and brings every term over one
     integer content: term i's residual num_i / den_i is written as
@@ -850,11 +975,6 @@ def rf_sum(terms):
     The denominator is content times each distinct s_j * den_j once, and
     linear factors are pulled back out of the result by trial division.
     """
-    terms = [t for t in terms if not t.is_zero()]
-    if not terms:
-        return RatFun.zero()
-    if len(terms) == 1:
-        return terms[0]
     allforms = set()
     for t in terms:
         allforms.update(t.factored)

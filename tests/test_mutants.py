@@ -1,0 +1,59 @@
+"""Mutation gate: each test patches one defect into the program through
+monkeypatch and asserts that a symbolic check rejects it.
+
+A checker that still passes with a mutant in place cannot tell the defect
+from working code.  The mutants here run through rf_sum's reduced path (the
+js and OX wall-crossing sums span a rank-3 lattice of forms).
+"""
+
+import dataclasses
+
+from wallx import geom, ratfun, series
+from wallx.geom import parse_i0
+from wallx.series import check_js, check_wallcross
+
+OX = parse_i0("OX")
+
+
+def test_sane_checks_pass():
+    assert check_js(3, 3).passed
+    assert check_wallcross(3, OX, 3).passed
+
+
+def test_flipped_js_fixed_point_sign_is_rejected(monkeypatch):
+    def flipped(k, d):
+        points = geom.js_fixed_points(k, d)
+        fp = points[-1]
+        return points[:-1] + [
+            dataclasses.replace(fp, sign_extra=fp.sign_extra + 1)]
+
+    monkeypatch.setattr(series, "js_fixed_points", flipped)
+    assert not check_js(3, 3).passed
+
+
+def test_dropped_js_fixed_point_is_rejected(monkeypatch):
+    monkeypatch.setattr(series, "js_fixed_points",
+                        lambda k, d: geom.js_fixed_points(k, d)[1:])
+    assert not check_js(3, 3).passed
+
+
+def test_dropped_plus_fiber_point_at_ox_is_rejected(monkeypatch):
+    def dropped(k, i0, d):
+        points = geom.fiber_plus(k, i0, d)
+        return points[1:] if d else points
+
+    monkeypatch.setattr(series, "fiber_plus", dropped)
+    assert not check_wallcross(3, OX, 3).passed
+
+
+def test_swapped_basis_forms_in_the_map_back_are_rejected(monkeypatch):
+    map_back = ratfun._map_back
+
+    def swapped(red, basis, inputs):
+        if len(basis) > 1:
+            basis = [basis[1], basis[0], *basis[2:]]
+        return map_back(red, basis, inputs)
+
+    monkeypatch.setattr(ratfun, "_map_back", swapped)
+    assert not check_js(3, 3).passed
+    assert not check_wallcross(3, OX, 3).passed

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wallx import ratfun
 from wallx.geom import (
@@ -421,19 +421,22 @@ def _equals_quotient(got, ref):
     return (up * d - n * down).is_zero()
 
 
-def _rf_sum_products(terms):
+def _int_only(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+def _rf_sum_products(terms, holds=_int_only):
     """rf_sum(terms), and for each MultiPoly product it made, whether both
-    factors had only int coefficients."""
+    factors satisfy holds (by default: only int coefficients)."""
     mul = MultiPoly.__mul__
     seen = []
 
-    def int_only(a, b):
-        seen.append(all(type(c) is int
-                        for p in (a, b) for c in p.terms.values()))
+    def recorded(a, b):
+        seen.append(holds(a) and holds(b))
         return mul(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(MultiPoly, "__mul__", int_only)
+        mp.setattr(MultiPoly, "__mul__", recorded)
         out = rf_sum(terms)
     return out, seen
 
@@ -656,6 +659,111 @@ def test_shared_cofactor_is_multiplied_once():
     # the same on a js localization sum, whose terms share most forms
     terms = [contribution(fp) for fp in js_fixed_points(3, 3)]
     assert _term_pairs(rf_sum, terms)[1] < _term_pairs(_flat_rf_sum, terms)[1]
+
+
+# ---------------------------------------------------------------------------
+# rf_sum in the coordinates its forms span
+
+
+def _reduces(terms):
+    """Whether rf_sum takes its reduced path on these nonzero terms."""
+    first = terms[0].factored
+    forms = set().union(*(t.factored for t in terms))
+    return (any(t.factored != first for t in terms)
+            and all(t.num.is_const() and t.den.is_const() for t in terms)
+            and ratfun._lattice_basis(forms) is not None)
+
+
+@st.composite
+def sublattice_sums(draw):
+    """Constant-residual terms with Fraction scalars whose forms are integer
+    combinations of 1-3 random generators: a rank-1..3 lattice, which may be
+    non-saturated (a generator 2*lam3, or even combinations only) and may
+    have Hermite pivots other than 1."""
+    rank = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 4).filter(any),
+                         min_size=rank, max_size=rank))
+    pool = []
+    for _ in range(draw(st.integers(2, 5))):
+        combo = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+        v = tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(4))
+        if any(v):
+            pool.append(v)
+    assume(pool)
+    terms = []
+    for _ in range(draw(st.integers(2, 4))):
+        scalar = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                          draw(st.integers(1, 12)))
+        terms.append(RatFun.from_forms(
+            [(v, draw(st.integers(-2, 2))) for v in pool], scalar))
+    assume(_reduces(terms))
+    return terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(sublattice_sums())
+def test_reduced_rf_sum_string_equals_the_flat_path(terms):
+    got, seen = _rf_sum_products(terms)
+    assert all(seen)
+    assert str(got) == str(ratfun._rf_sum_flat(terms))
+    # the basis is in Hermite normal form, and every form is an integer
+    # combination of it whose first nonzero coordinate is positive
+    forms = set().union(*(t.factored for t in terms))
+    pivots, basis = ratfun._lattice_basis(forms)
+    assert pivots == sorted(pivots)
+    for k, (p, row) in enumerate(zip(pivots, basis)):
+        assert not any(row[:p]) and row[p] > 0
+        assert all(0 <= other[p] < row[p] for other in basis[:k])
+    for f in forms:
+        y = ratfun._coordinates(f, pivots, basis)
+        assert tuple(sum(c * row[i] for c, row in zip(y, basis))
+                     for i in range(4)) == f
+        assert canonical_form(*y)[1] == 1
+
+
+def test_non_saturated_lattice_folds_the_content_of_a_new_factor(
+        monkeypatch):
+    # {2*lam3, lam1 + lam2} has the basis (lam1 + lam2, 2*lam3); the sum's
+    # num 2*y1 + y2 maps back to 2*(lam1 + lam2 + lam3), whose content 2
+    # must enter the num as in the flat path
+    terms = [RatFun.from_forms([((0, 0, 2, 0), -1)], 2),
+             RatFun.from_forms([((1, 1, 0, 0), -1)])]
+    assert ratfun._lattice_basis({f for t in terms for f in t.factored}) == (
+        [0, 2], [(1, 1, 0, 0), (0, 0, 2, 0)])
+    want = "prod[ 2*lam3^-1 ; lam1 + lam2^-1 ; lam1 + lam2 + lam3^1 ] " \
+        "* ( 2 ) / ( 1 )"
+    assert str(ratfun._rf_sum_flat(terms)) == want
+    # the reduced path runs once and enters rf_sum once, through the flat
+    # helper, so that a per-call count of rf_sum does not change
+    reduced, entered = [], []
+    rf_sum_, map_back = ratfun.rf_sum, ratfun._map_back
+    monkeypatch.setattr(ratfun, "_map_back",
+                        lambda *a: reduced.append(1) or map_back(*a))
+    monkeypatch.setattr(ratfun, "rf_sum",
+                        lambda ts: entered.append(1) or rf_sum_(ts))
+    assert str(ratfun.rf_sum(terms)) == want
+    assert reduced == entered == [1]
+
+
+def _misses_a_variable(p):
+    """Whether some variable has exponent 0 in every term of p."""
+    return any(not any(e[i] for e in p.terms) for i in range(4))
+
+
+def test_rank_three_sums_expand_in_three_variables():
+    # every js form has c1 = c2: the localization sums of check_js(3, 3)
+    # multiply out in the coordinates (lam1 + lam2, lam3, m)
+    for d in (1, 2, 3):
+        terms = [contribution(fp) for fp in js_fixed_points(3, d)]
+        got, slots = _rf_sum_products(terms, _misses_a_variable)
+        assert slots and all(slots)
+        assert str(got) == str(ratfun._rf_sum_flat(terms))
+    # the IP1 k = 3 plus fiber spans all four variables: the flat path
+    terms = [t for t in (contribution(fp)
+                         for fp in fiber_plus(3, parse_i0("IP1"), 1))
+             if not t.is_zero()]
+    assert not _reduces(terms)
+    assert not all(_rf_sum_products(terms, _misses_a_variable)[1])
 
 
 # ---------------------------------------------------------------------------
