@@ -12,7 +12,10 @@ override and exits 1.  Prints one `sha256[:16]  command` line per JSON report, o
 in place of the digest when a command wrote none.  The PRINTED commands
 (every `series --kind`, a `signsearch` and six `contribution --label`
 ones) write no report; their line digests the exit code and everything
-they print.  A last
+they print.  A `sha256[:16]  parse_ratfun round trip of N values` line
+digests str(parse_ratfun(v)) over every symbolic report lhs and rhs and
+every printed contribution value v; the script exits 1 when some v does
+not read back to itself.  A last
 `sha256[:16]  chamber seed 42` line digests the outcomes of the chamber
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
@@ -39,6 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from wallx import quiver  # noqa: E402
 from wallx.cli import main as cli_main, series as cli_series  # noqa: E402
+from wallx.ratfun import parse_ratfun  # noqa: E402
 
 CHAMBER_SEED = 42
 
@@ -152,6 +156,7 @@ def chamber_digest():
 
 
 def main():
+    values = []  # symbolic report sides and printed contribution values
     with tempfile.TemporaryDirectory() as tmp:
         os.environ["WALLX_CACHE"] = str(pathlib.Path(tmp) / "cache")
         path = pathlib.Path(tmp) / "report.json"
@@ -160,12 +165,25 @@ def main():
             digest = (hashlib.sha256(data).hexdigest()[:16]
                       if data is not None else f"exit {code}")
             print(f"{digest}  {' '.join(args)}", flush=True)
+            for rec in json.loads(data)["degrees"] if data else ():
+                if rec["backend"] == "symbolic":
+                    values += [rec["lhs"], rec["rhs"]]
         for args in PRINTED:
             code, text = run_cli(list(args))
             digest = hashlib.sha256(f"exit {code}\n{text}".encode()).hexdigest()
             print(f"{digest[:16]}  {' '.join(args)}", flush=True)
+            values += [line.split(":", 1)[1].strip()
+                       for line in text.splitlines()
+                       if line.startswith("value ")]
+    read_back = [str(parse_ratfun(v)) for v in values]
+    digest = hashlib.sha256("\n".join(read_back).encode()).hexdigest()
+    print(f"{digest[:16]}  parse_ratfun round trip of {len(values)} values",
+          flush=True)
     print(f"{chamber_digest()}  chamber seed {CHAMBER_SEED}", flush=True)
-    return 0
+    mismatched = [v for v, r in zip(values, read_back) if v != r]
+    for v in mismatched[:3]:
+        print(f"does not read back to itself: {v}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

@@ -94,17 +94,22 @@ def cache_key(command, params):
 
 
 def cache_get(key):
+    """The cached report bytes, or None.  An entry that is not JSON, that
+    render_doc cannot render or whose `pass` is not a bool is corrupt: it
+    is reported on stderr and recomputed."""
     path = cache_dir() / f"{key}.json"
     if not path.is_file():
         return None
     data = path.read_bytes()
     try:
-        json.loads(data)
-    except ValueError:
-        click.echo(f"warning: corrupt cache entry {path}, recomputing",
-                   err=True)
-        return None
-    return data
+        doc = json.loads(data)
+        render_doc(doc)
+        if type(doc["pass"]) is bool:
+            return data
+    except (ValueError, TypeError, LookupError, AttributeError):
+        pass
+    click.echo(f"warning: corrupt cache entry {path}, recomputing", err=True)
+    return None
 
 
 def cache_put(key, data):

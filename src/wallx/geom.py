@@ -48,9 +48,6 @@ class EquivSheaf:
     def of(*bundles):
         return EquivSheaf(tuple(bundles))
 
-    def __len__(self):
-        return len(self.summands)
-
 
 O_P1 = EquivLineBundle(0, 0)
 

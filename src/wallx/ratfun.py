@@ -304,27 +304,30 @@ class MultiPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                VARS[i] + (f"^{e[i]}" if e[i] > 1 else "")
-                for i in range(NVARS)
-                if e[i]
-            )
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            parts.append(("-" if c < 0 else "+", body))
-        sign0, body0 = parts[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sgn, body in parts[1:]:
-            out += f" {sgn} {body}"
-        return out
+        exps = sorted(self.terms, key=_grlex_key, reverse=True)
+        monos = ["*".join(v if n == 1 else f"{v}^{n}"
+                          for v, n in zip(VARS, e) if n) for e in exps]
+        return _terms_str([self.terms[e] for e in exps], monos)
+
+
+def _terms_str(coeffs, monos):
+    """The signed sum of the terms coeffs[i] * monos[i], in order.
+
+    A zero coefficient is skipped, an empty monomial is a constant term, and
+    a coefficient of magnitude 1 in front of a monomial is left out.  Forms
+    and polynomials both print through here.
+    """
+    out = ""
+    for c, mono in zip(coeffs, monos):
+        if not c:
+            continue
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if c < 0:
+            out += f" - {body}" if out else f"-{body}"
+        else:
+            out += f" + {body}" if out else body
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +366,7 @@ def form_value(form, assign, p):
 
 def form_str(form):
     """The form as text, e.g. `lam1 - 2*m`."""
-    parts = []
-    for i, c in enumerate(form):
-        if not c:
-            continue
-        mag = abs(c)
-        body = VARS[i] if mag == 1 else f"{mag}*{VARS[i]}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sgn, body in parts[1:]:
-        out += f" {sgn} {body}"
-    return out
+    return _terms_str(form, VARS)
 
 
 # ---------------------------------------------------------------------------
@@ -672,16 +664,22 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def _linear_split(poly):
-    """(signed content, canonical form) if poly is one linear form.
+def _form_coeffs(poly):
+    """[c1, c2, c3, cm] when poly is c1*lam1 + c2*lam2 + c3*lam3 + cm*m
+    with some ci nonzero, else None."""
+    terms = poly.terms
+    coeffs = [terms.get(u, 0) for u in _UNITS]
+    if terms and len(terms) == NVARS - coeffs.count(0):
+        return coeffs
+    return None
 
-    Returns None unless every term of poly is homogeneous of degree 1.
-    """
-    if not poly.terms or any(sum(e) != 1 for e in poly.terms):
+
+def _linear_split(poly):
+    """(signed content, canonical form) if poly is one linear form, else
+    None."""
+    coeffs = _form_coeffs(poly)
+    if coeffs is None:
         return None
-    coeffs = [0] * NVARS
-    for e, c in poly.terms.items():
-        coeffs[e.index(1)] = c
     lcm = math.lcm(*(c.denominator for c in coeffs if c))
     ints = [int(c * lcm) for c in coeffs]
     g = math.gcd(*ints)
@@ -1119,149 +1117,64 @@ def rf_equal(a, b, backend="symbolic"):
 # ---------------------------------------------------------------------------
 # text grammar
 
-_TOKEN_RE = re.compile(
-    r"\s*(prod\[|\]|;|\^|\*|\(|\)|/|\+|-|[0-9]+|lam1|lam2|lam3|m\b)"
-)
-
-
-def _tokenize(s):
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        mo = _TOKEN_RE.match(s, pos)
-        if not mo:
-            if s[pos:].strip():
-                raise ParseError(f"unexpected input at {s[pos:pos + 12]!r}")
-            break
-        tokens.append(mo.group(1))
-        pos = mo.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expect=None):
-        t = self.peek()
-        if t is None or (expect is not None and t != expect):
-            raise ParseError(f"expected {expect!r}, got {t!r}")
-        self.i += 1
-        return t
-
-    def parse_int(self):
-        neg = False
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                neg = not neg
-        t = self.take()
-        if not t.isdigit():
-            raise ParseError(f"expected integer, got {t!r}")
-        return -int(t) if neg else int(t)
-
-    def parse_poly(self, stop, allow_power=True):
-        """Sum of terms until a stop token (not consumed).
-
-        allow_power=False parses a linear-form body, where `^` belongs to
-        the enclosing `<form>^<exp>` syntax rather than to a variable.
-        """
-        poly = MultiPoly()
-        first = True
-        while self.peek() not in stop:
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-                first = False
-            if self.peek() is None:
-                raise ParseError("unterminated polynomial")
-            coeff = sign
-            exp = [0, 0, 0, 0]
-            saw = False
-            while True:
-                t = self.peek()
-                if t is not None and t.isdigit():
-                    self.take()
-                    val = int(t)
-                    if self.peek() == "/" and self.i + 1 < len(self.toks) \
-                            and self.toks[self.i + 1].isdigit():
-                        self.take("/")
-                        val = Fraction(val, int(self.take()))
-                    coeff *= val
-                    saw = True
-                elif t in VARS:
-                    self.take()
-                    idx = VARS.index(t)
-                    power = 1
-                    if allow_power and self.peek() == "^":
-                        self.take("^")
-                        power = self.parse_int()
-                    exp[idx] += power
-                    saw = True
-                else:
-                    break
-                if self.peek() == "*":
-                    self.take("*")
-                    continue
-                break
-            if not saw:
-                raise ParseError(f"empty term near {self.peek()!r}")
-            poly = poly + MultiPoly({tuple(exp): coeff})
-            first = False
-        if first:
-            raise ParseError("empty polynomial")
-        return poly
+_RATFUN_RE = re.compile(
+    r"\s*prod\[([^\]]*)\]\s*\*\s*\(([^()]*)\)\s*/\s*\(([^()]*)\)\s*")
+_EXP_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+_FACTOR_RE = re.compile(r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?"
+                        r"|(lam[123]|m)(?:\s*\^\s*([0-9]+))?)\s*")
 
 
 def parse_ratfun(s):
-    p = _Parser(_tokenize(s))
-    p.take("prod[")
+    """A RatFun from `prod[ <form>^<exp> ; ... ] * ( <poly> ) / ( <poly> )`.
+
+    Each form item is split at its last `^`; a form with a negative leading
+    coefficient is accepted only at an even exponent, where its sign does
+    not matter.
+    """
+    mo = _RATFUN_RE.fullmatch(s)
+    if not mo:
+        raise ParseError(f"not a prod[...] * (...) / (...) value: {s!r}")
+    forms, num, den = mo.groups()
     factored = {}
-    if p.peek() != "]":
-        while True:
-            fp = p.parse_poly(stop=("^",), allow_power=False)
-            p.take("^")
-            e = p.parse_int()
-            form, sign = _poly_to_form(fp)
-            if sign < 0 and e % 2:
-                raise ParseError(f"non-canonical form {fp}")
-            factored[form] = factored.get(form, 0) + e
-            if p.peek() == ";":
-                p.take(";")
-                continue
-            break
-    p.take("]")
-    p.take("*")
-    p.take("(")
-    num = p.parse_poly(stop=(")",))
-    p.take(")")
-    p.take("/")
-    p.take("(")
-    den = p.parse_poly(stop=(")",))
-    p.take(")")
-    if p.peek() is not None:
-        raise ParseError(f"trailing tokens from {p.peek()!r}")
-    return RatFun(factored, num, den)
+    for item in forms.split(";") if forms.strip() else ():
+        body, _, e = item.rpartition("^")
+        if not _EXP_RE.fullmatch(e):
+            raise ParseError(f"bad form exponent in {item!r}")
+        e = int(e)
+        coeffs = _form_coeffs(parse_poly(body))
+        if coeffs is None or any(type(c) is not int for c in coeffs):
+            raise ParseError(f"not an integer linear form: {body!r}")
+        form, sign = canonical_form(*coeffs)
+        if sign < 0 and e % 2:
+            raise ParseError(f"non-canonical form {body!r}")
+        factored[form] = factored.get(form, 0) + e
+    return RatFun(factored, parse_poly(num), parse_poly(den))
 
 
 def parse_poly(s):
-    p = _Parser(_tokenize(s))
-    poly = p.parse_poly(stop=(None,))
-    if p.peek() is not None:
-        raise ParseError("trailing tokens")
-    return poly
-
-
-def _poly_to_form(poly):
-    coeffs = [0, 0, 0, 0]
-    for e, c in poly.terms.items():
-        if sum(e) != 1:
-            raise ParseError(f"not a linear form: {poly}")
-        if type(c) is not int:
-            raise ParseError(f"non-integer form coefficient in {poly}")
-        coeffs[e.index(1)] = c
-    return canonical_form(*coeffs)
+    """A MultiPoly from signed terms of `*`-joined factors: an integer, a
+    p/q, or a variable with an optional power `^n`, n >= 0."""
+    chunks = re.split(r"([+-])", s)
+    if len(chunks) > 1 and not chunks[0].strip():
+        del chunks[0]
+    else:
+        chunks.insert(0, "+")
+    terms = {}
+    for sign, body in zip(chunks[::2], chunks[1::2]):
+        coeff, exp = (-1 if sign == "-" else 1), [0] * NVARS
+        for factor in body.split("*"):
+            mo = _FACTOR_RE.fullmatch(factor)
+            if not mo:
+                raise ParseError(f"bad factor {factor!r} in {s!r}")
+            n, q, var, power = mo.groups()
+            if var:
+                exp[VARS.index(var)] += int(power or 1)
+            elif q:
+                if not int(q):
+                    raise ParseError(f"zero denominator in {s!r}")
+                coeff *= Fraction(int(n), int(q))
+            else:
+                coeff *= int(n)
+        e = tuple(exp)
+        terms[e] = terms.get(e, 0) + coeff
+    return MultiPoly(terms)

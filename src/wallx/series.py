@@ -26,7 +26,7 @@ from .geom import (
     compositions,
     with_point_sign,
 )
-from .kclass import euler_class
+from .kclass import euler_class, weight
 from .ratfun import (
     EvalBackend,
     EvalDegenerate,
@@ -278,8 +278,11 @@ class CheckReport:
     params: dict
     seed: int | None
     degrees: list
-    passed: bool
     sz_bound: float | None = None
+
+    @property
+    def passed(self):
+        return all(r.verdict == "equal" for r in self.degrees)
 
     def to_doc(self):
         doc = {
@@ -405,7 +408,6 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
         params={"wall": f"Lmm:{k}", "i0": i0_label(i0), "tmax": t_max},
         seed=_seed_of(backend),
         degrees=degrees,
-        passed=all(r.verdict == "equal" for r in degrees),
         sz_bound=sz,
     )
 
@@ -414,21 +416,17 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
 # the proved localization identity over Lmm(k) with trivial reference
 
 
-def _js_form(c_lam0, c_lam3, c_m=0):
-    """Coefficients of c_lam0 * lam0 + c_lam3 * lam3 + c_m * m."""
-    return (-c_lam0, -c_lam0, c_lam3 - c_lam0, c_m)
-
-
 def js_closed_formula(k, d):
     """Closed localization formula at the wall Lmm(k), degree d.
 
     Internal rank parameter kk = k - 1, total chi n = k d.  Stated over
-    lam0 = -(lam1+lam2+lam3) and lam3 only.
+    lam0 = -(lam1+lam2+lam3), lam3 and m: the form c0*lam0 + c3*lam3 + cm*m
+    has the coefficients of weight(w0=c0, w3=c3, wm=cm).
     """
     kk = k - 1
     n = k * d
     pref = Fraction((-1) ** n, math.prod(math.factorial(i) for i in range(1, kk + 1)))
-    lam0, lam3 = _js_form(1, 0), _js_form(0, 1)
+    lam0, lam3 = weight(w0=1), weight(w3=1)
     terms = []
     for comp in compositions(d, kk + 1):
         scalar = pref / math.prod(math.factorial(di) for di in comp)
@@ -436,18 +434,19 @@ def js_closed_formula(k, d):
         for i in range(kk + 1):
             for j in range(i + 1, kk + 1):
                 # (j - i) + (d_i - d_j) lam3 / lam0
-                pairs += ((_js_form(j - i, comp[i] - comp[j]), 1), (lam0, -1))
+                pairs += ((weight(w0=j - i, w3=comp[i] - comp[j]), 1),
+                          (lam0, -1))
         for i in range(kk + 1):
             di = comp[i]
             for a in range(di):
                 for b in range(-i, kk - i + 1):
                     # m/lam3 - a - b lam0/lam3
-                    pairs += ((_js_form(-b, -a, 1), 1), (lam3, -1))
+                    pairs += ((weight(w0=-b, w3=-a, wm=1), 1), (lam3, -1))
             for a in range(1, di + 1):
                 for b in range(1, kk - i + 1):
-                    pairs += ((lam3, 1), (_js_form(b, a), -1))
+                    pairs += ((lam3, 1), (weight(w0=b, w3=a), -1))
                 for b in range(1, i + 1):
-                    pairs += ((lam3, 1), (_js_form(-b, a), -1))
+                    pairs += ((lam3, 1), (weight(w0=-b, w3=a), -1))
         terms.append(RatFun.from_forms(pairs, scalar))
     return rf_sum(terms)
 
@@ -482,7 +481,6 @@ def check_js(k, d_max, backend="symbolic"):
         params={"k": k, "dmax": d_max},
         seed=_seed_of(backend),
         degrees=degrees,
-        passed=all(r.verdict == "equal" for r in degrees),
     )
 
 
@@ -516,31 +514,28 @@ def check_dimred(k, d_max):
     for d in range(0, d_max + 1):
         detail = []
         subbed = []
+        all_ok = True
         for fp in js_fixed_points(k, d):
             sub = contribution(fp).substitute_m()
             subbed.append(sub)
             if fp.support == "thickened":
                 has_t3 = chi_X(fp.sheaf).terms.get((0, 0, 1, 0), 0) > 0
                 ok = sub.is_zero() and has_t3
-                detail.append(f"{fp.label}:thickened:"
-                              f"{'zero' if ok else 'NONZERO'}")
-            elif fp.support == "on_Z":
-                target = euler_class(chiZ_class(fp.sheaf))
-                if fp.chi % 2:
-                    target = -target
-                ok = rf_equal(sub, target).equal
-                detail.append(f"{fp.label}:on_Z:"
-                              f"{'equal' if ok else 'unequal'}")
+                verdict = "zero" if ok else "NONZERO"
             else:
-                ok = rf_equal(sub, RatFun.const(1)).equal
-                detail.append(f"{fp.label}:on_Y:"
-                              f"{'equal' if ok else 'unequal'}")
+                if fp.support == "on_Z":
+                    target = euler_class(chiZ_class(fp.sheaf))
+                    if fp.chi % 2:
+                        target = -target
+                else:
+                    target = RatFun.const(1)
+                ok = rf_equal(sub, target).equal
+                verdict = "equal" if ok else "unequal"
+            detail.append(f"{fp.label}:{fp.support}:{verdict}")
+            all_ok &= ok
         total = rf_sum(subbed)
         expected = RatFun.const((-1) ** d * math.comb(k, d))
-        total_ok = rf_equal(total, expected).equal
-        all_ok = total_ok and not any(
-            "NONZERO" in x or "unequal" in x for x in detail
-        )
+        all_ok &= rf_equal(total, expected).equal
         degrees.append(DegreeRecord(
             d=d, lhs=str(total), rhs=str(expected),
             verdict="equal" if all_ok else "unequal",
@@ -552,7 +547,6 @@ def check_dimred(k, d_max):
         params={"k": k, "dmax": d_max},
         seed=None,
         degrees=degrees,
-        passed=all(r.verdict == "equal" for r in degrees),
     )
 
 
@@ -592,7 +586,6 @@ def check_insertion_free(k, d_max):
         params={"k": k, "dmax": d_max},
         seed=None,
         degrees=degrees,
-        passed=all(r.verdict == "equal" for r in degrees),
     )
 
 

@@ -169,8 +169,10 @@ def test_unwritable_output_path_is_usage_error(runner, tmp_path, args):
 def test_cache_round_trip(runner, tmp_path, monkeypatch):
     key = cache_key("js", {"k": 1})
     assert cache_get(key) is None
-    cache_put(key, b'{"x": 1}')
-    assert cache_get(key) == b'{"x": 1}'
+    entry = (b'{"command": "js", "params": {"k": 1}, "seed": null, '
+             b'"degrees": [], "pass": true}')
+    cache_put(key, entry)
+    assert cache_get(key) == entry
 
 
 def test_cache_version_and_param_sensitivity():
@@ -221,14 +223,18 @@ def test_cache_hit_reuses_bytes(runner, tmp_path):
 
 
 def test_cache_corruption_recomputes(runner, tmp_path):
+    # not JSON, and JSON that is not a report
     args = ["js", "--k", "1", "--dmax", "1"]
     assert runner.invoke(main, args).exit_code == 0
     cache_files = list((tmp_path / "cache").glob("*.json"))
-    cache_files[0].write_text("{ not json")
-    res = runner.invoke(main, args)
-    assert res.exit_code == 0
-    assert "corrupt cache entry" in res.output
-    assert json.loads(cache_files[0].read_text())["command"] == "js"
+    for payload in ("{ not json", "null", "{}", "[1]", '{"command": "js"}',
+                    '"x"', '{"command": "js", "params": {}, "degrees": [], '
+                    '"pass": "yes"}'):
+        cache_files[0].write_text(payload)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, payload
+        assert "corrupt cache entry" in res.output
+        assert json.loads(cache_files[0].read_text())["command"] == "js"
 
 
 def test_unwritable_cache_keeps_report_and_verdict(runner, tmp_path,

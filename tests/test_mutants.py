@@ -1,23 +1,35 @@
 """Mutation gate: each test patches one defect into the program through
-monkeypatch and asserts that a symbolic check rejects it.
+monkeypatch and asserts that the checks reject it.
 
 A checker that still passes with a mutant in place cannot tell the defect
 from working code.  The mutants here run through rf_sum's reduced path (the
-js and OX wall-crossing sums span a rank-3 lattice of forms).
+js and OX wall-crossing sums span a rank-3 lattice of forms), and the
+fixed-point mutants also through the eval backend at three seeds; the
+map-back mutant is in rf_sum, which an eval check need not call.
+
+Equivalent mutants, kept out:
+- with_point_sign off by one under check_wallcross: it negates both
+  fibers, so their quotient is unchanged.
 """
 
 import dataclasses
 
 from wallx import geom, ratfun, series
 from wallx.geom import parse_i0
-from wallx.series import check_js, check_wallcross
+from wallx.ratfun import EvalBackend
+from wallx.series import (check_dimred, check_insertion_free, check_js,
+                          check_wallcross)
 
 OX = parse_i0("OX")
+BACKENDS = ("symbolic", *(EvalBackend(seed=seed) for seed in (1, 2, 3)))
 
 
 def test_sane_checks_pass():
-    assert check_js(3, 3).passed
-    assert check_wallcross(3, OX, 3).passed
+    for backend in BACKENDS:
+        assert check_js(3, 3, backend).passed
+        assert check_wallcross(3, OX, 3, backend).passed
+    assert check_insertion_free(2, 3).passed
+    assert check_dimred(2, 3).passed
 
 
 def test_flipped_js_fixed_point_sign_is_rejected(monkeypatch):
@@ -28,13 +40,15 @@ def test_flipped_js_fixed_point_sign_is_rejected(monkeypatch):
             dataclasses.replace(fp, sign_extra=fp.sign_extra + 1)]
 
     monkeypatch.setattr(series, "js_fixed_points", flipped)
-    assert not check_js(3, 3).passed
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
 
 
 def test_dropped_js_fixed_point_is_rejected(monkeypatch):
     monkeypatch.setattr(series, "js_fixed_points",
                         lambda k, d: geom.js_fixed_points(k, d)[1:])
-    assert not check_js(3, 3).passed
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
 
 
 def test_dropped_plus_fiber_point_at_ox_is_rejected(monkeypatch):
@@ -43,7 +57,19 @@ def test_dropped_plus_fiber_point_at_ox_is_rejected(monkeypatch):
         return points[1:] if d else points
 
     monkeypatch.setattr(series, "fiber_plus", dropped)
-    assert not check_wallcross(3, OX, 3).passed
+    for backend in BACKENDS:
+        assert not check_wallcross(3, OX, 3, backend).passed
+
+
+def test_point_sign_with_chi_off_by_one_is_rejected(monkeypatch):
+    def off_by_one(fp, value):
+        return -value if (fp.chi + 1 + fp.deg + fp.sign_extra) % 2 else value
+
+    monkeypatch.setattr(geom, "with_point_sign", off_by_one)
+    monkeypatch.setattr(series, "with_point_sign", off_by_one)
+    assert not check_js(3, 3).passed
+    assert not check_insertion_free(2, 3).passed
+    assert not check_dimred(2, 3).passed
 
 
 def test_swapped_basis_forms_in_the_map_back_are_rejected(monkeypatch):

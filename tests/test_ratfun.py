@@ -228,9 +228,14 @@ def test_grammar_round_trip(text):
 
 
 def test_grammar_rejects_garbage():
-    for bad in ["prod[", "prod[ x^1 ] * ( 1 ) / ( 1 )", "1 + "]:
+    for bad in ["prod[", "prod[ x^1 ] * ( 1 ) / ( 1 )", "1 + ",
+                "prod[ lam1^x ] * ( 1 ) / ( 1 )"]:
         with pytest.raises(ParseError):
             parse_ratfun(bad)
+    # a polynomial power is a non-negative integer; a p/q has q != 0
+    for bad in ["lam1^-1", "3/0*lam1"]:
+        with pytest.raises(ParseError):
+            parse_poly(bad)
 
 
 def test_eval_mod_positive_form_zero_gives_zero():
