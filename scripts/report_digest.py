@@ -10,12 +10,13 @@ tests/test_acceptance.py, and the EXTRA commands outside the menus:
 rf_sum-heavy symbolic ones, and eval ones, of which one fails by a sign
 override and exits 1.  Prints one `sha256[:16]  command` line per JSON report, or `exit N`
 in place of the digest when a command wrote none.  The PRINTED commands
-(every `series --kind`, a `signsearch` and six `contribution --label`
-ones) write no report; their line digests the exit code and everything
-they print.  A `sha256[:16]  parse_ratfun round trip of N values` line
-digests str(parse_ratfun(v)) over every symbolic report lhs and rhs and
-every printed contribution value v; the script exits 1 when some v does
-not read back to itself.  A last
+(every `series --kind`, a symbolic and an eval `signsearch`, and six
+`contribution --label` ones) write no report; their line digests the exit
+code and everything they print.  A
+`sha256[:16]  parse_ratfun round trip of N values` line digests
+str(parse_ratfun(v)) over every symbolic report lhs and rhs and every
+printed contribution value v; the script exits 1 when some v does not
+read back to itself.  A last
 `sha256[:16]  chamber seed 42` line digests the outcomes of the chamber
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
@@ -70,6 +71,7 @@ EXTRA = (
     ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "3",
      "--backend", "eval"],
     ["js", "--k", "3", "--dmax", "3", "--backend", "eval"],
+    ["js", "--k", "4", "--dmax", "3", "--backend", "eval"],
     # a sign override that makes the identity fail (exit 1)
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "3",
      "--backend", "eval",
@@ -81,6 +83,7 @@ SERIES_KINDS = next(p for p in cli_series.params if p.name == "kind").type.choic
 PRINTED = (
     *(["series", "--kind", kind, "--qmax", "2"] for kind in SERIES_KINDS),
     ["signsearch", "--k", "2", "--d", "2"],
+    ["signsearch", "--k", "3", "--d", "2", "--backend", "eval"],
     *(["contribution", "--label", label] for label in (
         "js:k=2,d=3,comp=2,1",
         "js:k=3,d=2,comp=0,1,1",

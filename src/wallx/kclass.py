@@ -125,7 +125,8 @@ def parse_kclass(s):
     for chunk in body.split(";"):
         mult, _, wpart = chunk.strip().partition("*")
         w = tuple(int(x) for x in wpart.strip().strip("()").split(","))
-        assert len(w) == 4
+        if len(w) != 4:
+            raise ValueError(f"weight {wpart.strip()!r} needs 4 entries")
         terms[w] = terms.get(w, 0) + int(mult)
     return KClass(terms)
 

@@ -14,6 +14,7 @@ attempted.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -597,7 +598,7 @@ class RatFun:
             raise PoleAtSubstitution("residual denominator vanishes at m=lam3")
         return RatFun.from_forms(pairs) * RatFun({}, self.num.subs_m_lam3(), den)
 
-    def eval_mod(self, assign, p, table=None):
+    def eval_mod(self, assign, p, table):
         """Evaluate at residues mod p.  Raises EvalDegenerate on a pole.
 
         Form values are looked up in `table`, a dict from a form to its
@@ -607,8 +608,6 @@ class RatFun:
         rejected even when a numerator form vanishes there too; the
         denominator factors are inverted once, as one product.
         """
-        if table is None:
-            table = {}
         num = self.num.eval_mod(assign, p)
         den = self.den.eval_mod(assign, p)
         for f, e in self.factored.items():
@@ -1033,47 +1032,31 @@ def _rf_sum_flat(terms):
 
 
 @dataclass(frozen=True)
-class EvalPoint:
-    prime: int
-    assign: tuple
-
-
-@dataclass(frozen=True)
 class EvalBackend:
     points: int = 5
     seed: int = 42
-    prime: int = DEFAULT_PRIME
 
     def describe(self):
-        return f"eval(points={self.points}, seed={self.seed}, prime={self.prime})"
+        return f"eval(points={self.points}, seed={self.seed}, prime={DEFAULT_PRIME})"
 
     def sz_bound(self, deg):
         """(deg / prime)^points, capped at 1 per point."""
-        return Fraction(min(deg, self.prime), self.prime) ** self.points
-
-
-@dataclass(frozen=True)
-class EqResult:
-    equal: bool
-    witness: object = None
-    sz_bound: Fraction | None = None
-    backend: str = "symbolic"
+        return Fraction(min(deg, DEFAULT_PRIME), DEFAULT_PRIME) ** self.points
 
 
 def sample_points(backend):
-    """Deterministic stream of candidate evaluation points for a backend."""
+    """Deterministic stream of candidate assignments mod DEFAULT_PRIME."""
     rng = random.Random(backend.seed)
     while True:
-        assign = tuple(rng.randrange(1, backend.prime) for _ in range(NVARS))
-        yield EvalPoint(backend.prime, assign)
+        yield tuple(rng.randrange(1, DEFAULT_PRIME) for _ in range(NVARS))
 
 
 def sz_samples(backend, evaluate):
-    """Yield (point, evaluate(point)) at backend.points accepted points.
+    """Yield evaluate(assign) at backend.points accepted assignments.
 
-    Points come from sample_points; a point where evaluate raises
+    Assignments come from sample_points; one where evaluate raises
     EvalDegenerate (a pole) is skipped.  Raises EvalDegenerate once
-    20 * backend.points draws have not yielded enough accepted points.
+    20 * backend.points draws have not yielded enough accepted ones.
     """
     max_draws = 20 * backend.points
     stream = sample_points(backend)
@@ -1084,34 +1067,44 @@ def sz_samples(backend, evaluate):
                 f"only {accepted} of {backend.points} sample points "
                 f"avoided a pole in {max_draws} draws"
             )
-        point = next(stream)
+        assign = next(stream)
         draws += 1
         try:
-            value = evaluate(point)
+            value = evaluate(assign)
         except EvalDegenerate:
             continue
         accepted += 1
-        yield point, value
+        yield value
 
 
-def rf_equal(a, b, backend="symbolic"):
-    """Decide a == b symbolically or by seeded modular evaluation."""
+def residue_sums(sides, assign, p, table):
+    """{name: sum of the side's term residues mod p}, all through one form table."""
+    return {name: sum(t.eval_mod(assign, p, table) for t in terms) % p
+            for name, terms in sides.items()}
+
+
+def rf_equal(a, b):
+    """Exact a == b."""
+    return rf_sum([a, -b]).is_zero()
+
+
+def decide(sides, backend):
+    """{(a, b): do sides a and b, lists of terms, have equal sums?} per pair.
+
+    Symbolic sums each side once with rf_sum; eval compares the sides'
+    residue sums at the points of one sz_samples stream, expanding nothing.
+    """
+    pairs = list(itertools.combinations(sides, 2))
     if backend == "symbolic":
-        diff = rf_sum([a, -b])
-        if diff.is_zero():
-            return EqResult(True)
-        return EqResult(False, witness=diff)
-    assert isinstance(backend, EvalBackend)
-    p = backend.prime
-    bound = backend.sz_bound(a.degree_bound() + b.degree_bound())
-    def values(point):
-        return a.eval_mod(point.assign, p), b.eval_mod(point.assign, p)
-
-    for point, (va, vb) in sz_samples(backend, values):
-        if va != vb:
-            return EqResult(False, witness=point, sz_bound=bound,
-                            backend=backend.describe())
-    return EqResult(True, sz_bound=bound, backend=backend.describe())
+        sums = {name: rf_sum(terms) for name, terms in sides.items()}
+        return {(a, b): rf_equal(sums[a], sums[b]) for a, b in pairs}
+    ok = dict.fromkeys(pairs, True)
+    for r in sz_samples(backend, lambda assign: residue_sums(
+            sides, assign, DEFAULT_PRIME, {})):
+        ok = {(a, b): v and r[a] == r[b] for (a, b), v in ok.items()}
+        if not any(ok.values()):
+            break
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +1141,10 @@ def parse_ratfun(s):
         if sign < 0 and e % 2:
             raise ParseError(f"non-canonical form {body!r}")
         factored[form] = factored.get(form, 0) + e
-    return RatFun(factored, parse_poly(num), parse_poly(den))
+    den = parse_poly(den)
+    if den.is_zero():
+        raise ParseError(f"zero denominator in {s!r}")
+    return RatFun(factored, parse_poly(num), den)
 
 
 def parse_poly(s):

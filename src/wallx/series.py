@@ -2,8 +2,8 @@
 
 All identities are stated degree-by-degree in a formal variable t (wall
 quotients) or in q with Laurent t (reference products).  Coefficients are
-exact RatFuns; equality checks either go through the symbolic kernel or the
-seeded modular-evaluation backend.
+exact RatFuns; identities are decided exactly or by seeded modular
+evaluation, through ratfun.decide except for the wall quotient on eval.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ from .geom import (
 )
 from .kclass import euler_class, weight
 from .ratfun import (
+    DEFAULT_PRIME,
     EvalBackend,
     EvalDegenerate,
     RatFun,
     binomial_rf,
+    decide,
+    residue_sums,
     rf_equal,
     rf_sum,
     sz_samples,
@@ -52,53 +55,50 @@ class CapExceeded(ValueError):
 
 @dataclass
 class TruncSeries:
-    """Laurent-truncated series in one variable with RatFun coefficients."""
+    """Series in one variable, truncated above t^hi, with RatFun coefficients."""
 
     coeffs: dict
-    lo: int
     hi: int
 
     def __post_init__(self):
         self.coeffs = {
             d: c for d, c in self.coeffs.items()
-            if self.lo <= d <= self.hi and not c.is_zero()
+            if 0 <= d <= self.hi and not c.is_zero()
         }
 
     def coeff(self, d):
         return self.coeffs.get(d, RatFun.zero())
 
     def __add__(self, other):
-        assert (self.lo, self.hi) == (other.lo, other.hi)
+        assert self.hi == other.hi
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
             out[d] = out[d] + c if d in out else c
-        return TruncSeries(out, self.lo, self.hi)
+        return TruncSeries(out, self.hi)
 
     def __neg__(self):
         return TruncSeries({d: -c for d, c in self.coeffs.items()},
-                           self.lo, self.hi)
+                           self.hi)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        assert (self.lo, self.hi) == (other.lo, other.hi)
+        assert self.hi == other.hi
         buckets = {}
         for da, ca in self.coeffs.items():
             for db, cb in other.coeffs.items():
                 d = da + db
-                if self.lo <= d <= self.hi:
+                if d <= self.hi:
                     buckets.setdefault(d, []).append(ca * cb)
         return TruncSeries(
             {d: rf_sum(terms) for d, terms in buckets.items()},
-            self.lo, self.hi,
+            self.hi,
         )
 
     def __truediv__(self, other):
-        """Division by a series with unit constant term (lo must be 0)."""
-        assert (self.lo, self.hi) == (other.lo, other.hi)
-        if self.lo != 0:
-            raise NonUnitDivisor("Laurent window division not supported")
+        """Division by a series with unit constant term."""
+        assert self.hi == other.hi
         b0 = other.coeff(0)
         if b0.is_zero():
             raise NonUnitDivisor("divisor has no unit constant term")
@@ -111,14 +111,7 @@ class TruncSeries:
                 if not bj.is_zero() and not out.get(d - j, RatFun.zero()).is_zero():
                     acc.append(-(bj * out[d - j]))
             out[d] = rf_sum(acc) * inv0
-        return TruncSeries(out, self.lo, self.hi)
-
-    def equal(self, other, backend="symbolic"):
-        assert (self.lo, self.hi) == (other.lo, other.hi)
-        for d in range(self.lo, self.hi + 1):
-            if not rf_equal(self.coeff(d), other.coeff(d), backend).equal:
-                return False
-        return True
+        return TruncSeries(out, self.hi)
 
 
 def signed_binomial(x, d):
@@ -130,7 +123,7 @@ def signed_binomial(x, d):
 def binom_series(x, order):
     """(1 - t)^x truncated: sum_d (-1)^d binom(x, d) t^d."""
     return TruncSeries({d: signed_binomial(x, d) for d in range(order + 1)},
-                       0, order)
+                       order)
 
 
 def wall_target(k, order):
@@ -336,23 +329,20 @@ def _fiber_terms(k, i0, t_max, sign_override=None):
 def wallcross_quotient(k, i0, t_max, sign_override=None):
     """[sum_d t^d sum_plus contrib] / [sum_d t^d sum_minus contrib]."""
     num, den = _fiber_terms(k, i0, t_max, sign_override)
-    nseries = TruncSeries({d: rf_sum(v) for d, v in num.items()}, 0, t_max)
-    dseries = TruncSeries({d: rf_sum(v) for d, v in den.items()}, 0, t_max)
+    nseries = TruncSeries({d: rf_sum(v) for d, v in num.items()}, t_max)
+    dseries = TruncSeries({d: rf_sum(v) for d, v in den.items()}, t_max)
     return nseries / dseries
 
 
-def _eval_quotient_at(num, den, point, t_max):
+def _eval_quotient_at(num, den, assign, p, t_max):
     """Residues of the quotient series coefficients at one sample point.
 
     All terms share one table of form values, so a linear form that recurs
     across the point's contributions is evaluated once.
     """
-    p, assign = point.prime, point.assign
     table = {}
-    nvals = {d: sum(t.eval_mod(assign, p, table) for t in num[d]) % p
-             for d in range(t_max + 1)}
-    dvals = {d: sum(t.eval_mod(assign, p, table) for t in den[d]) % p
-             for d in range(t_max + 1)}
+    nvals = residue_sums(num, assign, p, table)
+    dvals = residue_sums(den, assign, p, table)
     if dvals[0] == 0:
         raise EvalDegenerate("denominator constant term vanished")
     inv0 = pow(dvals[0], p - 2, p)
@@ -374,7 +364,7 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
         quotient = wallcross_quotient(k, i0, t_max, sign_override)
         for d in range(t_max + 1):
             lhs, target = quotient.coeff(d), rhs.coeff(d)
-            ok = rf_equal(lhs, target).equal
+            ok = rf_equal(lhs, target)
             degrees.append(DegreeRecord(
                 d=d, lhs=str(lhs), rhs=str(target),
                 verdict="equal" if ok else "unequal",
@@ -387,11 +377,11 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
             max((t.degree_bound() for v in den.values() for t in v), default=0),
         ) + max(r.degree_bound() for r in rhs.coeffs.values())
         sz = float(backend.sz_bound(maxdeg))
-        values = [value for _, value in sz_samples(backend, lambda point: (
-            _eval_quotient_at(num, den, point, t_max),
-            {d: rhs.coeff(d).eval_mod(point.assign, backend.prime)
+        values = list(sz_samples(backend, lambda assign: (
+            _eval_quotient_at(num, den, assign, DEFAULT_PRIME, t_max),
+            {d: rhs.coeff(d).eval_mod(assign, DEFAULT_PRIME, {})
              for d in range(t_max + 1)},
-        ))]
+        )))
         for d in range(t_max + 1):
             pairs = [(q[d], r[d]) for q, r in values]
             ok = all(a == b for a, b in pairs)
@@ -417,7 +407,7 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
 
 
 def js_closed_formula(k, d):
-    """Closed localization formula at the wall Lmm(k), degree d.
+    """Terms of the closed localization formula at the wall Lmm(k), degree d.
 
     Internal rank parameter kk = k - 1, total chi n = k d.  Stated over
     lam0 = -(lam1+lam2+lam3), lam3 and m: the form c0*lam0 + c3*lam3 + cm*m
@@ -448,26 +438,25 @@ def js_closed_formula(k, d):
                 for b in range(1, i + 1):
                     pairs += ((lam3, 1), (weight(w0=-b, w3=a), -1))
         terms.append(RatFun.from_forms(pairs, scalar))
-    return rf_sum(terms)
+    return terms
 
 
 def check_js(k, d_max, backend="symbolic"):
     """Three-way comparison of the localization sum at the wall Lmm(k).
 
     For each degree: the fixed-point sum, the closed product formula, and
-    (-1)^d binom(k m / lam3, d) must agree pairwise.
+    (-1)^d binom(k m / lam3, d) must agree pairwise.  The fixed-point sum is
+    expanded once, for the record; only symbolic sums the closed formula.
     """
     target = wall_target(k, d_max)
     degrees = []
     for d in range(1, d_max + 1):
         loc = rf_sum([contribution(fp) for fp in js_fixed_points(k, d)])
-        closed = js_closed_formula(k, d)
         binom = target.coeff(d)
-        checks = {
-            "localization=closed": rf_equal(loc, closed, backend).equal,
-            "localization=binomial": rf_equal(loc, binom, backend).equal,
-            "closed=binomial": rf_equal(closed, binom, backend).equal,
-        }
+        verdicts = decide({"localization": [loc],
+                           "closed": js_closed_formula(k, d),
+                           "binomial": [binom]}, backend)
+        checks = {f"{a}={b}": v for (a, b), v in verdicts.items()}
         ok = all(checks.values())
         degrees.append(DegreeRecord(
             d=d, lhs=str(loc), rhs=str(binom),
@@ -529,13 +518,13 @@ def check_dimred(k, d_max):
                         target = -target
                 else:
                     target = RatFun.const(1)
-                ok = rf_equal(sub, target).equal
+                ok = rf_equal(sub, target)
                 verdict = "equal" if ok else "unequal"
             detail.append(f"{fp.label}:{fp.support}:{verdict}")
             all_ok &= ok
         total = rf_sum(subbed)
         expected = RatFun.const((-1) ** d * math.comb(k, d))
-        all_ok &= rf_equal(total, expected).equal
+        all_ok &= rf_equal(total, expected)
         degrees.append(DegreeRecord(
             d=d, lhs=str(total), rhs=str(expected),
             verdict="equal" if all_ok else "unequal",
@@ -575,7 +564,7 @@ def check_insertion_free(k, d_max):
                 Fraction(1, math.factorial(d)))
         else:
             expected = RatFun.const(1 if d == 0 else 0)
-        ok = rf_equal(total, expected).equal
+        ok = rf_equal(total, expected)
         degrees.append(DegreeRecord(
             d=d, lhs=str(total), rhs=str(expected),
             verdict="equal" if ok else "unequal",
@@ -603,9 +592,7 @@ def sign_search(points, target, cap=20, backend="symbolic"):
         raise CapExceeded(f"{len(points)} points exceeds cap {cap}")
     contribs = [contribution(fp) for fp in points]
     for signs in itertools.product((1, -1), repeat=len(points)):
-        total = rf_sum([
-            c if s == 1 else -c for c, s in zip(contribs, signs)
-        ])
-        if rf_equal(total, target, backend).equal:
+        signed = [c if s == 1 else -c for c, s in zip(contribs, signs)]
+        if all(decide({"sum": signed, "target": [target]}, backend).values()):
             return signs
     return None

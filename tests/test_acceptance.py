@@ -168,9 +168,9 @@ def test_criterion_08_property_suites():
         for d in range(2):
             ok &= len(fiber_minus(k, parse_i0("IP1"), d)) == comb(k - 2, d)
     # series ring laws on rational-coefficient series
-    a = TruncSeries({d: RatFun.const(d + 1) for d in range(4)}, 0, 3)
-    b = TruncSeries({0: RatFun.const(1), 1: RatFun.const(-2)}, 0, 3)
-    c = TruncSeries({2: RatFun.const(5)}, 0, 3)
+    a = TruncSeries({d: RatFun.const(d + 1) for d in range(4)}, 3)
+    b = TruncSeries({0: RatFun.const(1), 1: RatFun.const(-2)}, 3)
+    c = TruncSeries({2: RatFun.const(5)}, 3)
     ok &= ((a + b) + c).coeffs == (a + (b + c)).coeffs
     ok &= all((a * (b + c)).coeff(d) == (a * b + a * c).coeff(d)
               for d in range(4))

@@ -69,6 +69,14 @@ def test_parse_round_trip():
         assert parse_kclass(str(v)) == v
 
 
+def test_parse_rejects_bad_weights():
+    # a ValueError, not an assert that python -O skips
+    for bad in ["sum[ 1*(1,2) ]", "sum[ 1*(1,2,3,4,5) ]", "sum[ 1*(a,0,0,0) ]",
+                "1*(1,0,0,0)"]:
+        with pytest.raises(ValueError):
+            parse_kclass(bad)
+
+
 def test_euler_class_zero_weight_policy():
     assert euler_class(KClass({(0, 0, 0, 0): 1})).is_zero()
     with pytest.raises(PoleAtZeroWeight):

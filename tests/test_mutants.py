@@ -5,11 +5,14 @@ A checker that still passes with a mutant in place cannot tell the defect
 from working code.  The mutants here run through rf_sum's reduced path (the
 js and OX wall-crossing sums span a rank-3 lattice of forms), and the
 fixed-point mutants also through the eval backend at three seeds; the
-map-back mutant is in rf_sum, which an eval check need not call.
+map-back mutant is in rf_sum, which an eval check need not call, and the
+eval_mod mutant is in the eval backend alone.
 
 Equivalent mutants, kept out:
 - with_point_sign off by one under check_wallcross: it negates both
   fibers, so their quotient is unchanged.
+- a skipped eval_mod factor under the symbolic backend: no symbolic check
+  evaluates a RatFun mod p.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from wallx.series import (check_dimred, check_insertion_free, check_js,
                           check_wallcross)
 
 OX = parse_i0("OX")
+IlP1 = parse_i0("IlP1:1")
 BACKENDS = ("symbolic", *(EvalBackend(seed=seed) for seed in (1, 2, 3)))
 
 
@@ -83,3 +87,18 @@ def test_swapped_basis_forms_in_the_map_back_are_rejected(monkeypatch):
     monkeypatch.setattr(ratfun, "_map_back", swapped)
     assert not check_js(3, 3).passed
     assert not check_wallcross(3, OX, 3).passed
+
+
+def test_skipped_eval_mod_factor_is_rejected(monkeypatch):
+    eval_mod = ratfun.RatFun.eval_mod
+
+    def skipped(self, assign, p, table):
+        rest = dict(list(self.factored.items())[1:])
+        return eval_mod(ratfun._ratfun(rest, self.num, self.den), assign, p,
+                        table)
+
+    monkeypatch.setattr(ratfun.RatFun, "eval_mod", skipped)
+    for backend in BACKENDS[1:]:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(3, OX, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed

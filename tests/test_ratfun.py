@@ -27,6 +27,7 @@ from wallx.ratfun import (
     _ratfun,
     binomial_rf,
     canonical_form,
+    decide,
     form_poly,
     parse_poly,
     parse_ratfun,
@@ -203,12 +204,10 @@ def test_round_trip_parse_print(a):
 @settings(max_examples=40, deadline=None)
 @given(ratfuns(), ratfuns())
 def test_eval_backend_agrees_with_symbolic(a, b):
-    backend = EvalBackend(points=4, seed=7)
-    sym = rf_equal(a, b, "symbolic").equal
-    num = rf_equal(a, b, backend)
-    assert num.equal == sym
-    if not sym:
-        assert num.sz_bound is not None
+    sides = {"a": [a], "b": [b]}
+    sym = decide(sides, "symbolic")
+    assert sym == {("a", "b"): rf_equal(a, b)}
+    assert decide(sides, EvalBackend(points=4, seed=7)) == sym
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,11 @@ def test_grammar_round_trip(text):
 
 def test_grammar_rejects_garbage():
     for bad in ["prod[", "prod[ x^1 ] * ( 1 ) / ( 1 )", "1 + ",
-                "prod[ lam1^x ] * ( 1 ) / ( 1 )"]:
+                "prod[ lam1^x ] * ( 1 ) / ( 1 )",
+                # a residual denominator that is, or sums to, zero
+                "prod[ ] * ( 1 ) / ( 0 )",
+                "prod[ ] * ( 1 ) / ( lam1 - lam1 )",
+                "prod[ lam1^1 ] * ( 0 ) / ( 0 )"]:
         with pytest.raises(ParseError):
             parse_ratfun(bad)
     # a polynomial power is a non-negative integer; a p/q has q != 0
@@ -241,7 +244,7 @@ def test_grammar_rejects_garbage():
 def test_eval_mod_positive_form_zero_gives_zero():
     # numerator factor vanishing at the point -> value 0, no pole
     f = (L1 - L2) * M
-    assert f.eval_mod((5, 5, 1, 2), DEFAULT_PRIME) == 0
+    assert f.eval_mod((5, 5, 1, 2), DEFAULT_PRIME, {}) == 0
 
 
 def test_eval_mod_rejects_pole_after_numerator_zero():
@@ -250,8 +253,8 @@ def test_eval_mod_rejects_pole_after_numerator_zero():
     r = RatFun({(1, -1, 0, 0): 1, (0, 0, 1, -1): -1})
     assert list(r.factored.values()) == [1, -1]
     with pytest.raises(EvalDegenerate):
-        r.eval_mod((5, 5, 2, 2), DEFAULT_PRIME)
-    assert r.eval_mod((5, 5, 2, 3), DEFAULT_PRIME) == 0
+        r.eval_mod((5, 5, 2, 2), DEFAULT_PRIME, {})
+    assert r.eval_mod((5, 5, 2, 3), DEFAULT_PRIME, {}) == 0
 
 
 def test_multipoly_divmod_exact_division():
@@ -791,10 +794,10 @@ def test_eval_mod_matches_pow_reference(pairs, assign, c):
         else:
             den = den * pow(v, -e, p) % p
     if den:
-        assert r.eval_mod(assign, p) == num * pow(den, -1, p) % p
+        assert r.eval_mod(assign, p, {}) == num * pow(den, -1, p) % p
     else:
         with pytest.raises(EvalDegenerate):
-            r.eval_mod(assign, p)
+            r.eval_mod(assign, p, {})
     # on the hyperplane of a denominator form, the point is a pole whatever
     # the exponent, also when the numerator vanishes first
     for f, e in r.factored.items():

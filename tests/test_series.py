@@ -16,14 +16,14 @@ from wallx.geom import (
     parse_i0,
 )
 from wallx.kclass import KClass, euler_class
-from wallx import ratfun
+from wallx import ratfun, series
 from wallx.ratfun import (
     DEFAULT_PRIME,
     EvalBackend,
     EvalDegenerate,
-    EvalPoint,
     RatFun,
     binomial_rf,
+    decide,
     rf_equal,
     rf_sum,
 )
@@ -43,6 +43,7 @@ from wallx.series import (
     primary_series,
     product_series,
     sign_search,
+    wall_target,
     wallcross_quotient,
 )
 
@@ -50,8 +51,7 @@ M_OVER_L3 = RatFun.var("m") / RatFun.var("lam3")
 
 
 def _poly_series(coeffs, hi):
-    return TruncSeries(
-        {d: RatFun.const(c) for d, c in enumerate(coeffs)}, 0, hi)
+    return TruncSeries({d: RatFun.const(c) for d, c in enumerate(coeffs)}, hi)
 
 
 def test_series_ring_laws():
@@ -80,7 +80,7 @@ def test_series_division_needs_unit():
 
 def test_binom_series_coefficients():
     s = binom_series(2 * M_OVER_L3, 3)
-    assert (s.lo, s.hi) == (0, 3)
+    assert s.hi == 3
     for d in range(4):
         expect = binomial_rf(2 * M_OVER_L3, d)
         if d % 2:
@@ -128,8 +128,11 @@ def test_primary_series_shapes():
 
 
 def test_closed_formula_small_values():
-    assert str(js_closed_formula(2, 1)) == "prod[ m^1 ; lam3^-1 ] * ( -2 ) / ( 1 )"
-    assert js_closed_formula(1, 2) == binomial_rf(M_OVER_L3, 2)
+    assert (str(rf_sum(js_closed_formula(2, 1)))
+            == "prod[ m^1 ; lam3^-1 ] * ( -2 ) / ( 1 )")
+    assert rf_sum(js_closed_formula(1, 2)) == binomial_rf(M_OVER_L3, 2)
+    # one term per composition of d into k parts
+    assert len(js_closed_formula(3, 2)) == math.comb(4, 2)
 
 
 def test_check_js_small_symbolic():
@@ -145,10 +148,78 @@ def test_check_js_eval_backend():
     assert rep.seed == 42
 
 
+def _without_backend(rep):
+    doc = rep.to_doc()
+    doc.pop("seed")
+    for rec in doc["degrees"]:
+        rec.pop("backend")
+    return doc
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_check_js_backends_agree(k):
+    sym = check_js(k, 3)
+    assert sym.passed
+    for seed in (1, 2):
+        ev = check_js(k, 3, EvalBackend(seed=seed))
+        assert _without_backend(ev) == _without_backend(sym)
+
+
+def test_sign_search_backends_agree():
+    for d in range(3):
+        fps = js_fixed_points(2, d)
+        target = wall_target(2, d).coeff(d)
+        signs = sign_search(fps, target)
+        assert signs is not None
+        for backend in (EvalBackend(seed=1), EvalBackend(points=3, seed=9)):
+            assert sign_search(fps, target, backend=backend) == signs
+            assert sign_search(fps, RatFun.const(7), backend=backend) is None
+
+
+def test_js_eval_expands_each_localization_sum_once(monkeypatch):
+    # rf_sum runs once per degree, on the contributions that the record
+    # prints, and never on a closed-formula term (every object compared by
+    # id is kept alive to the end)
+    made = {"contribution": [], "closed": []}
+
+    def recorded(fn, name):
+        def wrapper(*args):
+            out = fn(*args)
+            made[name] += out if isinstance(out, list) else [out]
+            return out
+        return wrapper
+
+    sums = []
+
+    def counted(where):
+        def wrapper(terms):
+            terms = list(terms)
+            sums.append((where, terms))
+            return rf_sum(terms)
+        return wrapper
+
+    monkeypatch.setattr(series, "contribution",
+                        recorded(series.contribution, "contribution"))
+    monkeypatch.setattr(series, "js_closed_formula",
+                        recorded(series.js_closed_formula, "closed"))
+    monkeypatch.setattr(series, "rf_sum", counted("series"))
+    monkeypatch.setattr(ratfun, "rf_sum", counted("ratfun"))
+    assert check_js(3, 3, EvalBackend()).passed
+    contributions = {id(t) for t in made["contribution"]}
+    closed = {id(t) for t in made["closed"]}
+    assert len(closed) == sum(math.comb(d + 2, 2) for d in (1, 2, 3))
+    sums = [(where, {id(t) for t in terms}) for where, terms in sums]
+    assert sum(where == "series" for where, _ in sums) == 3
+    assert [ids for _, ids in sums if ids & contributions] == [
+        {id(c) for c in made["contribution"][i:j]}
+        for i, j in ((0, 3), (3, 9), (9, 19))]
+    assert not any(ids & closed for _, ids in sums)
+
+
 def test_wallcross_quotient_is_binomial():
     q = wallcross_quotient(2, parse_i0("IlP1:1"), 2)
     expect = binom_series(2 * M_OVER_L3, 2)
-    assert q.equal(expect)
+    assert all(rf_equal(q.coeff(d), expect.coeff(d)) for d in range(3))
 
 
 def test_check_wallcross_symbolic_and_eval_agree():
@@ -240,13 +311,13 @@ def test_sampler_gives_up_after_twenty_draws_per_point(monkeypatch):
     def poles(backend):
         while True:
             draws.append(1)
-            yield EvalPoint(backend.prime, (0, 0, 0, 0))
+            yield (0, 0, 0, 0)
 
     monkeypatch.setattr(ratfun, "sample_points", poles)
     backend = EvalBackend(points=3, seed=1)
     a = RatFun.var("lam1").inverse()
     with pytest.raises(EvalDegenerate):
-        rf_equal(a, a, backend)
+        decide({"a": [a], "b": [a]}, backend)
     assert len(draws) == 20 * backend.points
     draws.clear()
     with pytest.raises(EvalDegenerate):
@@ -258,9 +329,8 @@ def test_sampler_gives_up_after_twenty_draws_per_point(monkeypatch):
 # one table of form values per sample point
 
 
-def _eval_quotient_fresh_tables(num, den, point, t_max):
+def _eval_quotient_fresh_tables(num, den, assign, p, t_max):
     """_eval_quotient_at with a fresh form table for every term."""
-    p, assign = point.prime, point.assign
     nv = [sum(t.eval_mod(assign, p, {}) for t in num[d]) % p
           for d in range(t_max + 1)]
     dv = [sum(t.eval_mod(assign, p, {}) for t in den[d]) % p
@@ -289,11 +359,13 @@ def test_eval_quotient_shared_table_matches_fresh_tables(monkeypatch, k, i0,
 
     points = list(itertools.islice(
         ratfun.sample_points(EvalBackend(seed=7)), 3))
-    for point in points:
-        want = _eval_quotient_fresh_tables(num, den, point, t_max)
+    for assign in points:
+        want = _eval_quotient_fresh_tables(num, den, assign, DEFAULT_PRIME,
+                                           t_max)
         monkeypatch.setattr(ratfun, "form_value", counted)
         evaluated.clear()
-        assert _eval_quotient_at(num, den, point, t_max) == want
+        assert _eval_quotient_at(num, den, assign, DEFAULT_PRIME,
+                                 t_max) == want
         monkeypatch.undo()
         # each distinct form is evaluated once per point
         assert sorted(evaluated) == sorted(forms)
@@ -303,13 +375,13 @@ def test_shared_table_still_rejects_a_pole():
     # lam1 - lam2 vanishes at the point: first met as a numerator factor,
     # its value 0 then comes from the table for the denominator factor
     f = (1, -1, 0, 0)
-    point = EvalPoint(DEFAULT_PRIME, (5, 5, 7, 11))
+    assign, p = (5, 5, 7, 11), DEFAULT_PRIME
     zero, pole = RatFun.from_forms([(f, 1)]), RatFun.from_forms([(f, -1)])
     table = {}
-    assert zero.eval_mod(point.assign, point.prime, table) == 0
+    assert zero.eval_mod(assign, p, table) == 0
     assert table == {f: 0}
     with pytest.raises(EvalDegenerate):
-        pole.eval_mod(point.assign, point.prime, table)
+        pole.eval_mod(assign, p, table)
     with pytest.raises(EvalDegenerate):
         _eval_quotient_at({0: [zero], 1: [pole]},
-                          {0: [RatFun.const(1)], 1: []}, point, 1)
+                          {0: [RatFun.const(1)], 1: []}, assign, p, 1)
