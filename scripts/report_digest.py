@@ -63,6 +63,7 @@ EXTRA = (
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "5"],
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "6"],
     ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "2"],
+    ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "3"],
     ["wallcross", "--wall", "Lmm:3", "--i0", "OX", "--tmax", "5"],
     ["wallcross", "--wall", "Lmm:4", "--i0", "OX", "--tmax", "4"],
     ["dimred", "--k", "3", "--dmax", "4"],

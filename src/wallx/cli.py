@@ -35,6 +35,7 @@ from .geom import (
 )
 from .quiver import Theta, classify_theta, parse_wall_label, wall_halfplane, walls_up_to
 from .ratfun import (
+    DegreeOverflow,
     DivisionByZero,
     EvalBackend,
     EvalDegenerate,
@@ -56,6 +57,7 @@ from .series import (
 )
 
 INTERNAL_ERRORS = (
+    DegreeOverflow,
     PoleAtZeroWeight,
     PoleAtSubstitution,
     EvalDegenerate,

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 VARS = ("lam1", "lam2", "lam3", "m")
 NVARS = 4
-ZERO_EXP = (0, 0, 0, 0)
 DEFAULT_PRIME = (1 << 61) - 1
 
 
@@ -49,6 +48,10 @@ class EvalDegenerate(RuntimeError):
 
 class ParseError(ValueError):
     pass
+
+
+class DegreeOverflow(OverflowError):
+    """A polynomial's total degree does not fit a monomial key's fields."""
 
 
 def _coef(c):
@@ -98,10 +101,6 @@ def _residue(c, p):
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
-
-
 def _power(base, n):
     """base ** n for n >= 1 by binary powering, with n - 1 products at most.
 
@@ -121,49 +120,87 @@ def _power(base, n):
 # ---------------------------------------------------------------------------
 # polynomials
 
+# A monomial lam1^e1 lam2^e2 lam3^e3 m^e4 is keyed by the int
+# deg<<48 | e1<<36 | e2<<24 | e3<<12 | e4, deg = e1 + e2 + e3 + e4, in 12-bit
+# fields (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
+# and packed exponent vectors", CASC 2007).  While deg < MAX_DEGREE no field
+# carries into the next, so a product's key is the sum of its factors' keys,
+# and graded-lex order is int order.  Keys stay below 2^60.
+MAX_DEGREE = 1 << 12
+_MASK = MAX_DEGREE - 1
+# the key of each variable alone
+_UNIT_KEYS = (1 << 48 | 1 << 36, 1 << 48 | 1 << 24, 1 << 48 | 1 << 12,
+              1 << 48 | 1)
+
+
+def _check_degree(deg):
+    if deg >= MAX_DEGREE:
+        raise DegreeOverflow(
+            f"total degree {deg} reaches the limit {MAX_DEGREE}")
+
+
+def _pack(exp):
+    """The key of an exponent tuple (e1, e2, e3, e4) of non-negative ints."""
+    if (type(exp) is not tuple or len(exp) != NVARS
+            or any(type(n) is not int or n < 0 for n in exp)):
+        raise ValueError(f"not {NVARS} non-negative int exponents: {exp!r}")
+    e1, e2, e3, e4 = exp
+    deg = e1 + e2 + e3 + e4
+    _check_degree(deg)
+    return deg << 48 | e1 << 36 | e2 << 24 | e3 << 12 | e4
+
+
+def _unpack(key):
+    """The exponent tuple of a monomial key."""
+    return key >> 36 & _MASK, key >> 24 & _MASK, key >> 12 & _MASK, key & _MASK
+
 
 class MultiPoly:
-    """Sparse polynomial: dict from exponent 4-tuple to a nonzero rational.
+    """Sparse polynomial: dict from monomial key to a nonzero rational.
 
-    A coefficient is an int whenever its value is integral; a Fraction holds
-    only a non-integral value.
+    A monomial key packs the exponents and the total degree into one int
+    (see _pack); the constant monomial's key is 0.  MultiPoly(terms) takes
+    exponent tuples, and raises DegreeOverflow for a total degree of
+    MAX_DEGREE = 4096 or more, as a product does.  A coefficient is an int
+    whenever its value is integral; a Fraction holds only a non-integral
+    value.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {e: _coef(c) for e, c in terms.items() if c != 0}
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            e = _pack(e)
+            if c != 0:
+                self.terms[e] = _coef(c)
 
     @staticmethod
     def const(c):
         c = _coef(c)
-        return _poly({ZERO_EXP: c} if c != 0 else {})
+        return _poly({0: c} if c != 0 else {})
 
     @staticmethod
     def var(name):
-        i = VARS.index(name)
-        e = tuple(1 if j == i else 0 for j in range(NVARS))
-        return _poly({e: 1})
+        return _poly({_UNIT_KEYS[VARS.index(name)]: 1})
 
     def is_zero(self):
         return not self.terms
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self):
-        return self.terms.get(ZERO_EXP, 0)
+        return self.terms.get(0, 0)
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms) >> 48 if self.terms else 0
 
     def leading(self):
-        """Graded-lex leading (exponent, coefficient)."""
+        """Graded-lex leading (monomial key, coefficient)."""
         if not self.terms:
-            return ZERO_EXP, 0
-        e = max(self.terms, key=_grlex_key)
+            return 0, 0
+        e = max(self.terms)
         return e, self.terms[e]
 
     def __add__(self, other):
@@ -188,10 +225,15 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        out = {}
-        for eb, cb in b.items():
+        _check_degree((max(a) >> 48) + (max(b) >> 48))
+        # most products are by a linear form, of two or three terms: the
+        # first row of keys is distinct and needs no lookup
+        rows = iter(b.items())
+        eb, cb = next(rows)
+        out = {ea + eb: ca * cb for ea, ca in a.items()}
+        for eb, cb in rows:
             for ea, ca in a.items():
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
+                e = ea + eb
                 s = out.get(e, 0) + ca * cb
                 if s == 0:
                     out.pop(e, None)
@@ -225,27 +267,32 @@ class MultiPoly:
         terms = self.terms
         if not terms:
             return 0
-        if len(terms) == 1 and ZERO_EXP in terms:
-            return _residue(terms[ZERO_EXP], p)
+        if len(terms) == 1 and 0 in terms:
+            return _residue(terms[0], p)
+        top = max(terms) >> 48
         tables = []
-        for a, top in zip(assign, map(max, zip(*terms))):
+        for a in assign:
             row = [1]
             for _ in range(top):
                 row.append(row[-1] * a % p)
             tables.append(row)
         t0, t1, t2, t3 = tables
         total = 0
-        for (e0, e1, e2, e3), c in terms.items():
+        # the fields are read with the literal _MASK, which a global lookup
+        # per term would slow
+        for e, c in terms.items():
             if type(c) is not int:
                 c = _residue(c, p)
-            total += c * t0[e0] * t1[e1] * t2[e2] * t3[e3]
+            total += (c * t0[e >> 36 & 4095] * t1[e >> 24 & 4095]
+                      * t2[e >> 12 & 4095] * t3[e & 4095])
         return total % p
 
     def subs_m_lam3(self):
-        """Substitute m -> lam3 (exponent folding (e1,e2,e3,em) -> (e1,e2,e3+em,0))."""
+        """Substitute m -> lam3: the m field is added into the lam3 field."""
         out = {}
         for e, c in self.terms.items():
-            ne = (e[0], e[1], e[2] + e[3], 0)
+            em = e & _MASK
+            ne = e + (em << 12) - em
             s = out.get(ne, 0) + c
             if s == 0:
                 out.pop(ne, None)
@@ -261,11 +308,14 @@ class MultiPoly:
         """
         piv = next(i for i in range(NVARS) if form[i] != 0)
         cp = form[piv]
-        rest = [(i, form[i]) for i in range(piv + 1, NVARS) if form[i] != 0]
+        shift = 36 - 12 * piv
+        unit = _UNIT_KEYS[piv]
+        rest = [(_UNIT_KEYS[i], form[i]) for i in range(piv + 1, NVARS)
+                if form[i] != 0]
         # bucket the dividend by pivot exponent
         by_deg = {}
         for e, c in self.terms.items():
-            by_deg.setdefault(e[piv], {})[e] = c
+            by_deg.setdefault(e >> shift & _MASK, {})[e] = c
         if not by_deg:
             return MultiPoly(), True
         top = max(by_deg)
@@ -284,17 +334,13 @@ class MultiPoly:
             carry = {}
             for e, c in level.items():
                 q = _div_exact(c, cp)
-                eq = list(e)
-                eq[piv] = k - 1
-                eq = tuple(eq)
+                eq = e - unit
                 quot[eq] = quot.get(eq, 0) + q
                 if quot[eq] == 0:
                     del quot[eq]
                 # subtract q * x^eq * (rest of the form) from the next level
-                for i, ci in rest:
-                    er = list(eq)
-                    er[i] += 1
-                    er = tuple(er)
+                for u, ci in rest:
+                    er = eq + u
                     s = carry.get(er, 0) - q * ci
                     if s == 0:
                         carry.pop(er, None)
@@ -305,10 +351,11 @@ class MultiPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        exps = sorted(self.terms, key=_grlex_key, reverse=True)
+        keys = sorted(self.terms, reverse=True)
         monos = ["*".join(v if n == 1 else f"{v}^{n}"
-                          for v, n in zip(VARS, e) if n) for e in exps]
-        return _terms_str([self.terms[e] for e in exps], monos)
+                          for v, n in zip(VARS, _unpack(e)) if n)
+                 for e in keys]
+        return _terms_str([self.terms[e] for e in keys], monos)
 
 
 def _terms_str(coeffs, monos):
@@ -339,8 +386,7 @@ def _terms_str(coeffs, monos):
 # (c1, c2, c3, cm) of its integer coefficients, made canonical by a positive
 # first nonzero coefficient.  Forms hash, compare and sort as tuples.
 
-# the unit vector of each variable: the exponent of the variable alone, and
-# the coefficients of the form that is the variable
+# the coefficients of the form that is each variable
 _UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
@@ -357,7 +403,7 @@ def canonical_form(c1, c2, c3, cm):
 
 def form_poly(form):
     """The form as a MultiPoly."""
-    return _poly({e: c for e, c in zip(_UNITS, form) if c})
+    return _poly({e: c for e, c in zip(_UNIT_KEYS, form) if c})
 
 
 def form_value(form, assign, p):
@@ -628,16 +674,12 @@ class RatFun:
 
     def eval_exact(self, assign):
         """Evaluate at exact rational assignments; raises DivisionByZero on poles."""
-        num = sum(
-            Fraction(c)
-            * math.prod(Fraction(assign[i]) ** e[i] for i in range(NVARS))
-            for e, c in self.num.terms.items()
-        )
-        den = sum(
-            Fraction(c)
-            * math.prod(Fraction(assign[i]) ** e[i] for i in range(NVARS))
-            for e, c in self.den.terms.items()
-        )
+        def value(poly):
+            return sum(Fraction(c) * math.prod(Fraction(a) ** n for a, n in
+                                               zip(assign, _unpack(e)))
+                       for e, c in poly.terms.items())
+
+        num, den = value(self.num), value(self.den)
         if den == 0:
             raise DivisionByZero("denominator vanishes at point")
         acc = Fraction(num) / den
@@ -667,7 +709,7 @@ def _form_coeffs(poly):
     """[c1, c2, c3, cm] when poly is c1*lam1 + c2*lam2 + c3*lam3 + cm*m
     with some ci nonzero, else None."""
     terms = poly.terms
-    coeffs = [terms.get(u, 0) for u in _UNITS]
+    coeffs = [terms.get(u, 0) for u in _UNIT_KEYS]
     if terms and len(terms) == NVARS - coeffs.count(0):
         return coeffs
     return None
@@ -850,7 +892,7 @@ def _lattice_basis(forms):
                 continue
             row = rows[piv]
             if row is None:
-                row, v = v, ZERO_EXP
+                row, v = v, (0, 0, 0, 0)
             while v[piv]:
                 row, v = v, _axpy(1, row, -(row[piv] // v[piv]), v)
             rows[piv] = row if row[piv] > 0 else _axpy(-1, row, 0, row)
@@ -906,7 +948,7 @@ def _map_back(red, basis, inputs):
 
     out = {}
     for e, c in red.num.terms.items():
-        pows = [power(j, n) for j, n in enumerate(e) if n]
+        pows = [power(j, n) for j, n in enumerate(_unpack(e)) if n]
         term = pows[0] if pows else _ONE
         for p in pows[1:]:
             term = term * p

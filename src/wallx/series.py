@@ -3,7 +3,8 @@
 All identities are stated degree-by-degree in a formal variable t (wall
 quotients) or in q with Laurent t (reference products).  Coefficients are
 exact RatFuns; identities are decided exactly or by seeded modular
-evaluation, through ratfun.decide except for the wall quotient on eval.
+evaluation, through ratfun.decide except for the wall quotient and the sign
+search on eval.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -586,13 +588,40 @@ def sign_search(points, target, cap=20, backend="symbolic"):
     """First lexicographic sign vector whose signed sum hits the target.
 
     Signs are searched in the order (+1, ..., +1), ..., (-1, ..., -1);
-    returns None when no assignment works.
+    returns None when no assignment works.  Symbolic decides each vector.
+    Eval draws one sz_samples stream for all vectors, lazily, takes each
+    contribution's and the target's residue once per point, and tests each
+    vector against those residues up to its first miss: a sign flips a
+    residue, and a pole of one term is a pole whatever its sign.
     """
     if len(points) > cap:
         raise CapExceeded(f"{len(points)} points exceeds cap {cap}")
     contribs = [contribution(fp) for fp in points]
-    for signs in itertools.product((1, -1), repeat=len(points)):
-        signed = [c if s == 1 else -c for c, s in zip(contribs, signs)]
-        if all(decide({"sum": signed, "target": [target]}, backend).values()):
+    vectors = itertools.product((1, -1), repeat=len(points))
+    if backend == "symbolic":
+        for signs in vectors:
+            signed = [c if s == 1 else -c for c, s in zip(contribs, signs)]
+            if all(decide({"sum": signed, "target": [target]},
+                          backend).values()):
+                return signs
+        return None
+    p = DEFAULT_PRIME
+    terms = [*contribs, target]
+
+    def residues(assign):
+        table = {}
+        return [t.eval_mod(assign, p, table) for t in terms]
+
+    stream = sz_samples(backend, residues)
+    drawn = []  # [contribution residues..., target residue] per point
+
+    def hits(signs, i):
+        if i == len(drawn):
+            drawn.append(next(stream))
+        *values, goal = drawn[i]
+        return sum(map(operator.mul, signs, values)) % p == goal
+
+    for signs in vectors:
+        if all(hits(signs, i) for i in range(backend.points)):
             return signs
     return None

@@ -84,6 +84,20 @@ def test_internal_error_exit_code(runner):
     assert res.exit_code == 3
 
 
+def test_degree_overflow_exits_3(runner, monkeypatch):
+    # a polynomial past the monomial keys' degree limit is an internal
+    # error: one stderr line and exit 3, not a traceback and exit 1
+    from wallx.ratfun import MultiPoly
+
+    def overflowing(*args, **kwargs):
+        return MultiPoly.var("lam1") ** 4096
+
+    monkeypatch.setattr(cli_mod, "check_js", overflowing)
+    res = runner.invoke(main, ["js", "--k", "2", "--dmax", "2", "--no-cache"])
+    assert res.exit_code == 3
+    assert res.stderr.startswith("error: DegreeOverflow:")
+
+
 def test_signsearch_finds_signs(runner):
     res = runner.invoke(main, ["signsearch", "--k", "2", "--d", "1"])
     assert res.exit_code == 0

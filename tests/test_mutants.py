@@ -3,22 +3,31 @@ monkeypatch and asserts that the checks reject it.
 
 A checker that still passes with a mutant in place cannot tell the defect
 from working code.  The mutants here run through rf_sum's reduced path (the
-js and OX wall-crossing sums span a rank-3 lattice of forms), and the
-fixed-point mutants also through the eval backend at three seeds; the
-map-back mutant is in rf_sum, which an eval check need not call, and the
-eval_mod mutant is in the eval backend alone.
+js and OX wall-crossing sums span a rank-3 lattice of forms) and its flat
+path (the IlP1:1 sums), and the fixed-point, chi_pair and content mutants
+also through the eval backend at three seeds; the map-back mutant is in
+rf_sum, which an eval check need not call, and the eval_mod mutant is in
+the eval backend alone.  A mutant of a function body is the function
+recompiled from its source with one edit.
 
 Equivalent mutants, kept out:
 - with_point_sign off by one under check_wallcross: it negates both
   fibers, so their quotient is unchanged.
 - a skipped eval_mod factor under the symbolic backend: no symbolic check
   evaluates a RatFun mod p.
+- divmod_linear stepping only the pivot field under the eval backend:
+  eval_mod reads each exponent from its own field and the degree field
+  only to size its tables, so a degree field off by one changes no residue.
 """
 
 import dataclasses
+import inspect
+import textwrap
+from fractions import Fraction
 
 from wallx import geom, ratfun, series
 from wallx.geom import parse_i0
+from wallx.kclass import KClass
 from wallx.ratfun import EvalBackend
 from wallx.series import (check_dimred, check_insertion_free, check_js,
                           check_wallcross)
@@ -32,6 +41,7 @@ def test_sane_checks_pass():
     for backend in BACKENDS:
         assert check_js(3, 3, backend).passed
         assert check_wallcross(3, OX, 3, backend).passed
+        assert check_wallcross(2, IlP1, 3, backend).passed
     assert check_insertion_free(2, 3).passed
     assert check_dimred(2, 3).passed
 
@@ -102,3 +112,64 @@ def test_skipped_eval_mod_factor_is_rejected(monkeypatch):
         assert not check_js(3, 3, backend).passed
         assert not check_wallcross(3, OX, 3, backend).passed
         assert not check_wallcross(2, IlP1, 3, backend).passed
+
+
+def test_shifted_chi_pair_weight_is_rejected(monkeypatch):
+    chi_pair = geom.chi_pair
+
+    def shifted(F, G, ambient):
+        terms = dict(chi_pair(F, G, ambient).terms)
+        if terms:
+            w = min(terms)
+            moved = (w[0], w[1] + 1, w[2], w[3])
+            terms[moved] = terms.get(moved, 0) + terms.pop(w)
+        return KClass(terms)
+
+    monkeypatch.setattr(geom, "chi_pair", shifted)
+    monkeypatch.setattr(series, "chi_pair", shifted)
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+    assert not check_insertion_free(2, 3).passed
+
+
+def test_dropped_term_content_in_rf_sum_is_rejected(monkeypatch):
+    # the first term of each sum loses its integer content; eval checks
+    # meet it in the binomial sums of the wall-crossing target
+    expand = ratfun._shared_expansion
+    depth = []
+
+    def dropped(group, power):
+        if not depth:
+            coef, factors = group[0]
+            group = [(coef.scale(Fraction(1, ratfun._content(coef))),
+                      factors), *group[1:]]
+        depth.append(1)
+        try:
+            return expand(group, power)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(ratfun, "_shared_expansion", dropped)
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+    assert not check_dimred(2, 3).passed
+
+
+def _recompiled(fn, old, new):
+    """fn, a ratfun function or method, with its source edited once."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(ratfun), namespace)
+    return namespace[fn.__name__]
+
+
+def test_divmod_linear_stepping_only_the_pivot_field_is_rejected(
+        monkeypatch):
+    # the quotient's keys keep the dividend's degree field
+    monkeypatch.setattr(ratfun.MultiPoly, "divmod_linear", _recompiled(
+        ratfun.MultiPoly.divmod_linear, "eq = e - unit",
+        "eq = e - (1 << shift)"))
+    assert not check_wallcross(2, IlP1, 3).passed

@@ -1,6 +1,7 @@
 """Exact rational-function kernel: arithmetic, normal form, grammar, and the
 seeded modular evaluation backend."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -319,11 +320,11 @@ def test_wallcross_quotient_coefficients_are_ints():
 
 def test_fraction_inputs_are_stored_as_ints():
     p = MultiPoly({(1, 0, 0, 0): Fraction(4, 2), (0, 0, 0, 0): Fraction(1, 2)})
-    assert type(p.terms[(1, 0, 0, 0)]) is int
-    assert p.terms[(0, 0, 0, 0)] == Fraction(1, 2)
+    assert type(p.terms[ratfun._pack((1, 0, 0, 0))]) is int
+    assert p.const_value() == Fraction(1, 2)
     assert type(MultiPoly.const(Fraction(-3, 1)).const_value()) is int
     parsed = parse_ratfun("prod[ ] * ( 4/2*lam1*lam2 ) / ( 1 )")
-    assert type(parsed.num.terms[(1, 1, 0, 0)]) is int
+    assert type(parsed.num.terms[ratfun._pack((1, 1, 0, 0))]) is int
 
 
 int_polys = st.dictionaries(
@@ -755,7 +756,8 @@ def test_non_saturated_lattice_folds_the_content_of_a_new_factor(
 
 def _misses_a_variable(p):
     """Whether some variable has exponent 0 in every term of p."""
-    return any(not any(e[i] for e in p.terms) for i in range(4))
+    exps = [ratfun._unpack(e) for e in p.terms]
+    return any(not any(e[i] for e in exps) for i in range(4))
 
 
 def test_rank_three_sums_expand_in_three_variables():
@@ -805,3 +807,133 @@ def test_eval_mod_matches_pow_reference(pairs, assign, c):
         if e < 0 and point is not None:
             with pytest.raises(EvalDegenerate):
                 r.eval_mod(point, p, {})
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys against a reference keyed by exponent tuples
+
+
+def _tuples(poly):
+    """poly's terms keyed by exponent tuples."""
+    return {ratfun._unpack(e): c for e, c in poly.terms.items()}
+
+
+def _ref_nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _ref_nonzero(out)
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _ref_nonzero(out)
+
+
+def _ref_subs_m_lam3(a):
+    out = {}
+    for (e1, e2, e3, em), c in a.items():
+        e = (e1, e2, e3 + em, 0)
+        out[e] = out.get(e, 0) + c
+    return _ref_nonzero(out)
+
+
+def _ref_divmod(a, form):
+    """(quotient, exact): the term with the highest pivot exponent is
+    cancelled by a multiple of the form until no term holds the pivot."""
+    piv = next(i for i, c in enumerate(form) if c)
+    rem, quot = dict(a), {}
+    while any(e[piv] for e in rem):
+        e = max((e for e in rem if e[piv]), key=lambda e: (e[piv], e))
+        q = Fraction(rem[e]) / form[piv]
+        eq = tuple(n - (i == piv) for i, n in enumerate(e))
+        quot[eq] = quot.get(eq, 0) + q
+        for i, c in enumerate(form):
+            er = tuple(n + (j == i) for j, n in enumerate(eq))
+            rem[er] = rem.get(er, 0) - q * c
+        rem = _ref_nonzero(rem)
+    return _ref_nonzero(quot), not rem
+
+
+def _ref_eval_mod(a, assign, p):
+    return sum(ratfun._residue(c, p) * math.prod(pow(x, n, p) for x, n in
+                                                  zip(assign, e))
+               for e, c in a.items()) % p
+
+
+def _ref_str(a):
+    exps = sorted(a, key=lambda e: (sum(e), e), reverse=True)
+    monos = ["*".join(v if n == 1 else f"{v}^{n}"
+                      for v, n in zip(ratfun.VARS, e) if n) for e in exps]
+    return ratfun._terms_str([a[e] for e in exps], monos) or "0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys, mixed_polys, linear_forms,
+       st.tuples(*[st.integers(1, DEFAULT_PRIME - 1)] * 4))
+def test_packed_kernel_matches_a_tuple_keyed_reference(a, b, form, assign):
+    pa, pb = MultiPoly(a), MultiPoly(b)
+    a, b = _ref_nonzero(a), _ref_nonzero(b)
+    assert _tuples(pa) == a
+    assert _tuples(pa * pb) == _ref_mul(a, b)
+    assert _tuples(pa + pb) == _ref_add(a, b)
+    assert _tuples(pa.subs_m_lam3()) == _ref_subs_m_lam3(a)
+    q, exact = pa.divmod_linear(form)
+    assert (_tuples(q), exact) == _ref_divmod(a, form)
+    assert pa.eval_mod(assign, DEFAULT_PRIME) == _ref_eval_mod(
+        a, assign, DEFAULT_PRIME)
+    if a:
+        e, c = pa.leading()
+        lead = max(a, key=lambda e: (sum(e), e))
+        assert (ratfun._unpack(e), c) == (lead, a[lead])
+    assert pa.total_degree() == max(map(sum, a), default=0)
+    assert str(pa) == _ref_str(a)
+    assert parse_poly(str(pa)) == pa
+
+
+# exponents up to the field width: a total degree of 4095 fits, 4096 not
+wide_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 4095)] * 4).filter(lambda e: sum(e) < 4096),
+    st.integers(-5, 5), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys, wide_polys)
+def test_packed_fields_never_carry_below_the_degree_limit(a, b):
+    pa, pb = MultiPoly(a), MultiPoly(b)
+    a, b = _ref_nonzero(a), _ref_nonzero(b)
+    assert _tuples(pa) == a
+    assert str(pa) == _ref_str(a)
+    if pa.total_degree() + pb.total_degree() >= ratfun.MAX_DEGREE:
+        with pytest.raises(ratfun.DegreeOverflow):
+            pa * pb
+    else:
+        assert _tuples(pa * pb) == _ref_mul(a, b)
+    assert _tuples(pa.subs_m_lam3()) == _ref_subs_m_lam3(a)
+
+
+def test_exponent_tuples_and_the_degree_limit_are_checked():
+    for bad in [(1, 0, 0), (1, 0, 0, 0, 0), (-1, 0, 0, 0), (1.0, 0, 0, 0),
+                (True, 0, 0, 0), 1]:
+        with pytest.raises(ValueError):
+            MultiPoly({bad: 1})
+    # a zero coefficient does not excuse a bad key
+    with pytest.raises(ValueError):
+        MultiPoly({(0, 0, -1, 0): 0})
+    lam1 = MultiPoly.var("lam1")
+    assert (lam1 ** 4095).total_degree() == 4095
+    with pytest.raises(ratfun.DegreeOverflow):
+        lam1 ** 4096
+    with pytest.raises(ratfun.DegreeOverflow):
+        MultiPoly({(1024, 1024, 1024, 1024): 1})
+    with pytest.raises(ratfun.DegreeOverflow):
+        parse_poly("lam1^2048*m^2048")
+    assert str(parse_poly("lam1^2047*m^2048")) == "lam1^2047*m^2048"

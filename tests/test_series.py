@@ -176,6 +176,73 @@ def test_sign_search_backends_agree():
             assert sign_search(fps, RatFun.const(7), backend=backend) is None
 
 
+def _sign_search_per_vector(points, target, backend):
+    """Reference: one decide call per sign vector, each drawing its points."""
+    contribs = [contribution(fp) for fp in points]
+    for signs in itertools.product((1, -1), repeat=len(points)):
+        signed = [c if s == 1 else -c for c, s in zip(contribs, signs)]
+        if all(decide({"sum": signed, "target": [target]}, backend).values()):
+            return signs
+    return None
+
+
+@pytest.mark.parametrize("poles", [0, 2, None])
+def test_eval_sign_search_matches_a_decide_per_vector(monkeypatch, poles):
+    # the first `poles` draws (every draw for None) sit on the hyperplane of
+    # a denominator form of one contribution, so they are rejected; with
+    # every draw rejected both raise EvalDegenerate
+    fps = js_fixed_points(2, 2)
+    form = next(f for f, e in contribution(fps[0]).factored.items() if e < 0)
+    pole = ratfun._hyperplane_point(form)
+    sample_points = ratfun.sample_points
+
+    def stream(backend):
+        fresh = sample_points(backend)
+        for i in itertools.count():
+            yield pole if poles is None or i < poles else next(fresh)
+
+    monkeypatch.setattr(ratfun, "sample_points", stream)
+
+    def outcome(search, target, backend):
+        try:
+            return search(fps, target, backend=backend)
+        except EvalDegenerate as exc:
+            return str(exc)
+
+    for target in (wall_target(2, 2).coeff(2), RatFun.const(7)):
+        for backend in (EvalBackend(seed=1), EvalBackend(points=3, seed=9)):
+            want = outcome(_sign_search_per_vector, target, backend)
+            assert outcome(sign_search, target, backend) == want
+            assert (want is None or isinstance(want, tuple)) == (
+                poles is not None)
+
+
+def test_eval_sign_search_takes_each_residue_once_per_point(monkeypatch):
+    # no sign vector of the 10 points hits 7, so all 1024 vectors are tried:
+    # each point is drawn once for all of them and costs the 10 contribution
+    # residues and the target's
+    fps = js_fixed_points(4, 2)
+    assert len(fps) == 10
+    calls, drawn = [], []
+    eval_mod, sample_points = RatFun.eval_mod, ratfun.sample_points
+
+    def counted_eval_mod(self, *args):
+        calls.append(1)
+        return eval_mod(self, *args)
+
+    def counted_sample_points(backend):
+        for point in sample_points(backend):
+            drawn.append(point)
+            yield point
+
+    monkeypatch.setattr(RatFun, "eval_mod", counted_eval_mod)
+    monkeypatch.setattr(ratfun, "sample_points", counted_sample_points)
+    assert sign_search(fps, RatFun.const(7), backend=EvalBackend(seed=1)) \
+        is None
+    assert drawn and len(set(drawn)) == len(drawn)
+    assert len(calls) <= 11 * len(drawn)
+
+
 def test_js_eval_expands_each_localization_sum_once(monkeypatch):
     # rf_sum runs once per degree, on the contributions that the record
     # prints, and never on a closed-formula term (every object compared by
