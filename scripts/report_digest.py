@@ -10,7 +10,7 @@ tests/test_acceptance.py, and the EXTRA commands outside the menus:
 rf_sum-heavy symbolic ones, and eval ones, of which one fails by a sign
 override and exits 1.  Prints one `sha256[:16]  command` line per JSON report, or `exit N`
 in place of the digest when a command wrote none.  The PRINTED commands
-(every `series --kind`, a symbolic and an eval `signsearch`, and six
+(every `series --kind`, a symbolic and an eval `signsearch`, and nine
 `contribution --label` ones) write no report; their line digests the exit
 code and everything they print.  A
 `sha256[:16]  parse_ratfun round trip of N values` line digests
@@ -92,6 +92,9 @@ PRINTED = (
         "plus:Lmm3,i0=IP1,comp=0,0,0,0,0,0,1",
         "minus:Lmm3,i0=IP1,subset=1",
         "minus:Lmm2,i0=IlP1:2",
+        "js:k=4,d=3,comp=3,0,0,0",
+        "minus:Lmm5,i0=IP1,subset=2,3",
+        "plus:Lmm3,i0=IP1,comp=1,0,0,0,0,0,0",
     )),
 )
 

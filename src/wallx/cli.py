@@ -39,13 +39,13 @@ from .ratfun import (
     DivisionByZero,
     EvalBackend,
     EvalDegenerate,
+    NonUnitDivisor,
     PoleAtSubstitution,
     PoleAtZeroWeight,
     ZeroForm,
 )
 from .series import (
     CapExceeded,
-    NonUnitDivisor,
     check_dimred,
     check_insertion_free,
     check_js,

@@ -210,29 +210,33 @@ def _thicken(bundle, count):
 # classified fixed loci over the walls Lmm(k)
 
 
-def js_fixed_points(k, d):
-    """Fixed pairs over the wall Lmm(k) with trivial reference object.
+def _point(label, summands, chi, deg, sign_extra=0):
+    return FixedPoint(label=label, sheaf=EquivSheaf(tuple(summands)),
+                      chi=chi, deg=deg, sign_extra=sign_extra,
+                      support=_support_of(summands))
 
-    One point per composition (d_0, ..., d_{k-1}) of d: the summand for slot
-    i is O((k-1-i) Zinf + i Z0) thickened by sum_{j<d_i} t3^j.
-    """
+
+def _comp_text(comp):
+    return ",".join(map(str, comp))
+
+
+def js_fixed_points(k, d):
+    """Fixed pairs over the wall Lmm(k) with trivial reference object, one
+    per composition of d into k parts (see _js_point)."""
     if k < 1 or d < 0:
         raise UnsupportedConfiguration(f"no JS fixed points at k={k}, d={d}")
-    points = []
-    for comp in compositions(d, k):
-        summands = []
-        for i, di in enumerate(comp):
-            summands.extend(_thicken(EquivLineBundle(i, k - 1 - i), di))
-        label = f"js:k={k},d={d},comp=" + ",".join(map(str, comp))
-        points.append(FixedPoint(
-            label=label,
-            sheaf=EquivSheaf(tuple(summands)),
-            chi=k * d,
-            deg=d,
-            sign_extra=0,
-            support=_support_of(summands),
-        ))
-    return points
+    return [_js_point(k, comp) for comp in compositions(d, k)]
+
+
+def _js_point(k, comp):
+    """The JS point of the composition (d_0, ..., d_{k-1}): the summand for
+    slot i is O((k-1-i) Zinf + i Z0) thickened by sum_{j<d_i} t3^j."""
+    summands = []
+    for i, di in enumerate(comp):
+        summands.extend(_thicken(EquivLineBundle(i, k - 1 - i), di))
+    d = sum(comp)
+    return _point(f"js:k={k},d={d},comp={_comp_text(comp)}", summands,
+                  chi=k * d, deg=d)
 
 
 def _i0_sheaf(i0):
@@ -289,14 +293,27 @@ def _check_wall_i0(k, i0):
         raise UnsupportedConfiguration(f"unknown I0 {i0!r}")
 
 
+def _plus_parts(k, i0):
+    """The number of parts of a plus-side point's composition."""
+    return {"OX": k, "IlP1": 4, "IP1": 3 * k - 2}[i0[0]]
+
+
 def fiber_plus(k, i0, d):
     """Fixed points on the plus side of the wall Lmm(k) over the given I0."""
     _check_wall_i0(k, i0)
+    return [_plus_point(k, i0, comp)
+            for comp in compositions(d, _plus_parts(k, i0))]
+
+
+def _plus_point(k, i0, comp):
+    """The plus-side point of a composition into _plus_parts(k, i0) parts;
+    over OX it is the JS point."""
     kind, l = i0
     if kind == "OX":
-        return js_fixed_points(k, d)
-    base = _i0_sheaf(i0)
-    points = []
+        return _js_point(k, comp)
+    summands = _i0_sheaf(i0)
+    d = sum(comp)
+    label = f"plus:Lmm{k},i0={i0_label(i0)},comp={_comp_text(comp)}"
     if kind == "IlP1":
         new = (
             EquivLineBundle(0, 1, weight(w1=1)),
@@ -304,86 +321,47 @@ def fiber_plus(k, i0, d):
             EquivLineBundle(0, 1, weight(w3=l)),
             EquivLineBundle(1, 0, weight(w3=l)),
         )
-        for comp in compositions(d, 4):
-            summands = list(base)
-            for bundle, di in zip(new, comp):
-                summands.extend(_thicken(bundle, di))
-            label = (f"plus:Lmm{k},i0={i0_label(i0)},comp="
-                     + ",".join(map(str, comp)))
-            points.append(FixedPoint(
-                label=label,
-                sheaf=EquivSheaf(tuple(summands)),
-                chi=l + 2 * d,
-                deg=l + d,
-                sign_extra=1 if comp[1] > 0 else 0,
-                support=_support_of(summands),
-            ))
-        return points
+        for bundle, di in zip(new, comp):
+            summands.extend(_thicken(bundle, di))
+        return _point(label, summands, chi=l + 2 * d, deg=l + d,
+                      sign_extra=1 if comp[1] > 0 else 0)
     # kind == "IP1", k >= 3: tuples (d_1..d_{k-1}, e_1..e_{k-1}, f_0..f_{k-1})
-    for comp in compositions(d, 3 * k - 2):
-        ds = comp[: k - 1]
-        es = comp[k - 1: 2 * (k - 1)]
-        fs = comp[2 * (k - 1):]
-        summands = list(base)
-        for i in range(1, k):
-            bundle = EquivLineBundle(k - 1 - i, i)
-            summands.extend(_thicken(bundle.shifted(weight(w1=1)), ds[i - 1]))
-        for i in range(1, k):
-            bundle = EquivLineBundle(k - 1 - i, i)
-            summands.extend(_thicken(bundle.shifted(weight(w2=1)), es[i - 1]))
-        for i in range(0, k):
-            bundle = EquivLineBundle(k - 1 - i, i)
-            summands.extend(_thicken(bundle.shifted(weight(w3=1)), fs[i]))
-        label = (f"plus:Lmm{k},i0={i0_label(i0)},comp="
-                 + ",".join(map(str, comp)))
-        points.append(FixedPoint(
-            label=label,
-            sheaf=EquivSheaf(tuple(summands)),
-            chi=1 + k * d,
-            deg=1 + d,
-            sign_extra=sum(1 for e in es if e > 0),
-            support=_support_of(summands),
-        ))
-    return points
+    ds = comp[: k - 1]
+    es = comp[k - 1: 2 * (k - 1)]
+    fs = comp[2 * (k - 1):]
+    for i in range(1, k):
+        bundle = EquivLineBundle(k - 1 - i, i)
+        summands.extend(_thicken(bundle.shifted(weight(w1=1)), ds[i - 1]))
+    for i in range(1, k):
+        bundle = EquivLineBundle(k - 1 - i, i)
+        summands.extend(_thicken(bundle.shifted(weight(w2=1)), es[i - 1]))
+    for i in range(0, k):
+        bundle = EquivLineBundle(k - 1 - i, i)
+        summands.extend(_thicken(bundle.shifted(weight(w3=1)), fs[i]))
+    return _point(label, summands, chi=1 + k * d, deg=1 + d,
+                  sign_extra=sum(1 for e in es if e > 0))
 
 
 def fiber_minus(k, i0, d):
     """Fixed points on the minus side of the wall Lmm(k) over the given I0."""
     _check_wall_i0(k, i0)
-    kind, l = i0
-    if kind in ("OX", "IlP1"):
-        if d > 0:
-            return []
-        summands = tuple(_i0_sheaf(i0))
-        label = f"minus:Lmm{k},i0={i0_label(i0)}"
-        return [FixedPoint(
-            label=label,
-            sheaf=EquivSheaf(summands),
-            chi=len(summands),
-            deg=len(summands),
-            sign_extra=0,
-            support=_support_of(summands),
-        )]
-    # kind == "IP1": the extension class is recorded K-theoretically
-    if d > k - 2:
-        return []
-    points = []
-    for subset in itertools.combinations(range(1, k - 1), d):
-        summands = [O_P1]
-        for i in subset:
-            summands.append(EquivLineBundle(k - 1 - i, i))
-        label = f"minus:Lmm{k},i0={i0_label(i0)}"
-        if subset:
-            label += ",subset=" + ",".join(map(str, subset))
-        points.append(FixedPoint(
-            label=label,
-            sheaf=EquivSheaf(tuple(summands)),
-            chi=1 + k * d,
-            deg=1 + d,
-            sign_extra=0,
-            support=_support_of(summands),
-        ))
-    return points
+    if i0[0] != "IP1":
+        return [] if d > 0 else [_minus_point(k, i0, ())]
+    return [_minus_point(k, i0, subset)
+            for subset in itertools.combinations(range(1, k - 1), d)]
+
+
+def _minus_point(k, i0, subset):
+    """The minus-side point of an increasing subset of [1, k-2], which is
+    empty but over IP1; there the extension class is recorded
+    K-theoretically."""
+    base = _i0_sheaf(i0)
+    summands = base + [EquivLineBundle(k - 1 - i, i) for i in subset]
+    label = f"minus:Lmm{k},i0={i0_label(i0)}"
+    if subset:
+        label += f",subset={_comp_text(subset)}"
+    return _point(label, summands, chi=len(base) + k * len(subset),
+                  deg=len(summands))
 
 
 def i0_contribution(i0):
@@ -455,10 +433,22 @@ def example_term_l1_k2(d1, d2, d3, d4):
 # fixed point labels
 
 
+def _parse_ints(value, text):
+    return tuple(_parse_int(x, text) for x in value.split(","))
+
+
+def _check_comp(comp, parts, text):
+    if len(comp) != parts or min(comp) < 0:
+        raise UnsupportedConfiguration(
+            f"not a composition into {parts} parts in {text!r}")
+
+
 def parse_label(text):
     """Parse a fixed-point label back into the FixedPoint it names.
 
-    Any text that names no fixed point raises UnsupportedConfiguration.
+    The point is built from the label's fields alone, and its own label must
+    read back as the text.  Any text that names no fixed point raises
+    UnsupportedConfiguration.
     """
     head, _, rest = text.partition(":")
     fields = {}
@@ -471,29 +461,31 @@ def parse_label(text):
             fields[current] += "," + part
     if head == "js":
         k = _parse_int(fields.get("k", ""), text)
-        d = _parse_int(fields.get("d", ""), text)
-        for fp in js_fixed_points(k, d):
-            if fp.label == text:
-                return fp
-        raise UnsupportedConfiguration(f"no such fixed point {text!r}")
-    if head in ("plus", "minus"):
+        comp = _parse_ints(fields.get("comp", ""), text)
+        _check_comp(comp, k, text)
+        fp = _js_point(k, comp)
+    elif head in ("plus", "minus"):
         wall = rest.split(",", 1)[0]
         if not wall.startswith("Lmm"):
             raise UnsupportedConfiguration(f"unclassified wall in {text!r}")
         k = _parse_int(wall[3:], text)
         i0 = parse_i0(fields.get("i0", ""))
+        _check_wall_i0(k, i0)
         if head == "plus":
-            comp = tuple(_parse_int(x, text)
-                         for x in fields.get("comp", "").split(","))
-            d = sum(comp)
-            for fp in fiber_plus(k, i0, d):
-                if fp.label == text:
-                    return fp
+            comp = _parse_ints(fields.get("comp", ""), text)
+            _check_comp(comp, _plus_parts(k, i0), text)
+            fp = _plus_point(k, i0, comp)
         else:
-            subset = fields.get("subset")
-            d = len(subset.split(",")) if subset else 0
-            for fp in fiber_minus(k, i0, d):
-                if fp.label == text:
-                    return fp
+            subset = (_parse_ints(fields["subset"], text)
+                      if "subset" in fields else ())
+            slots = range(1, k - 1) if i0[0] == "IP1" else ()
+            if (any(i not in slots for i in subset)
+                    or any(a >= b for a, b in zip(subset, subset[1:]))):
+                raise UnsupportedConfiguration(
+                    f"not an increasing subset of the slots in {text!r}")
+            fp = _minus_point(k, i0, subset)
+    else:
+        raise UnsupportedConfiguration(f"bad label {text!r}")
+    if fp.label != text:
         raise UnsupportedConfiguration(f"no such fixed point {text!r}")
-    raise UnsupportedConfiguration(f"bad label {text!r}")
+    return fp

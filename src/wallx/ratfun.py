@@ -4,12 +4,13 @@ Values live in Q(lam1, lam2, lam3, m).  The fourth torus weight lam0 is not a
 variable: it is eliminated at construction time through the Calabi-Yau
 relation lam0 = -(lam1 + lam2 + lam3).
 
-A RatFun is kept in partially factored form: a product of integer powers of
-linear forms times a residual num/den pair of polynomials.  A linear form is
-its canonical coefficient tuple (see canonical_form).  Every denominator
-produced by localization is a product of linear forms, so cancellation only
-ever needs trial division by linear forms; no general multivariate GCD is
-attempted.
+A RatFun is a product of integer powers of linear forms times one residual
+polynomial num.  A linear form is its canonical coefficient tuple (see
+canonical_form).  Every value produced by localization lies in
+Q[lam1, lam2, lam3, m] with only linear forms inverted, so cancellation only
+ever needs trial division by linear forms and no general multivariate GCD is
+attempted; an inverse exists for a unit, a value whose num is a constant, and
+any other nonzero value raises NonUnitDivisor.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 class DivisionByZero(ZeroDivisionError):
     pass
+
+
+class NonUnitDivisor(ZeroDivisionError):
+    """The inverse of a value whose num is not a constant."""
 
 
 class ZeroForm(ValueError):
@@ -256,9 +261,6 @@ class MultiPoly:
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def eval_mod(self, assign, p):
         """Value mod p at the residues assign, from one power table per variable.
 
@@ -422,7 +424,7 @@ def form_str(form):
 _ONE = MultiPoly.const(1)
 
 
-def _ratfun(factored, num, den=_ONE):
+def _ratfun(factored, num):
     """RatFun over the given parts, taken as they are, with no normalisation.
 
     Callers pass parts in normal form; rf_sum's raw sum, which extract_linear
@@ -431,24 +433,23 @@ def _ratfun(factored, num, den=_ONE):
     r = object.__new__(RatFun)
     r.factored = factored
     r.num = num
-    r.den = den
     return r
 
 
 class RatFun:
-    """prod of form^exp times residual num/den.
+    """prod of form^exp times the residual polynomial num.
 
     `factored` maps canonical forms to nonzero exponents; RatFun(...) takes
     its keys as canonical and normalises the rest.  Signed coefficient
-    vectors go through from_forms.
+    vectors go through from_forms.  In normal form no linear form divides
+    num, and num is itself no linear form.
     """
 
-    __slots__ = ("factored", "num", "den")
+    __slots__ = ("factored", "num")
 
-    def __init__(self, factored=None, num=_ONE, den=_ONE):
+    def __init__(self, factored=None, num=_ONE):
         self.factored = dict(factored or {})
         self.num = num
-        self.den = den
         self._normalize()
 
     # -- constructors
@@ -491,41 +492,23 @@ class RatFun:
         if self.num.is_zero():
             self.factored = {}
             self.num = MultiPoly()
-            self.den = _ONE
             return
-        if self.den.is_zero():
-            raise DivisionByZero("zero residual denominator")
-        self.factored = {f: e for f, e in self.factored.items() if e}
         # a residual that is itself one linear form moves to the factored part
-        split = _linear_split(self.den)
-        if split is not None:
-            content, form = split
-            self.factored[form] = self.factored.get(form, 0) - 1
-            self.num = self.num.scale(Fraction(1) / content)
-            self.den = _ONE
         split = _linear_split(self.num)
         if split is not None:
             content, form = split
             self.factored[form] = self.factored.get(form, 0) + 1
             self.num = MultiPoly.const(content)
         self.factored = {f: e for f, e in self.factored.items() if e != 0}
-        # cancel factored forms against the residual den, then pull any
-        # remaining copies of them out of the residual num; there is nothing
-        # to cancel when both are constants
-        if not (self.num.is_const() and self.den.is_const()):
+        # pull any remaining copies of the factored forms out of the residual
+        if not self.num.is_const():
             for f in list(self.factored):
-                self.den, down = _divide_out(self.den, f)
                 self.num, up = _divide_out(self.num, f)
-                e = self.factored[f] - down + up
+                e = self.factored[f] + up
                 if e:
                     self.factored[f] = e
                 else:
                     del self.factored[f]
-        # monic positive denominator
-        _, lead = self.den.leading()
-        if lead != 1:
-            self.num = self.num.scale(Fraction(1) / lead)
-            self.den = self.den.scale(Fraction(1) / lead)
 
     def extract_linear(self, forms):
         """Pull every possible copy of the given linear forms out of num.
@@ -541,7 +524,7 @@ class RatFun:
             num, up = _divide_out(num, f)
             if up:
                 factored[f] = factored.get(f, 0) + up
-        return RatFun(factored, num, self.den)
+        return RatFun(factored, num)
 
     # -- predicates
 
@@ -550,13 +533,11 @@ class RatFun:
 
     def degree_bound(self):
         """Bound on the degrees of the fully expanded numerator/denominator."""
-        up = self.num.total_degree() + sum(e for e in self.factored.values() if e > 0)
-        dn = self.den.total_degree() + sum(-e for e in self.factored.values() if e < 0)
-        return up + dn
+        return self.num.total_degree() + sum(map(abs, self.factored.values()))
 
     def expand(self):
         """Return (N, D) MultiPolys with value = N/D and no factored part."""
-        n, d = self.num, self.den
+        n, d = self.num, _ONE
         for f, e in self.factored.items():
             p = form_poly(f) ** abs(e)
             if e > 0:
@@ -574,15 +555,19 @@ class RatFun:
         factored = dict(self.factored)
         for f, e in other.factored.items():
             factored[f] = factored.get(f, 0) + e
-        return RatFun(factored, self.num * other.num, self.den * other.den)
+        return RatFun(factored, self.num * other.num)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """The inverse of a unit: a nonzero value whose num is a constant."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        if not self.num.is_const():
+            raise NonUnitDivisor(f"{self.num} is not a unit")
         factored = {f: -e for f, e in self.factored.items()}
-        return RatFun(factored, self.den, self.num)
+        return _ratfun(factored,
+                       MultiPoly.const(Fraction(1, self.num.const_value())))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -591,7 +576,7 @@ class RatFun:
         return _coerce(other) * self.inverse()
 
     def __neg__(self):
-        return _ratfun(self.factored, self.num.scale(-1), self.den)
+        return _ratfun(self.factored, self.num.scale(-1))
 
     def __add__(self, other):
         return rf_sum([self, _coerce(other)])
@@ -639,10 +624,7 @@ class RatFun:
                 raise PoleAtSubstitution(
                     f"denominator factor {form_str(f)} vanishes at m=lam3")
             pairs.append(((c1, c2, c3 + cm, 0), e))
-        den = self.den.subs_m_lam3()
-        if den.is_zero():
-            raise PoleAtSubstitution("residual denominator vanishes at m=lam3")
-        return RatFun.from_forms(pairs) * RatFun({}, self.num.subs_m_lam3(), den)
+        return RatFun.from_forms(pairs) * RatFun({}, self.num.subs_m_lam3())
 
     def eval_mod(self, assign, p, table):
         """Evaluate at residues mod p.  Raises EvalDegenerate on a pole.
@@ -655,7 +637,7 @@ class RatFun:
         denominator factors are inverted once, as one product.
         """
         num = self.num.eval_mod(assign, p)
-        den = self.den.eval_mod(assign, p)
+        den = 1
         for f, e in self.factored.items():
             v = table.get(f)
             if v is None:
@@ -674,15 +656,9 @@ class RatFun:
 
     def eval_exact(self, assign):
         """Evaluate at exact rational assignments; raises DivisionByZero on poles."""
-        def value(poly):
-            return sum(Fraction(c) * math.prod(Fraction(a) ** n for a, n in
-                                               zip(assign, _unpack(e)))
-                       for e, c in poly.terms.items())
-
-        num, den = value(self.num), value(self.den)
-        if den == 0:
-            raise DivisionByZero("denominator vanishes at point")
-        acc = Fraction(num) / den
+        acc = sum(Fraction(c) * math.prod(Fraction(a) ** n for a, n in
+                                          zip(assign, _unpack(e)))
+                  for e, c in self.num.terms.items())
         for f, e in self.factored.items():
             v = sum(Fraction(c) * Fraction(a) for c, a in zip(f, assign))
             if v == 0:
@@ -699,7 +675,7 @@ class RatFun:
             f"{form_str(f)}^{self.factored[f]}" for f in sorted(self.factored)
         )
         inner = f" {forms} " if forms else " "
-        return f"prod[{inner}] * ( {self.num} ) / ( {self.den} )"
+        return f"prod[{inner}] * ( {self.num} ) / ( 1 )"
 
     def __repr__(self):
         return f"RatFun({self})"
@@ -788,25 +764,6 @@ def _divide_out(poly, form):
         poly = q
         n += 1
     return poly, n
-
-
-def _content(poly):
-    """The positive rational content of poly: poly / content is an integer
-    polynomial whose coefficients have gcd 1 (Knuth, TAOCP 2, 4.6.1)."""
-    coeffs = poly.terms.values()
-    v = math.lcm(*(c.denominator for c in coeffs))
-    if v == 1:
-        return math.gcd(*coeffs)
-    return Fraction(math.gcd(*(c.numerator * (v // c.denominator)
-                               for c in coeffs)), v)
-
-
-def _scale_integral(poly, m):
-    """poly * m for a rational m that makes every coefficient an integer."""
-    n, d = m.numerator, m.denominator
-    if d == 1:
-        return poly.scale(n)
-    return _poly({e: c * n // d for e, c in poly.terms.items()})
 
 
 def _coerce(x):
@@ -965,13 +922,13 @@ def _map_back(red, basis, inputs):
             f = tuple(x // g for x in v)
             num = num.scale(Fraction(g) ** e)
         factored[f] = factored.get(f, 0) + e
-    return _ratfun(factored, num, red.den)
+    return _ratfun(factored, num)
 
 
 def rf_sum(terms):
     """Exact sum of RatFuns over the shared factored denominator.
 
-    When every term's residual num/den is constant, some form's exponent
+    When every term's residual num is constant, some form's exponent
     differs between terms and the forms span a lattice of rank r smaller
     than the number of variables they involve, the sum runs in r variables:
     in the coordinates of the lattice's Hermite normal form basis.  The
@@ -986,15 +943,15 @@ def rf_sum(terms):
     if len(terms) < 2:
         return terms[0] if terms else RatFun.zero()
     if (any(t.factored != terms[0].factored for t in terms)
-            and all(t.num.is_const() and t.den.is_const() for t in terms)):
+            and all(t.num.is_const() for t in terms)):
         forms = set().union(*(t.factored for t in terms))
         lattice = _lattice_basis(forms)
         if lattice:
             pivots, basis = lattice
             coords = {f: _coordinates(f, pivots, basis) for f in forms}
             red = _rf_sum_flat([
-                _ratfun({coords[f]: e for f, e in t.factored.items()},
-                        t.num, t.den) for t in terms])
+                _ratfun({coords[f]: e for f, e in t.factored.items()}, t.num)
+                for t in terms])
             return _map_back(red, basis, {y: f for f, y in coords.items()})
     return _rf_sum_flat(terms)
 
@@ -1003,16 +960,13 @@ def _rf_sum_flat(terms):
     """rf_sum of at least two nonzero terms in all NVARS variables.
 
     Collects the common linear-form part and brings every term over one
-    integer content: term i's residual num_i / den_i is written as
-    (s_i * num_i) / (s_i * den_i), with s_i = 1 / den_i for a constant den_i
-    and s_i = 1 / content(den_i) otherwise, and content is the lcm of the
-    denominators of the s_i * num_i.  The numerator is the sum over the
-    terms of content * s_i * num_i times the term's leftover form powers and
-    every distinct integral residual denominator s_j * den_j other than its
-    own; it is expanded in integer arithmetic by _shared_expansion, which
-    multiplies a cofactor shared by a group of terms once for the group.
-    The denominator is content times each distinct s_j * den_j once, and
-    linear factors are pulled back out of the result by trial division.
+    integer content: content is the lcm of the denominators of the terms'
+    num coefficients.  The numerator is the sum over the terms of
+    content * num_i times the term's leftover form powers; it is expanded in
+    integer arithmetic by _shared_expansion, which multiplies a cofactor
+    shared by a group of terms once for the group.  Linear factors are
+    pulled back out of that integer sum by trial division, and only then is
+    it divided by the content, once.
     """
     allforms = set()
     for t in terms:
@@ -1020,53 +974,29 @@ def _rf_sum_flat(terms):
     common = {
         f: min(t.factored.get(f, 0) for t in terms) for f in allforms
     }
-    # the distinct non-constant residual denominators, made integral, each
-    # mapped to its index: terms with equal ones share one factor
-    polydens = {}
-    prepared = []  # (num, s_i, leftover factored dict, polyden index or None)
-    content = 1
-    for t in terms:
-        num, den = t.num, t.den
-        if den.is_const():
-            scale = Fraction(1) / den.const_value()
-            idx = None
-        else:
-            scale = Fraction(1) / _content(den)
-            idx = polydens.setdefault(_scale_integral(den, scale),
-                                      len(polydens))
-        content = math.lcm(content, (scale * _content(num)).denominator)
-        left = {f: e - common.get(f, 0) for f, e in t.factored.items()}
-        for f, c in common.items():
-            if f not in t.factored:
-                left[f] = -c
-        prepared.append((num, scale, {f: e for f, e in left.items() if e}, idx))
-    total_den = MultiPoly.const(content)
-    for dpoly in polydens:
-        total_den = total_den * dpoly
-    # a factor's key is (0, *form) for a form and (1, j) for the
-    # residual denominator of index j
-    bases = {(1, j): dpoly for dpoly, j in polydens.items()}
-    bases.update(((0, *f), form_poly(f)) for f in allforms)
+    content = math.lcm(*(c.denominator for t in terms
+                         for c in t.num.terms.values()))
     group = []
-    for num, scale, left, idx in prepared:
-        factors = {(1, j): 1 for j in range(len(polydens)) if j != idx}
-        for f, e in left.items():
-            assert e >= 0, "common part must minorize every term"
-            factors[(0, *f)] = e
-        group.append((_scale_integral(num, content * scale), factors))
+    for t in terms:
+        factors = {}
+        for f in allforms:
+            e = t.factored.get(f, 0) - common[f]
+            if e:
+                factors[f] = e
+        group.append((t.num.scale(content), factors))
     powers = {}
 
-    def power(key, e):
-        p = powers.get((key, e))
+    def power(form, e):
+        p = powers.get((form, e))
         if p is None:
-            p = powers[key, e] = bases[key] ** e
+            p = powers[form, e] = form_poly(form) ** e
         return p
 
-    total_num = _shared_expansion(group, power)
-    raw = _ratfun(common, total_num, total_den)
+    raw = _ratfun(common, _shared_expansion(group, power))
     if raw.is_zero():
         return RatFun.zero()
-    return raw.extract_linear(sorted(allforms))
+    out = raw.extract_linear(sorted(allforms))
+    return _ratfun(out.factored, out.num.scale(Fraction(1, content)))
 
 
 # ---------------------------------------------------------------------------
@@ -1160,11 +1090,12 @@ _FACTOR_RE = re.compile(r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?"
 
 
 def parse_ratfun(s):
-    """A RatFun from `prod[ <form>^<exp> ; ... ] * ( <poly> ) / ( <poly> )`.
+    """A RatFun from `prod[ <form>^<exp> ; ... ] * ( <poly> ) / ( <c> )`.
 
     Each form item is split at its last `^`; a form with a negative leading
     coefficient is accepted only at an even exponent, where its sign does
-    not matter.
+    not matter.  The denominator c is a nonzero constant, folded into the
+    num; the writer always writes 1.
     """
     mo = _RATFUN_RE.fullmatch(s)
     if not mo:
@@ -1184,9 +1115,10 @@ def parse_ratfun(s):
             raise ParseError(f"non-canonical form {body!r}")
         factored[form] = factored.get(form, 0) + e
     den = parse_poly(den)
-    if den.is_zero():
-        raise ParseError(f"zero denominator in {s!r}")
-    return RatFun(factored, parse_poly(num), den)
+    if den.is_zero() or not den.is_const():
+        raise ParseError(f"not a nonzero constant denominator in {s!r}")
+    return RatFun(factored,
+                  parse_poly(num).scale(Fraction(1, den.const_value())))
 
 
 def parse_poly(s):

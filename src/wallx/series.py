@@ -4,7 +4,7 @@ All identities are stated degree-by-degree in a formal variable t (wall
 quotients) or in q with Laurent t (reference products).  Coefficients are
 exact RatFuns; identities are decided exactly or by seeded modular
 evaluation, through ratfun.decide except for the wall quotient and the sign
-search on eval.
+search's residue screen.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .ratfun import (
     DEFAULT_PRIME,
     EvalBackend,
     EvalDegenerate,
+    NonUnitDivisor,
     RatFun,
     binomial_rf,
     decide,
@@ -41,10 +42,6 @@ from .ratfun import (
     rf_sum,
     sz_samples,
 )
-
-
-class NonUnitDivisor(ZeroDivisionError):
-    pass
 
 
 class CapExceeded(ValueError):
@@ -588,23 +585,19 @@ def sign_search(points, target, cap=20, backend="symbolic"):
     """First lexicographic sign vector whose signed sum hits the target.
 
     Signs are searched in the order (+1, ..., +1), ..., (-1, ..., -1);
-    returns None when no assignment works.  Symbolic decides each vector.
-    Eval draws one sz_samples stream for all vectors, lazily, takes each
-    contribution's and the target's residue once per point, and tests each
-    vector against those residues up to its first miss: a sign flips a
-    residue, and a pole of one term is a pole whatever its sign.
+    returns None when no assignment works.  Both backends draw one
+    sz_samples stream for all vectors, lazily (symbolic with EvalBackend()
+    defaults), take each contribution's and the target's residue once per
+    point, and test each vector against those residues up to its first
+    miss: a sign flips a residue, and a pole of one term is a pole whatever
+    its sign.  A miss at a pole-free point proves that the signed sum is not
+    the target; symbolic confirms a vector that hits at every point with
+    decide before returning it.
     """
     if len(points) > cap:
         raise CapExceeded(f"{len(points)} points exceeds cap {cap}")
     contribs = [contribution(fp) for fp in points]
-    vectors = itertools.product((1, -1), repeat=len(points))
-    if backend == "symbolic":
-        for signs in vectors:
-            signed = [c if s == 1 else -c for c, s in zip(contribs, signs)]
-            if all(decide({"sum": signed, "target": [target]},
-                          backend).values()):
-                return signs
-        return None
+    screen = EvalBackend() if backend == "symbolic" else backend
     p = DEFAULT_PRIME
     terms = [*contribs, target]
 
@@ -612,7 +605,7 @@ def sign_search(points, target, cap=20, backend="symbolic"):
         table = {}
         return [t.eval_mod(assign, p, table) for t in terms]
 
-    stream = sz_samples(backend, residues)
+    stream = sz_samples(screen, residues)
     drawn = []  # [contribution residues..., target residue] per point
 
     def hits(signs, i):
@@ -621,7 +614,12 @@ def sign_search(points, target, cap=20, backend="symbolic"):
         *values, goal = drawn[i]
         return sum(map(operator.mul, signs, values)) % p == goal
 
-    for signs in vectors:
-        if all(hits(signs, i) for i in range(backend.points)):
+    for signs in itertools.product((1, -1), repeat=len(points)):
+        if not all(hits(signs, i) for i in range(screen.points)):
+            continue
+        if backend != "symbolic":
+            return signs
+        signed = [c if s == 1 else -c for c, s in zip(contribs, signs)]
+        if all(decide({"sum": signed, "target": [target]}, backend).values()):
             return signs
     return None

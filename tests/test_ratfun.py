@@ -22,6 +22,7 @@ from wallx.ratfun import (
     EvalBackend,
     EvalDegenerate,
     MultiPoly,
+    NonUnitDivisor,
     ParseError,
     RatFun,
     ZeroForm,
@@ -138,13 +139,17 @@ def test_pow_multiplies_no_more_than_needed(monkeypatch):
 def test_pow_equals_repeated_products():
     p = parse_poly("lam1 + 2*lam2 - m + 3")
     r = (L1 + 2) / (L3 - M)
+    unit = 2 * L1 / (L3 - M)
     for n in range(6):
-        pn, rn = MultiPoly.const(1), RatFun.const(1)
+        pn, rn, un = MultiPoly.const(1), RatFun.const(1), RatFun.const(1)
         for _ in range(n):
-            pn, rn = pn * p, rn * r
+            pn, rn, un = pn * p, rn * r, un * unit
         assert p ** n == pn
         assert r ** n == rn
-        assert r ** -n == rn.inverse()
+        assert unit ** -n == un.inverse()
+    # only a value whose num is a constant has an inverse
+    with pytest.raises(NonUnitDivisor):
+        (L1 + 2) ** -1
 
 
 def test_binomial_rf_integer_points():
@@ -180,7 +185,7 @@ def ratfuns(draw):
             expr = expr - other
         elif op == 2:
             expr = expr * other
-        elif not other.is_zero():
+        elif not other.is_zero() and other.num.is_const():
             expr = expr / other
     return expr
 
@@ -192,7 +197,7 @@ def test_field_laws(a, b, c):
     assert a + b == b + a
     assert a * (b + c) == a * b + a * c
     assert a - a == RatFun.zero()
-    if not b.is_zero():
+    if not b.is_zero() and b.num.is_const():
         assert (a / b) * b == a
 
 
@@ -218,7 +223,6 @@ def test_eval_backend_agrees_with_symbolic(a, b):
 GRAMMAR_CASES = [
     "prod[ ] * ( 1 ) / ( 1 )",
     "prod[ m^1 ; lam3^-1 ] * ( -2 ) / ( 1 )",
-    "prod[ lam1 + lam2 + lam3 + m^1 ] * ( 3 ) / ( lam1*lam2 + 1 )",
 ]
 
 
@@ -233,13 +237,20 @@ def test_grammar_rejects_garbage():
                 # a residual denominator that is, or sums to, zero
                 "prod[ ] * ( 1 ) / ( 0 )",
                 "prod[ ] * ( 1 ) / ( lam1 - lam1 )",
-                "prod[ lam1^1 ] * ( 0 ) / ( 0 )"]:
+                "prod[ lam1^1 ] * ( 0 ) / ( 0 )",
+                # the writer emits no residual denominator but 1
+                "prod[ lam1 + lam2 + lam3 + m^1 ] * ( 3 ) / ( lam1*lam2 + 1 )"]:
         with pytest.raises(ParseError):
             parse_ratfun(bad)
     # a polynomial power is a non-negative integer; a p/q has q != 0
     for bad in ["lam1^-1", "3/0*lam1"]:
         with pytest.raises(ParseError):
             parse_poly(bad)
+
+
+def test_grammar_folds_a_constant_denominator_into_the_num():
+    assert parse_ratfun("prod[ ] * ( 3 ) / ( 2 )") == \
+        RatFun.const(Fraction(3, 2))
 
 
 def test_eval_mod_positive_form_zero_gives_zero():
@@ -298,7 +309,7 @@ def _integral_are_ints(poly):
 
 
 def _assert_integral_coefficients_are_ints(rf):
-    assert _integral_are_ints(rf.num) and _integral_are_ints(rf.den), str(rf)
+    assert _integral_are_ints(rf.num), str(rf)
 
 
 def test_contribution_coefficients_are_ints():
@@ -371,8 +382,8 @@ def test_fraction_arithmetic_leaves_integral_values_as_ints(a, b, n, rest):
 
 @st.composite
 def content_terms(draw):
-    """A RatFun with a Fraction scalar, some factored forms, and a constant
-    (possibly non-unit, left unnormalized) or non-constant residual den."""
+    """A RatFun with a Fraction scalar times an integer polynomial, and some
+    factored forms."""
     scalar = Fraction(draw(st.integers(-6, 6).filter(bool)),
                       draw(st.integers(1, 12)))
     num = MultiPoly(draw(int_polys))
@@ -384,39 +395,29 @@ def content_terms(draw):
                     st.tuples(st.tuples(*[st.integers(-2, 2)] * 3),
                               st.integers(-2, 2).filter(bool)),
                     max_size=2))}
-    kind = draw(st.integers(0, 2))
-    if kind == 0:
-        return RatFun(factored, num)
-    if kind == 1:
-        den = MultiPoly.const(Fraction(draw(st.integers(1, 5)), 3))
-        return _ratfun(factored, num, den)
-    # degree 2 and not a linear form: stays a residual den, and becomes
-    # monic with Fraction coefficients when its lead is not 1
-    den = MultiPoly({(2, 0, 0, 0): draw(st.integers(1, 3)),
-                     (0, 1, 0, 1): draw(st.integers(-3, 3)),
-                     (0, 0, 0, 0): draw(st.integers(-3, 3))})
-    return RatFun(factored, num, den)
+    return RatFun(factored, num)
 
 
 def _cross_multiplied(terms):
+    """(N, D): the sum of the terms as one quotient of polynomials."""
     total_num, total_den = MultiPoly(), MultiPoly.const(1)
     for t in terms:
         n, d = t.expand()
         total_num = total_num * d + n * total_den
         total_den = total_den * d
-    return _ratfun({}, total_num, total_den)
+    return total_num, total_den
 
 
 def _equals_quotient(got, ref):
-    """got == ref for a ref with no factored part, N / D.
+    """got == N / D for the pair ref = (N, D).
 
     Each copy of a denominator form of got divides D where that division is
     exact, and otherwise multiplies got's denominator; then up * D' is
     compared with N * down, one product per side.  RatFun.__eq__ would
     multiply out got's full denominator against the full D instead.
     """
-    n, d = ref.num, ref.den
-    up, down = got.num, got.den
+    n, d = ref
+    up, down = got.num, MultiPoly.const(1)
     for f, e in got.factored.items():
         if e > 0:
             up = up * form_poly(f) ** e
@@ -460,26 +461,14 @@ def test_rf_sum_over_integer_content_matches_cross_multiplication(terms):
 
 def test_rf_sum_of_fraction_scalars_multiplies_only_integer_polynomials():
     # js-style summands (1/(i! d!) scalars times forms over forms), and a
-    # residual den that is monic with a Fraction coefficient
+    # quadratic residual num with a Fraction coefficient
     terms = [RatFun.const(Fraction(1, 2)) * (M - L3) / L3,
              RatFun.const(Fraction(-1, 6)) * (M - 2 * L3) * L1 / (L3 * L3),
-             RatFun.const(Fraction(3, 4)) / (2 * L1 * L1 + L2 * M + 1)]
-    assert any(type(c) is not int for c in terms[2].den.terms.values())
+             RatFun.const(Fraction(3, 4)) * (2 * L1 * L1 + L2 * M + 1) / L2]
+    assert any(type(c) is not int for c in terms[2].num.terms.values())
     got, seen = _rf_sum_products(terms)
     assert seen and all(seen)
     assert _equals_quotient(got, _cross_multiplied(terms))
-
-
-def test_rf_sum_shares_an_equal_residual_denominator():
-    # both terms hold the same quadratic residual den: it enters the sum
-    # once, not squared
-    t = L3 / (L1 * L1 + L2 * M + 1)
-    assert str(rf_sum([t, t])) == \
-        "prod[ lam3^1 ] * ( 2 ) / ( lam1^2 + lam2*m + 1 )"
-    # a den that differs by its content shares the factor too
-    u = L3 / (2 * L1 * L1 + 2 * L2 * M + 2)
-    assert str(rf_sum([t, u, t])) == \
-        "prod[ lam3^1 ] * ( 5/2 ) / ( lam1^2 + lam2*m + 1 )"
 
 
 linear_forms = st.tuples(*[st.integers(-3, 3)] * 4).filter(any).map(
@@ -558,7 +547,7 @@ def test_planted_non_divisible_num_needs_no_synthetic_division(monkeypatch):
 @st.composite
 def shared_form_sums(draw):
     """Terms over one small pool of forms, so that they share cofactors, with
-    Fraction scalars and non-constant residual nums and dens; and the same
+    Fraction scalars and non-constant residual nums; and the same
     terms followed by their negations in another order."""
     pool = draw(st.lists(linear_forms, min_size=1, max_size=3, unique=True))
     terms = []
@@ -570,13 +559,11 @@ def shared_form_sums(draw):
             num = MultiPoly.const(1)
         factored = {f: draw(st.integers(-1, 2)) for f in pool}
         if draw(st.booleans()):
-            den = MultiPoly.const(1)
-        else:
-            # degree 2 and not a linear form, so it stays a residual den
-            den = MultiPoly({(2, 0, 0, 0): draw(st.integers(1, 3)),
-                             (0, 0, 1, 1): draw(st.integers(-3, 3)),
-                             (0, 0, 0, 0): draw(st.integers(1, 3))})
-        terms.append(RatFun(factored, num.scale(scalar), den))
+            # degree 2 and not a linear form, so it stays in the residual
+            num = num * MultiPoly({(2, 0, 0, 0): draw(st.integers(1, 3)),
+                                   (0, 0, 1, 1): draw(st.integers(-3, 3)),
+                                   (0, 0, 0, 0): draw(st.integers(1, 3))})
+        terms.append(RatFun(factored, num.scale(scalar)))
     return terms, terms + [-t for t in draw(st.permutations(terms))]
 
 
@@ -625,7 +612,7 @@ def _shuffled_factors(terms, rng):
     for t in terms:
         items = list(t.factored.items())
         rng.shuffle(items)
-        out.append(_ratfun(dict(items), t.num, t.den))
+        out.append(_ratfun(dict(items), t.num))
     return out
 
 
@@ -635,8 +622,8 @@ def test_rf_sum_string_does_not_depend_on_factor_order():
     rng = random.Random(11)
     for terms in _localization_sums():
         want = str(rf_sum(terms))
-        reversed_terms = [_ratfun(dict(reversed(t.factored.items())), t.num,
-                                  t.den) for t in terms]
+        reversed_terms = [_ratfun(dict(reversed(t.factored.items())), t.num)
+                          for t in terms]
         assert str(rf_sum(reversed_terms)) == want
         assert str(rf_sum(_shuffled_factors(terms, rng))) == want
 
@@ -679,7 +666,7 @@ def _reduces(terms):
     first = terms[0].factored
     forms = set().union(*(t.factored for t in terms))
     return (any(t.factored != first for t in terms)
-            and all(t.num.is_const() and t.den.is_const() for t in terms)
+            and all(t.num.is_const() for t in terms)
             and ratfun._lattice_basis(forms) is not None)
 
 

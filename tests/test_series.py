@@ -78,6 +78,13 @@ def test_series_division_needs_unit():
         _poly_series([0, 1], 2) / _poly_series([0, 1], 2)
 
 
+def test_series_division_by_a_non_unit_constant_term_raises():
+    lam1, lam2 = RatFun.var("lam1"), RatFun.var("lam2")
+    divisor = TruncSeries({0: lam1 * lam1 + lam2, 1: RatFun.const(1)}, 2)
+    with pytest.raises(NonUnitDivisor):
+        _poly_series([1, 2], 2) / divisor
+
+
 def test_binom_series_coefficients():
     s = binom_series(2 * M_OVER_L3, 3)
     assert s.hi == 3
@@ -174,6 +181,24 @@ def test_sign_search_backends_agree():
         for backend in (EvalBackend(seed=1), EvalBackend(points=3, seed=9)):
             assert sign_search(fps, target, backend=backend) == signs
             assert sign_search(fps, RatFun.const(7), backend=backend) is None
+
+
+def test_symbolic_sign_search_screens_on_residues(monkeypatch):
+    # no sign vector of the 6 points hits 7: every vector is rejected by a
+    # residue, and no signed sum is multiplied out
+    calls = []
+    rf_sum_ = ratfun.rf_sum
+
+    def counted(terms):
+        calls.append(1)
+        return rf_sum_(terms)
+
+    monkeypatch.setattr(ratfun, "rf_sum", counted)
+    monkeypatch.setattr(series, "rf_sum", counted)
+    fps = js_fixed_points(3, 2)
+    assert len(fps) == 6
+    assert sign_search(fps, RatFun.const(7)) is None
+    assert calls == []
 
 
 def _sign_search_per_vector(points, target, backend):
