@@ -73,6 +73,11 @@ EXTRA = (
      "--backend", "eval"],
     ["js", "--k", "3", "--dmax", "3", "--backend", "eval"],
     ["js", "--k", "4", "--dmax", "3", "--backend", "eval"],
+    # many vanishing fixed points
+    ["wallcross", "--wall", "Lmm:3", "--i0", "IP1", "--tmax", "6",
+     "--backend", "eval", "--points", "5", "--seed", "42"],
+    ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:2", "--tmax", "7",
+     "--backend", "eval", "--points", "5", "--seed", "42"],
     # a sign override that makes the identity fail (exit 1)
     ["wallcross", "--wall", "Lmm:2", "--i0", "IlP1:1", "--tmax", "3",
      "--backend", "eval",

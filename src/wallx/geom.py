@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kclass import KClass, chi_p1, euler_class, weight
 from .ratfun import PoleAtZeroWeight, RatFun
@@ -24,8 +25,7 @@ class UnsupportedConfiguration(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EquivLineBundle:
+class EquivLineBundle(NamedTuple):
     """O(a Z0 + b Zinf) tensored with the character t^twist."""
 
     a: int
@@ -82,10 +82,12 @@ class FixedPoint:
 
 def chi_X(F):
     """Pushforward character chi(P1, F)."""
-    total = KClass.zero()
-    for L in F.summands:
-        total = total + chi_p1(L.a, L.b).twist(L.twist)
-    return total
+    total = {}
+    for a, b, (t1, t2, t3, tm) in F.summands:
+        for (w1, w2, w3, wm), c in chi_p1(a, b).terms.items():
+            w = (w1 + t1, w2 + t2, w3 + t3, wm + tm)
+            total[w] = total.get(w, 0) + c
+    return KClass(total)
 
 
 def _exterior_powers(normal):
@@ -118,42 +120,80 @@ def chi_pair(F, G, ambient):
     or over the complementary range with -1 (see kclass.chi_p1); t0^k
     twisted by t is (t0 - k, t1 - k, t2 - k, t3).  Summand pairs with the
     same differences give the same terms, so each distinct difference is
-    expanded once, with its count as a multiplicity.
+    expanded once, with its count as a multiplicity; the pairs are grouped
+    by degree difference, so each group finds its range once per power.
     """
-    pairs = {}
-    for L in F.summands:
-        for Lp in G.summands:
-            key = (Lp.a - L.a, Lp.b - L.b, Lp.twist[0] - L.twist[0],
-                   Lp.twist[1] - L.twist[1], Lp.twist[2] - L.twist[2],
-                   Lp.twist[3] - L.twist[3])
-            pairs[key] = pairs.get(key, 0) + 1
+    groups = {}
+    for a, b, (t0, t1, t2, t3) in F.summands:
+        for ap, bp, (u0, u1, u2, u3) in G.summands:
+            twists = groups.setdefault((ap - a, bp - b), {})
+            d = (u0 - t0, u1 - t1, u2 - t2, u3 - t3)
+            twists[d] = twists.get(d, 0) + 1
     total = {}
     for wa, wb, (w0, w1, w2, w3), sign in EXTERIOR_POWERS[ambient]:
-        for (da, db, d0, d1, d2, d3), n in pairs.items():
+        for (da, db), twists in groups.items():
             a = da + wa
             b = db + wb
             if -a <= b:
-                ks, c = range(-a, b + 1), sign * n
+                ks, c = range(-a, b + 1), sign
+            elif b == -a - 1:
+                continue
             else:
-                ks, c = range(b + 1, -a), -sign * n
-            t0, t1, t2, t3 = d0 + w0, d1 + w1, d2 + w2, d3 + w3
-            for k in ks:
-                key = (t0 - k, t1 - k, t2 - k, t3)
-                total[key] = total.get(key, 0) + c
+                ks, c = range(b + 1, -a), -sign
+            for (d0, d1, d2, d3), n in twists.items():
+                t0, t1, t2, t3 = d0 + w0, d1 + w1, d2 + w2, d3 + w3
+                cn = c * n
+                for k in ks:
+                    key = (t0 - k, t1 - k, t2 - k, t3)
+                    total[key] = total.get(key, 0) + cn
     # weights that cancel are dropped here; the order of the rest reaches no
     # report, since rf_sum and str sort the forms they meet
     return KClass(total)
 
 
-def sqrt_class(F, cx=None):
-    """Half Ext-class -chi_X(F) + chi_Y(F, F); cx is chi_X(F) if known."""
-    return -(chi_X(F) if cx is None else cx) + chi_pair(F, F, "Y3fold")
+def sqrt_class(F):
+    """Half Ext-class -chi_X(F) + chi_Y(F, F)."""
+    return -chi_X(F) + chi_pair(F, F, "Y3fold")
 
 
-def taut_class(F, cx=None):
-    """Insertion class chi_X(F)^dual tensored with e^m; cx is chi_X(F) if
-    known."""
-    return (chi_X(F) if cx is None else cx).dual().twist((0, 0, 0, 1))
+def taut_class(F):
+    """Insertion class chi_X(F)^dual tensored with e^m."""
+    return chi_X(F).dual().twist((0, 0, 0, 1))
+
+
+# (a, b, twist[2], shape shift, sign) of each wedge^p N of Y3fold
+_Y_SHAPES = tuple((a, b, t[2], (t[2] - t[0], t[2] - t[1], -t[3]), sign)
+                  for a, b, t, sign in EXTERIOR_POWERS["Y3fold"])
+
+
+def _zero_weight_mult(F, cx):
+    """Multiplicity of the zero weight in sqrt_class(F) + taut_class(F),
+    read off the summands; cx is chi_X(F).
+
+    The taut class has the zero weight where cx has (0, 0, 0, 1).  The term
+    of chi_pair for a summand pair (L, L') and a power wedge^p N is the zero
+    weight when its twist t has t3 = 0 and t0 = t1 = t2 = k, for the one k
+    that may lie in the term's range.  So only pairs whose shapes
+    (t0 - t2, t1 - t2, t3) differ by the power's shift can give it.
+    """
+    groups = {}
+    for L in F.summands:
+        t = L.twist
+        groups.setdefault((t[0] - t[2], t[1] - t[2], t[3]), []).append(L)
+    mult = cx.terms.get((0, 0, 0, 1), 0) - cx.zero_mult()
+    for wa, wb, w2, (s0, s1, s3), sign in _Y_SHAPES:
+        for (g0, g1, g3), group in groups.items():
+            partners = groups.get((g0 + s0, g1 + s1, g3 + s3))
+            if partners is None:
+                continue
+            for a, b, t in group:
+                for ap, bp, tp in partners:
+                    lo, hi, k = a - ap - wa, bp - b + wb, tp[2] - t[2] + w2
+                    if lo <= k <= hi:
+                        mult += sign
+                    elif hi < k < lo:
+                        mult -= sign
+    return mult
 
 
 def with_point_sign(fp, value):
@@ -168,11 +208,21 @@ def contribution(fp):
     e(sqrt_class) e(taut_class): the sqrt weights have m-weight 0 and the
     taut weights m-weight 1, so the two classes share no weight and no
     linear form.  It vanishes exactly when the square-root class has a
-    positive zero-weight part.
+    positive zero-weight part.  That multiplicity is read off the summands
+    first, so a vanishing point builds no class and no pairing; a negative
+    one reaches euler_class, which raises PoleAtZeroWeight.
     """
     F = fp.sheaf
     cx = chi_X(F)
-    return with_point_sign(fp, euler_class(sqrt_class(F, cx) + taut_class(F, cx)))
+    if _zero_weight_mult(F, cx) > 0:
+        return RatFun.zero()
+    # -chi_X(F) + taut_class(F), as one dict
+    v = {w: -c for w, c in cx.terms.items()}
+    for (w1, w2, w3, wm), c in cx.terms.items():
+        w = (-w1, -w2, -w3, 1 - wm)
+        v[w] = v.get(w, 0) + c
+    return with_point_sign(
+        fp, euler_class(chi_pair(F, F, "Y3fold") + KClass(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -478,10 +478,15 @@ class RatFun:
         if not scalar:
             return RatFun.zero()
         factored = {}
-        for coeffs, e in pairs:
-            form, sign = canonical_form(*coeffs)
-            if sign < 0 and e % 2:
-                scalar = -scalar
+        for (c1, c2, c3, cm), e in pairs:
+            lead = c1 or c2 or c3 or cm
+            if not lead:
+                raise ZeroForm("all coefficients vanish")
+            if lead < 0:
+                c1, c2, c3, cm = -c1, -c2, -c3, -cm
+                if e % 2:
+                    scalar = -scalar
+            form = (c1, c2, c3, cm)
             factored[form] = factored.get(form, 0) + e
         return _ratfun({f: e for f, e in factored.items() if e},
                        MultiPoly.const(scalar))
@@ -626,15 +631,14 @@ class RatFun:
             pairs.append(((c1, c2, c3 + cm, 0), e))
         return RatFun.from_forms(pairs) * RatFun({}, self.num.subs_m_lam3())
 
-    def eval_mod(self, assign, p, table):
-        """Evaluate at residues mod p.  Raises EvalDegenerate on a pole.
+    def residue_pair(self, assign, p, table):
+        """(num, den) residues mod p whose quotient is the value's residue.
 
         Form values are looked up in `table`, a dict from a form to its
         residue at this assign and p, and added to it when missing; callers
         that evaluate many values at one point share one table.  Every
-        factor is looked up, so a point where a denominator form vanishes is
-        rejected even when a numerator form vanishes there too; the
-        denominator factors are inverted once, as one product.
+        factor is looked up, so den is 0 where a denominator form vanishes
+        even when a numerator form vanishes there too.
         """
         num = self.num.eval_mod(assign, p)
         den = 1
@@ -650,6 +654,12 @@ class RatFun:
                 num = num * pow(v, e, p) % p
             else:
                 den = den * pow(v, -e, p) % p
+        return num, den
+
+    def eval_mod(self, assign, p, table):
+        """Evaluate at residues mod p, through the form table `table` (see
+        residue_pair).  Raises EvalDegenerate on a pole."""
+        num, den = self.residue_pair(assign, p, table)
         if den == 0:
             raise EvalDegenerate("denominator hit zero at sample point")
         return num * pow(den, -1, p) % p
@@ -1050,9 +1060,21 @@ def sz_samples(backend, evaluate):
 
 
 def residue_sums(sides, assign, p, table):
-    """{name: sum of the side's term residues mod p}, all through one form table."""
-    return {name: sum(t.eval_mod(assign, p, table) for t in terms) % p
-            for name, terms in sides.items()}
+    """{name: sum of the side's term residues mod p}, all through one form
+    table.  A side adds its terms' residue_pair fractions and inverts once
+    (Montgomery's batch inversion, Math. Comp. 48, 1987); p is prime, so its
+    denominator is 0, and EvalDegenerate raised, exactly when a term's is."""
+    out = {}
+    for name, terms in sides.items():
+        num, den = 0, 1
+        for t in terms:
+            n, d = t.residue_pair(assign, p, table)
+            num = (num * d + n * den) % p
+            den = den * d % p
+        if den == 0:
+            raise EvalDegenerate("denominator hit zero at sample point")
+        out[name] = num * pow(den, -1, p) % p
+    return out
 
 
 def rf_equal(a, b):

@@ -4,16 +4,20 @@ import functools
 import importlib.util
 import itertools
 import pathlib
+import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wallx.geom import (
     AMBIENT_NORMAL,
     EquivLineBundle,
     EquivSheaf,
+    FixedPoint,
     O_P1,
     UnsupportedConfiguration,
+    _zero_weight_mult,
     chi_X,
     chi_pair,
     compositions,
@@ -76,16 +80,32 @@ def _chi_pair_by_kclass(F, G, ambient):
     return total
 
 
+def _random_sheaf(rng, size):
+    """size summands with a, b in [-3, 3], small twists and m-weights."""
+    return EquivSheaf(tuple(
+        EquivLineBundle(rng.randint(-3, 3), rng.randint(-3, 3),
+                        (rng.randint(-2, 2), rng.randint(-2, 2),
+                         rng.randint(-2, 2), rng.randint(-1, 1)))
+        for _ in range(size)))
+
+
 def test_chi_pair_matches_kclass_sum_in_value():
     # value only: the order of the weights reaches no report (see
     # test_rf_sum_string_does_not_depend_on_factor_order)
     sheaves = [fp.sheaf for fp in _sample_points()]
-    for F, G in zip(sheaves, sheaves[1:] + sheaves[:1]):
+    pairs = [(F, F) for F in sheaves] + list(
+        zip(sheaves, sheaves[1:] + sheaves[:1]))
+    rng = random.Random(5)
+    for _ in range(60):
+        F, G = _random_sheaf(rng, rng.randint(1, 4)), _random_sheaf(
+            rng, rng.randint(1, 4))
+        assert F != G
+        pairs.append((F, G))
+    for a, b in pairs:
         for ambient in AMBIENT_NORMAL:
-            for a, b in ((F, F), (F, G)):
-                got = chi_pair(a, b, ambient)
-                want = _chi_pair_by_kclass(a, b, ambient)
-                assert got.terms == want.terms
+            got = chi_pair(a, b, ambient)
+            want = _chi_pair_by_kclass(a, b, ambient)
+            assert got.terms == want.terms
 
 
 def test_chi_X_of_structure_sheaf_of_line():
@@ -226,6 +246,50 @@ def _menu_and_js_points():
 def test_contribution_is_the_two_factor_product():
     for fp in _menu_and_js_points():
         assert str(contribution(fp)) == str(_two_factor_contribution(fp))
+
+
+def _built_outcome(fp):
+    """The contribution built in full, without the zero screen: its text,
+    or "pole"."""
+    try:
+        F = fp.sheaf
+        value = euler_class(sqrt_class(F) + taut_class(F))
+    except PoleAtZeroWeight:
+        return "pole"
+    return str(with_point_sign(fp, value))
+
+
+def _outcome(fp):
+    try:
+        return str(contribution(fp))
+    except PoleAtZeroWeight:
+        return "pole"
+
+
+def _assert_screen_matches_the_built_class(fp):
+    F = fp.sheaf
+    assert _zero_weight_mult(F, chi_X(F)) == \
+        (sqrt_class(F) + taut_class(F)).zero_mult()
+    assert _outcome(fp) == _built_outcome(fp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(
+    EquivLineBundle, st.integers(-3, 3), st.integers(-3, 3),
+    st.tuples(*[st.integers(-2, 2)] * 3, st.integers(-1, 1))),
+    max_size=5))
+def test_zero_screen_matches_the_built_class(bundles):
+    fp = FixedPoint(label="random", sheaf=EquivSheaf(tuple(bundles)),
+                    chi=len(bundles), deg=0)
+    _assert_screen_matches_the_built_class(fp)
+
+
+def test_zero_screen_matches_the_built_class_on_the_menu():
+    outcomes = set()
+    for fp in _menu_and_js_points():
+        _assert_screen_matches_the_built_class(fp)
+        outcomes.add(_zero_weight_mult(fp.sheaf, chi_X(fp.sheaf)) > 0)
+    assert outcomes == {False, True}
 
 
 def _reference_contribution(fp):

@@ -4,17 +4,21 @@ monkeypatch and asserts that the checks reject it.
 A checker that still passes with a mutant in place cannot tell the defect
 from working code.  The mutants here run through rf_sum's reduced path (the
 js and OX wall-crossing sums span a rank-3 lattice of forms) and its flat
-path (the IlP1:1 sums), and the fixed-point, chi_pair and content mutants
-also through the eval backend at three seeds; the map-back mutant is in
-rf_sum, which an eval check need not call, and the eval_mod mutant is in
-the eval backend alone.  A mutant of a function body is the function
-recompiled from its source with one edit.
+path (the IlP1:1 sums), and the fixed-point, chi_pair, zero-screen and
+content mutants also through the eval backend at three seeds; the map-back
+mutant is in rf_sum, which an eval check need not call, and the
+residue_pair and residue_sums mutants are in the eval backend alone.  A
+mutant of a function body is the function recompiled from its source with
+one edit.
 
 Equivalent mutants, kept out:
 - with_point_sign off by one under check_wallcross: it negates both
   fibers, so their quotient is unchanged.
-- a skipped eval_mod factor under the symbolic backend: no symbolic check
-  evaluates a RatFun mod p.
+- a skipped residue_pair factor or a dropped residue_sums denominator
+  under the symbolic backend: no symbolic check evaluates a RatFun mod p.
+- the zero screen without its wedge^2 N entry under check_js and the OX
+  wall: a js summand's twist is a power of t3, so no two summands' shapes
+  differ by that power's shift (0, -1, 0).
 - divmod_linear stepping only the pivot field under the eval backend:
   eval_mod reads each exponent from its own field and the degree field
   only to size its tables, so a degree field off by one changes no residue.
@@ -40,6 +44,7 @@ from wallx.series import (check_dimred, check_insertion_free, check_js,
 
 OX = parse_i0("OX")
 IlP1 = parse_i0("IlP1:1")
+IP1 = parse_i0("IP1")
 BACKENDS = ("symbolic", *(EvalBackend(seed=seed) for seed in (1, 2, 3)))
 
 
@@ -48,6 +53,7 @@ def test_sane_checks_pass():
         assert check_js(3, 3, backend).passed
         assert check_wallcross(3, OX, 3, backend).passed
         assert check_wallcross(2, IlP1, 3, backend).passed
+        assert check_wallcross(3, IP1, 2, backend).passed
     assert check_insertion_free(2, 3).passed
     assert check_dimred(2, 3).passed
 
@@ -106,17 +112,39 @@ def test_swapped_basis_forms_in_the_map_back_are_rejected(monkeypatch):
 
 
 def test_skipped_eval_mod_factor_is_rejected(monkeypatch):
-    eval_mod = ratfun.RatFun.eval_mod
+    # the factor loop that eval_mod and residue_sums share skips one factor
+    residue_pair = ratfun.RatFun.residue_pair
 
     def skipped(self, assign, p, table):
         rest = dict(list(self.factored.items())[1:])
-        return eval_mod(ratfun._ratfun(rest, self.num), assign, p, table)
+        return residue_pair(ratfun._ratfun(rest, self.num), assign, p, table)
 
-    monkeypatch.setattr(ratfun.RatFun, "eval_mod", skipped)
+    monkeypatch.setattr(ratfun.RatFun, "residue_pair", skipped)
     for backend in BACKENDS[1:]:
         assert not check_js(3, 3, backend).passed
         assert not check_wallcross(3, OX, 3, backend).passed
         assert not check_wallcross(2, IlP1, 3, backend).passed
+
+
+def test_residue_sums_dropping_a_term_den_is_rejected(monkeypatch):
+    # the running numerator is not brought over the next term's denominator
+    dropped = _recompiled(ratfun.residue_sums, "num = (num * d + n * den) % p",
+                          "num = (num + n * den) % p")
+    monkeypatch.setattr(ratfun, "residue_sums", dropped)
+    monkeypatch.setattr(series, "residue_sums", dropped)
+    for backend in BACKENDS[1:]:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(3, OX, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+
+
+def test_zero_screen_without_the_wedge_square_is_rejected(monkeypatch):
+    # the screen forgets the pairs that give the zero weight through
+    # wedge^2 N, so some points with a zero-free class read as vanishing
+    monkeypatch.setattr(geom, "_Y_SHAPES", geom._Y_SHAPES[:-1])
+    for backend in BACKENDS:
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+        assert not check_wallcross(3, IP1, 2, backend).passed
 
 
 def test_shifted_chi_pair_weight_is_rejected(monkeypatch):

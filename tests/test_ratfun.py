@@ -1,6 +1,7 @@
 """Exact rational-function kernel: arithmetic, normal form, grammar, and the
 seeded modular evaluation backend."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -33,8 +34,10 @@ from wallx.ratfun import (
     form_poly,
     parse_poly,
     parse_ratfun,
+    residue_sums,
     rf_equal,
     rf_sum,
+    sample_points,
 )
 from wallx.series import wallcross_quotient
 
@@ -794,6 +797,47 @@ def test_eval_mod_matches_pow_reference(pairs, assign, c):
         if e < 0 and point is not None:
             with pytest.raises(EvalDegenerate):
                 r.eval_mod(point, p, {})
+
+
+def _per_term_residue_sums(sides, assign, p):
+    """Each term's eval_mod, summed per side; None when one of them raises."""
+    try:
+        return {name: sum(t.eval_mod(assign, p, {}) for t in terms) % p
+                for name, terms in sides.items()}
+    except EvalDegenerate:
+        return None
+
+
+def test_residue_sums_match_per_term_eval_mod():
+    p = DEFAULT_PRIME
+    terms = [contribution(fp) for d in range(4)
+             for fp in fiber_plus(2, parse_i0("IlP1:1"), d)]
+    # lam1 - lam2 over lam1 - lam3: both forms vanish where lam1 = lam2 = lam3
+    both = RatFun.from_forms([((1, -1, 0, 0), 1), ((1, 0, -1, 0), -1)])
+    sides = {"plus": terms, "both": [RatFun.const(3), both], "none": [],
+             "zero": [RatFun.zero()]}
+    poles = sorted({f for t in terms for f, e in t.factored.items() if e < 0})
+    points = [*itertools.islice(sample_points(EvalBackend(seed=3)), 5),
+              (5, 5, 5, 7), (5, 5, 6, 7),
+              *(ratfun._hyperplane_point(f) for f in poles[:6])]
+    rejected = {name: [] for name in sides}
+    for assign in points:
+        for name, side in sides.items():
+            want = _per_term_residue_sums({name: side}, assign, p)
+            rejected[name].append(want is None)
+            if want is None:
+                with pytest.raises(EvalDegenerate):
+                    residue_sums({name: side}, assign, p, {})
+            else:
+                assert residue_sums({name: side}, assign, p, {}) == want
+        want = _per_term_residue_sums(sides, assign, p)
+        if want is not None:
+            assert residue_sums(sides, assign, p, {}) == want
+    assert rejected["plus"] == [False] * 5 + [True] * 8
+    assert rejected["both"] == [False] * 5 + [True, False] + [False] * 6
+    assert residue_sums({"both": sides["both"]}, (5, 5, 6, 7), p, {}) == {
+        "both": 3}
+    assert not any(rejected["none"] + rejected["zero"])
 
 
 # ---------------------------------------------------------------------------
