@@ -16,7 +16,9 @@ code and everything they print.  A
 `sha256[:16]  parse_ratfun round trip of N values` line digests
 str(parse_ratfun(v)) over every symbolic report lhs and rhs and every
 printed contribution value v; the script exits 1 when some v does not
-read back to itself.  A last
+read back to itself, or when its value breaks the normal form's
+invariant: a zero exponent, a factored form that divides a non-constant
+num, or a num that is one linear form.  A last
 `sha256[:16]  chamber seed 42` line digests the outcomes of the chamber
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
@@ -43,7 +45,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from wallx import quiver  # noqa: E402
 from wallx.cli import main as cli_main, series as cli_series  # noqa: E402
-from wallx.ratfun import parse_ratfun  # noqa: E402
+from wallx.ratfun import _form_coeffs, parse_ratfun  # noqa: E402
 
 CHAMBER_SEED = 42
 
@@ -167,6 +169,19 @@ def chamber_digest():
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def normal_form_fault(value):
+    """How value breaks the normal form's invariant, or None."""
+    if not all(value.factored.values()):
+        return "a zero exponent"
+    if _form_coeffs(value.num) is not None:
+        return "a num that is one linear form"
+    if not value.num.is_const():
+        for f in value.factored:
+            if value.num.divmod_linear(f)[1]:
+                return "a factored form that divides the num"
+    return None
+
+
 def main():
     values = []  # symbolic report sides and printed contribution values
     with tempfile.TemporaryDirectory() as tmp:
@@ -187,7 +202,8 @@ def main():
             values += [line.split(":", 1)[1].strip()
                        for line in text.splitlines()
                        if line.startswith("value ")]
-    read_back = [str(parse_ratfun(v)) for v in values]
+    parsed = [parse_ratfun(v) for v in values]
+    read_back = [str(r) for r in parsed]
     digest = hashlib.sha256("\n".join(read_back).encode()).hexdigest()
     print(f"{digest[:16]}  parse_ratfun round trip of {len(values)} values",
           flush=True)
@@ -195,7 +211,11 @@ def main():
     mismatched = [v for v, r in zip(values, read_back) if v != r]
     for v in mismatched[:3]:
         print(f"does not read back to itself: {v}", file=sys.stderr)
-    return 1 if mismatched else 0
+    faults = [(v, fault) for v, r in zip(values, parsed)
+              if (fault := normal_form_fault(r))]
+    for v, fault in faults[:3]:
+        print(f"not in normal form ({fault}): {v}", file=sys.stderr)
+    return 1 if mismatched or faults else 0
 
 
 if __name__ == "__main__":

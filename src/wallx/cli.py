@@ -97,8 +97,9 @@ def cache_key(command, params):
 
 def cache_get(key):
     """The cached report bytes, or None.  An entry that is not JSON, that
-    render_doc cannot render or whose `pass` is not a bool is corrupt: it
-    is reported on stderr and recomputed."""
+    is nested too deep to parse, that render_doc cannot render or whose
+    `pass` is not a bool is corrupt: it is reported on stderr and
+    recomputed."""
     path = cache_dir() / f"{key}.json"
     if not path.is_file():
         return None
@@ -108,7 +109,8 @@ def cache_get(key):
         render_doc(doc)
         if type(doc["pass"]) is bool:
             return data
-    except (ValueError, TypeError, LookupError, AttributeError):
+    except (ValueError, TypeError, LookupError, AttributeError,
+            RecursionError):
         pass
     click.echo(f"warning: corrupt cache entry {path}, recomputing", err=True)
     return None

@@ -201,13 +201,6 @@ class MultiPoly:
     def total_degree(self):
         return max(self.terms) >> 48 if self.terms else 0
 
-    def leading(self):
-        """Graded-lex leading (monomial key, coefficient)."""
-        if not self.terms:
-            return 0, 0
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -427,8 +420,7 @@ _ONE = MultiPoly.const(1)
 def _ratfun(factored, num):
     """RatFun over the given parts, taken as they are, with no normalisation.
 
-    Callers pass parts in normal form; rf_sum's raw sum, which extract_linear
-    then normalises, is the one exception.
+    Callers pass parts in normal form; anything else goes through _normal.
     """
     r = object.__new__(RatFun)
     r.factored = factored
@@ -440,17 +432,20 @@ class RatFun:
     """prod of form^exp times the residual polynomial num.
 
     `factored` maps canonical forms to nonzero exponents; RatFun(...) takes
-    its keys as canonical and normalises the rest.  Signed coefficient
-    vectors go through from_forms.  In normal form no linear form divides
-    num, and num is itself no linear form.
+    its keys as canonical and normalises the rest through _normal.  Signed
+    coefficient vectors go through from_forms.  The normal form keeps three
+    things: no exponent is zero, no factored form divides a non-constant
+    num, and num is no linear form.  A num may still be a product of forms
+    that are not factored: RatFun({}, form_poly(f) * form_poly(g)) keeps
+    that num, and so may an rf_sum, such as lam1^2 - lam2^2.
     """
 
     __slots__ = ("factored", "num")
 
     def __init__(self, factored=None, num=_ONE):
-        self.factored = dict(factored or {})
-        self.num = num
-        self._normalize()
+        factored = dict(factored or {})
+        out = _normal(factored, num, list(factored))
+        self.factored, self.num = out.factored, out.num
 
     # -- constructors
 
@@ -491,46 +486,6 @@ class RatFun:
         return _ratfun({f: e for f, e in factored.items() if e},
                        MultiPoly.const(scalar))
 
-    # -- normalization
-
-    def _normalize(self):
-        if self.num.is_zero():
-            self.factored = {}
-            self.num = MultiPoly()
-            return
-        # a residual that is itself one linear form moves to the factored part
-        split = _linear_split(self.num)
-        if split is not None:
-            content, form = split
-            self.factored[form] = self.factored.get(form, 0) + 1
-            self.num = MultiPoly.const(content)
-        self.factored = {f: e for f, e in self.factored.items() if e != 0}
-        # pull any remaining copies of the factored forms out of the residual
-        if not self.num.is_const():
-            for f in list(self.factored):
-                self.num, up = _divide_out(self.num, f)
-                e = self.factored[f] + up
-                if e:
-                    self.factored[f] = e
-                else:
-                    del self.factored[f]
-
-    def extract_linear(self, forms):
-        """Pull every possible copy of the given linear forms out of num.
-
-        Returns a new RatFun.  This is the cancellation workhorse used after
-        summing localization contributions over a common denominator.
-        """
-        factored = dict(self.factored)
-        num = self.num
-        if num.is_zero():
-            return RatFun.zero()
-        for f in forms:
-            num, up = _divide_out(num, f)
-            if up:
-                factored[f] = factored.get(f, 0) + up
-        return RatFun(factored, num)
-
     # -- predicates
 
     def is_zero(self):
@@ -560,7 +515,7 @@ class RatFun:
         factored = dict(self.factored)
         for f, e in other.factored.items():
             factored[f] = factored.get(f, 0) + e
-        return RatFun(factored, self.num * other.num)
+        return _normal(factored, self.num * other.num, list(factored))
 
     __rmul__ = __mul__
 
@@ -629,7 +584,9 @@ class RatFun:
                 raise PoleAtSubstitution(
                     f"denominator factor {form_str(f)} vanishes at m=lam3")
             pairs.append(((c1, c2, c3 + cm, 0), e))
-        return RatFun.from_forms(pairs) * RatFun({}, self.num.subs_m_lam3())
+        out = RatFun.from_forms(pairs)
+        return _normal(out.factored, out.num * self.num.subs_m_lam3(),
+                       list(out.factored))
 
     def residue_pair(self, assign, p, table):
         """(num, den) residues mod p whose quotient is the value's residue.
@@ -774,6 +731,30 @@ def _divide_out(poly, form):
         poly = q
         n += 1
     return poly, n
+
+
+def _normal(factored, num, forms):
+    """The normal form of prod form^exp over factored, times num.
+
+    Every copy of each form in forms, in order, is divided out of a
+    non-constant num into factored, which is taken over and changed; then a
+    num that is one linear form moves to the factored part, and zero
+    exponents are dropped.  forms must hold every key of factored with a
+    nonzero exponent.
+    """
+    if num.is_zero():
+        return RatFun.zero()
+    if not num.is_const():
+        for f in forms:
+            num, up = _divide_out(num, f)
+            if up:
+                factored[f] = factored.get(f, 0) + up
+        split = _linear_split(num)
+        if split is not None:
+            content, form = split
+            factored[form] = factored.get(form, 0) + 1
+            num = MultiPoly.const(content)
+    return _ratfun({f: e for f, e in factored.items() if e}, num)
 
 
 def _coerce(x):
@@ -1002,10 +983,7 @@ def _rf_sum_flat(terms):
             p = powers[form, e] = form_poly(form) ** e
         return p
 
-    raw = _ratfun(common, _shared_expansion(group, power))
-    if raw.is_zero():
-        return RatFun.zero()
-    out = raw.extract_linear(sorted(allforms))
+    out = _normal(common, _shared_expansion(group, power), sorted(allforms))
     return _ratfun(out.factored, out.num.scale(Fraction(1, content)))
 
 
@@ -1139,8 +1117,9 @@ def parse_ratfun(s):
     den = parse_poly(den)
     if den.is_zero() or not den.is_const():
         raise ParseError(f"not a nonzero constant denominator in {s!r}")
-    return RatFun(factored,
-                  parse_poly(num).scale(Fraction(1, den.const_value())))
+    return _normal(factored,
+                   parse_poly(num).scale(Fraction(1, den.const_value())),
+                   list(factored))
 
 
 def parse_poly(s):

@@ -250,12 +250,13 @@ def test_cache_hit_reuses_bytes(runner, tmp_path):
 
 
 def test_cache_corruption_recomputes(runner, tmp_path):
-    # not JSON, and JSON that is not a report
+    # not JSON, JSON nested too deep to parse, and JSON that is not a report
     args = ["js", "--k", "1", "--dmax", "1"]
     assert runner.invoke(main, args).exit_code == 0
     cache_files = list((tmp_path / "cache").glob("*.json"))
-    for payload in ("{ not json", "null", "{}", "[1]", '{"command": "js"}',
-                    '"x"', '{"command": "js", "params": {}, "degrees": [], '
+    for payload in ("{ not json", "[" * 100_000 + "]" * 100_000, "null", "{}",
+                    "[1]", '{"command": "js"}', '"x"',
+                    '{"command": "js", "params": {}, "degrees": [], '
                     '"pass": "yes"}'):
         cache_files[0].write_text(payload)
         res = runner.invoke(main, args)
