@@ -17,8 +17,8 @@ code and everything they print.  A
 str(parse_ratfun(v)) over every symbolic report lhs and rhs and every
 printed contribution value v; the script exits 1 when some v does not
 read back to itself, or when its value breaks the normal form's
-invariant: a zero exponent, a factored form that divides a non-constant
-num, or a num that is one linear form.  A last
+invariant: a zero exponent, a form that is not primitive, a factored form
+that divides a non-constant num, or a num that is one linear form.  A last
 `sha256[:16]  chamber seed 42` line digests the outcomes of the chamber
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
@@ -34,6 +34,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import sys
@@ -173,6 +174,8 @@ def normal_form_fault(value):
     """How value breaks the normal form's invariant, or None."""
     if not all(value.factored.values()):
         return "a zero exponent"
+    if any(math.gcd(*f) != 1 for f in value.factored):
+        return "a form that is not primitive"
     if _form_coeffs(value.num) is not None:
         return "a num that is one linear form"
     if not value.num.is_const():

@@ -5,8 +5,8 @@ variable: it is eliminated at construction time through the Calabi-Yau
 relation lam0 = -(lam1 + lam2 + lam3).
 
 A RatFun is a product of integer powers of linear forms times one residual
-polynomial num.  A linear form is its canonical coefficient tuple (see
-canonical_form).  Every value produced by localization lies in
+polynomial num.  A linear form is its primitive canonical coefficient tuple
+(see RatFun.from_forms).  Every value produced by localization lies in
 Q[lam1, lam2, lam3, m] with only linear forms inverted, so cancellation only
 ever needs trial division by linear forms and no general multivariate GCD is
 attempted; an inverse exists for a unit, a value whose num is a constant, and
@@ -378,22 +378,13 @@ def _terms_str(coeffs, monos):
 
 
 # A linear form c1*lam1 + c2*lam2 + c3*lam3 + cm*m is the tuple
-# (c1, c2, c3, cm) of its integer coefficients, made canonical by a positive
-# first nonzero coefficient.  Forms hash, compare and sort as tuples.
+# (c1, c2, c3, cm) of its integer coefficients, primitive (their gcd is 1)
+# and canonical (the first nonzero one is positive), so proportional forms
+# are one form.  RatFun.from_forms makes a vector so.  Forms hash, compare
+# and sort as tuples.
 
 # the coefficients of the form that is each variable
 _UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def canonical_form(c1, c2, c3, cm):
-    """(form, sign): the canonical form and the sign +-1 with
-    sign * form == (c1, c2, c3, cm).  Raises ZeroForm when all vanish."""
-    lead = c1 or c2 or c3 or cm
-    if not lead:
-        raise ZeroForm("all coefficients vanish")
-    if lead < 0:
-        return (-c1, -c2, -c3, -cm), -1
-    return (c1, c2, c3, cm), 1
 
 
 def form_poly(form):
@@ -431,13 +422,15 @@ def _ratfun(factored, num):
 class RatFun:
     """prod of form^exp times the residual polynomial num.
 
-    `factored` maps canonical forms to nonzero exponents; RatFun(...) takes
-    its keys as canonical and normalises the rest through _normal.  Signed
-    coefficient vectors go through from_forms.  The normal form keeps three
-    things: no exponent is zero, no factored form divides a non-constant
-    num, and num is no linear form.  A num may still be a product of forms
-    that are not factored: RatFun({}, form_poly(f) * form_poly(g)) keeps
-    that num, and so may an rf_sum, such as lam1^2 - lam2^2.
+    `factored` maps primitive canonical forms to nonzero exponents;
+    RatFun(...) takes its keys as such and normalises the rest through
+    _normal.  Coefficient vectors of any sign and content go through
+    from_forms, whose fold puts their contents into num, so proportional
+    forms are one factor.  The normal form keeps three things: no exponent is zero, no
+    factored form divides a non-constant num, and num is no linear form.  A
+    num may still be a product of forms that are not factored:
+    RatFun({}, form_poly(f) * form_poly(g)) keeps that num, and so may an
+    rf_sum, such as lam1^2 - lam2^2.
     """
 
     __slots__ = ("factored", "num")
@@ -465,24 +458,33 @@ class RatFun:
     def from_forms(pairs, scalar=1):
         """scalar * prod form^exp over (coefficients, exp) pairs.
 
-        The one sign fold: each coefficient vector, of any sign, is made
-        canonical, and its sign enters the scalar once per odd power.
-        Exponents of equal forms are summed and zero ones dropped, which
-        gives the normal form directly.
+        The one sign-and-content fold: each integer coefficient vector, of
+        any sign and content, is divided by its signed content g (the gcd
+        of its entries, negated when the first nonzero entry is negative),
+        which leaves the primitive canonical form, and g^exp enters the
+        scalar.  Exponents of equal forms are summed and zero ones dropped,
+        which gives the normal form directly.
         """
         if not scalar:
             return RatFun.zero()
         factored = {}
+        up = down = 1
         for (c1, c2, c3, cm), e in pairs:
-            lead = c1 or c2 or c3 or cm
-            if not lead:
+            g = math.gcd(c1, c2, c3, cm)
+            if not g:
                 raise ZeroForm("all coefficients vanish")
-            if lead < 0:
-                c1, c2, c3, cm = -c1, -c2, -c3, -cm
-                if e % 2:
-                    scalar = -scalar
+            if (c1 or c2 or c3 or cm) < 0:
+                g = -g
+            if g != 1:
+                c1, c2, c3, cm = c1 // g, c2 // g, c3 // g, cm // g
+                if e > 0:
+                    up *= g ** e
+                else:
+                    down *= g ** -e
             form = (c1, c2, c3, cm)
             factored[form] = factored.get(form, 0) + e
+        if up != down:
+            scalar = scalar * up if down == 1 else Fraction(scalar * up, down)
         return _ratfun({f: e for f, e in factored.items() if e},
                        MultiPoly.const(scalar))
 
@@ -659,16 +661,14 @@ def _form_coeffs(poly):
 
 
 def _linear_split(poly):
-    """(signed content, canonical form) if poly is one linear form, else
-    None."""
+    """poly as content * form^1 through from_forms if poly is one linear
+    form, else None."""
     coeffs = _form_coeffs(poly)
     if coeffs is None:
         return None
-    lcm = math.lcm(*(c.denominator for c in coeffs if c))
-    ints = [int(c * lcm) for c in coeffs]
-    g = math.gcd(*ints)
-    form, sign = canonical_form(*(n // g for n in ints))
-    return _coef(Fraction(g * sign, lcm)), form
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return RatFun.from_forms([([int(c * lcm) for c in coeffs], 1)],
+                             Fraction(1, lcm))
 
 
 # Residues of the variables off the pivot at the hyperplane test's point.  Any
@@ -736,11 +736,12 @@ def _divide_out(poly, form):
 def _normal(factored, num, forms):
     """The normal form of prod form^exp over factored, times num.
 
-    Every copy of each form in forms, in order, is divided out of a
-    non-constant num into factored, which is taken over and changed; then a
-    num that is one linear form moves to the factored part, and zero
-    exponents are dropped.  forms must hold every key of factored with a
-    nonzero exponent.
+    Every copy of each form in forms is divided out of a non-constant num
+    into factored, which is taken over and changed; then a num that is one
+    linear form moves to the factored part, its content folded into num by
+    from_forms, and zero exponents are dropped.  forms must hold every key
+    of factored with a nonzero exponent.  The forms are primitive, so no two
+    are proportional and their order does not change the result.
     """
     if num.is_zero():
         return RatFun.zero()
@@ -751,9 +752,9 @@ def _normal(factored, num, forms):
                 factored[f] = factored.get(f, 0) + up
         split = _linear_split(num)
         if split is not None:
-            content, form = split
+            (form, _), = split.factored.items()
             factored[form] = factored.get(form, 0) + 1
-            num = MultiPoly.const(content)
+            num = split.num
     return _ratfun({f: e for f, e in factored.items() if e}, num)
 
 
@@ -877,12 +878,14 @@ def _coordinates(form, pivots, basis):
     return tuple(y)
 
 
-def _map_back(red, basis, inputs):
+def _map_back(red, basis):
     """red, a normal form in the coordinates of the basis, with its j-th
     variable replaced by the form basis[j].
 
-    A factor in inputs (coordinates -> form) maps to its form, another to a
-    canonical vector whose content enters the num.  The num is substituted
+    Each factor maps to the vector its coordinates combine, which from_forms
+    makes a form: the coordinates of a summed (primitive) form give that
+    form back, and a factor _normal found in the coordinates may give a
+    vector whose content enters the num.  The num is substituted
     multiplying only powers of the basis forms, whose integer products
     take red.num's coefficients as they are summed.
     """
@@ -903,17 +906,10 @@ def _map_back(red, basis, inputs):
         for m, v in term.terms.items():
             out[m] = out.get(m, 0) + c * v
     num = _poly({m: v for m, v in out.items() if v})
-    factored = {}
-    for y, e in red.factored.items():
-        f = inputs.get(y)
-        if f is None:
-            v = [sum(c * row[i] for c, row in zip(y, basis))
-                 for i in range(NVARS)]
-            g = math.gcd(*v)
-            f = tuple(x // g for x in v)
-            num = num.scale(Fraction(g) ** e)
-        factored[f] = factored.get(f, 0) + e
-    return _ratfun(factored, num)
+    back = RatFun.from_forms(
+        ([sum(c * row[i] for c, row in zip(y, basis)) for i in range(NVARS)],
+         e) for y, e in red.factored.items())
+    return _ratfun(back.factored, num.scale(back.num.const_value()))
 
 
 def rf_sum(terms):
@@ -926,9 +922,10 @@ def rf_sum(terms):
     result is mapped back once by substituting each basis form for its
     variable, an injective ring map that keeps degrees and divisibility by
     forms, so the normal form there maps to the normal form of the flat
-    sum.  (The flat sum divides the forms out in sorted order; its result
-    depends on that order only among proportional forms, lam3 before
-    2*lam3, which the coordinates keep in the same order.)
+    sum.  The forms are primitive, so no two are proportional, and the
+    result, string included, does not depend on the order of the terms.
+    Their grouping can still change the text: a group's sum may factor a
+    form that the whole sum keeps inside a non-linear num.
     """
     terms = [t for t in terms if not t.is_zero()]
     if len(terms) < 2:
@@ -943,7 +940,7 @@ def rf_sum(terms):
             red = _rf_sum_flat([
                 _ratfun({coords[f]: e for f, e in t.factored.items()}, t.num)
                 for t in terms])
-            return _map_back(red, basis, {y: f for f, y in coords.items()})
+            return _map_back(red, basis)
     return _rf_sum_flat(terms)
 
 
@@ -983,7 +980,7 @@ def _rf_sum_flat(terms):
             p = powers[form, e] = form_poly(form) ** e
         return p
 
-    out = _normal(common, _shared_expansion(group, power), sorted(allforms))
+    out = _normal(common, _shared_expansion(group, power), allforms)
     return _ratfun(out.factored, out.num.scale(Fraction(1, content)))
 
 
@@ -1092,34 +1089,34 @@ _FACTOR_RE = re.compile(r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?"
 def parse_ratfun(s):
     """A RatFun from `prod[ <form>^<exp> ; ... ] * ( <poly> ) / ( <c> )`.
 
-    Each form item is split at its last `^`; a form with a negative leading
-    coefficient is accepted only at an even exponent, where its sign does
-    not matter.  The denominator c is a nonzero constant, folded into the
-    num; the writer always writes 1.
+    Each form item is split at its last `^`; a form must be primitive, and
+    one with a negative leading coefficient is accepted only at an even
+    exponent, where its sign does not matter.  The denominator c is a
+    nonzero constant, folded into the num; the writer always writes 1.
     """
     mo = _RATFUN_RE.fullmatch(s)
     if not mo:
         raise ParseError(f"not a prod[...] * (...) / (...) value: {s!r}")
     forms, num, den = mo.groups()
-    factored = {}
+    pairs = []
     for item in forms.split(";") if forms.strip() else ():
         body, _, e = item.rpartition("^")
         if not _EXP_RE.fullmatch(e):
             raise ParseError(f"bad form exponent in {item!r}")
         e = int(e)
         coeffs = _form_coeffs(parse_poly(body))
-        if coeffs is None or any(type(c) is not int for c in coeffs):
-            raise ParseError(f"not an integer linear form: {body!r}")
-        form, sign = canonical_form(*coeffs)
-        if sign < 0 and e % 2:
+        if (coeffs is None or any(type(c) is not int for c in coeffs)
+                or math.gcd(*coeffs) != 1):
+            raise ParseError(f"not a primitive integer linear form: {body!r}")
+        if next(c for c in coeffs if c) < 0 and e % 2:
             raise ParseError(f"non-canonical form {body!r}")
-        factored[form] = factored.get(form, 0) + e
+        pairs.append((coeffs, e))
     den = parse_poly(den)
     if den.is_zero() or not den.is_const():
         raise ParseError(f"not a nonzero constant denominator in {s!r}")
-    return _normal(factored,
-                   parse_poly(num).scale(Fraction(1, den.const_value())),
-                   list(factored))
+    out = RatFun.from_forms(pairs, Fraction(1, den.const_value()))
+    return _normal(out.factored, parse_poly(num).scale(out.num.const_value()),
+                   list(out.factored))
 
 
 def parse_poly(s):

@@ -75,13 +75,6 @@ class TruncSeries:
             out[d] = out[d] + c if d in out else c
         return TruncSeries(out, self.hi)
 
-    def __neg__(self):
-        return TruncSeries({d: -c for d, c in self.coeffs.items()},
-                           self.hi)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         assert self.hi == other.hi
         buckets = {}

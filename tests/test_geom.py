@@ -5,7 +5,8 @@ import importlib.util
 import itertools
 import pathlib
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,6 @@ from wallx.ratfun import (
     PoleAtZeroWeight,
     RatFun,
     _ratfun,
-    canonical_form,
     parse_ratfun,
     rf_sum,
 )
@@ -185,7 +185,7 @@ ORACLES = {
     "js:k=1,d=1,comp=1":
         "prod[ m^1 ; lam3^-1 ] * ( -1 ) / ( 1 )",
     "js:k=1,d=2,comp=2":
-        "prod[ m^1 ; lam3 - m^1 ; lam3^-1 ; 2*lam3^-1 ] * ( -1 ) / ( 1 )",
+        "prod[ m^1 ; lam3 - m^1 ; lam3^-2 ] * ( -1/2 ) / ( 1 )",
     "js:k=2,d=1,comp=1,0":
         "prod[ m^1 ; lam3^-1 ; lam1 + lam2 + lam3^-1 ; "
         "lam1 + lam2 + lam3 + m^1 ] * ( -1 ) / ( 1 )",
@@ -292,21 +292,29 @@ def test_zero_screen_matches_the_built_class_on_the_menu():
     assert outcomes == {False, True}
 
 
+def _primitive(w):
+    """(form, g): the primitive canonical form of the nonzero integer vector
+    w and its signed content g, with g * form == w."""
+    g = gcd(*w)
+    if next(c for c in w if c) < 0:
+        g = -g
+    return tuple(c // g for c in w), g
+
+
 def _reference_contribution(fp):
     """The contribution with the sqrt class's pairing summed as KClasses and
-    each weight's sign folded here, not by RatFun.from_forms."""
+    each weight's sign and content folded here, not by RatFun.from_forms."""
     F = fp.sheaf
     v = -chi_X(F) + _chi_pair_by_kclass(F, F, "Y3fold") + taut_class(F)
     if v.zero_mult() > 0:
         return RatFun.zero()
-    factored, sign = {}, 1
+    factored, scalar = {}, Fraction(1)
     for w, c in v.terms.items():
-        f, form_sign = canonical_form(*w)
+        f, g = _primitive(w)
         factored[f] = factored.get(f, 0) + c
-        if form_sign == -1 and c % 2:
-            sign = -sign
+        scalar *= Fraction(g) ** c
     value = _ratfun({f: e for f, e in factored.items() if e},
-                    MultiPoly.const(sign))
+                    MultiPoly.const(scalar))
     return with_point_sign(fp, value)
 
 

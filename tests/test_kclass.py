@@ -1,7 +1,9 @@
 """Virtual character arithmetic, projective-line cohomology characters, and
 Euler classes."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from wallx.kclass import (
     t0_weight,
     weight,
 )
-from wallx.ratfun import PoleAtZeroWeight, RatFun, canonical_form
+from wallx.ratfun import MultiPoly, PoleAtZeroWeight, RatFun
 
 
 def test_weight_folds_scaling_exponent():
@@ -90,17 +92,25 @@ def test_euler_class_single_weight():
     assert e == RatFun.var("lam3").inverse()
 
 
+def _primitive(w):
+    """(form, g): the primitive canonical form of the nonzero integer vector
+    w and its signed content g, with g * form == w."""
+    g = math.gcd(*w)
+    if next(c for c in w if c) < 0:
+        g = -g
+    return tuple(c // g for c in w), g
+
+
 def _euler_class_by_normalize(v):
     """euler_class of a class without zero weight, built by RatFun's
-    normalisation and negated when the sign is odd."""
-    factored, sign = {}, 1
+    normalisation over each weight's primitive form, times the product of
+    the weights' signed contents."""
+    factored, scalar = {}, Fraction(1)
     for w, c in v.terms.items():
-        form, form_sign = canonical_form(*w)
+        form, g = _primitive(w)
         factored[form] = factored.get(form, 0) + c
-        if form_sign == -1 and c % 2:
-            sign = -sign
-    out = RatFun(factored)
-    return out if sign == 1 else -out
+        scalar *= Fraction(g) ** c
+    return RatFun(factored, MultiPoly.const(scalar))
 
 
 def test_euler_class_is_the_normal_form():

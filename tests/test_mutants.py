@@ -4,12 +4,12 @@ monkeypatch and asserts that the checks reject it.
 A checker that still passes with a mutant in place cannot tell the defect
 from working code.  The mutants here run through rf_sum's reduced path (the
 js and OX wall-crossing sums span a rank-3 lattice of forms) and its flat
-path (the IlP1:1 sums), and the fixed-point, chi_pair, zero-screen and
-content mutants also through the eval backend at three seeds; the map-back
-mutant is in rf_sum, which an eval check need not call, and the
-residue_pair and residue_sums mutants are in the eval backend alone.  A
-mutant of a function body is the function recompiled from its source with
-one edit.
+path (the IlP1:1 sums), and the fixed-point, chi_pair, zero-screen,
+content and from_forms mutants also through the eval backend at three
+seeds; the map-back mutant is in rf_sum, which an eval check need not call,
+and the residue_pair and residue_sums mutants are in the eval backend
+alone.  A mutant of a function body is the function recompiled from its
+source with one edit.
 
 Equivalent mutants, kept out:
 - with_point_sign off by one under check_wallcross: it negates both
@@ -22,11 +22,11 @@ Equivalent mutants, kept out:
 - divmod_linear stepping only the pivot field under the eval backend:
   eval_mod reads each exponent from its own field and the degree field
   only to size its tables, so a degree field off by one changes no residue.
-- rf_sum left over its content under the eval backend and under
-  check_wallcross: the sums an eval check runs (the js localization sums
-  and the target's x - i factors) have integer coefficients, so their
-  content is 1, and in check_wallcross the only sums with a content other
-  than 1 are rf_equal's differences, whose zero test no scale changes.
+- rf_sum left over its content under eval check_wallcross,
+  check_insertion_free(2, 3) and check_dimred(2, 3): every sum these form
+  with rf_sum has content 1 (the target's x - i factors, the k = 2
+  specialised totals) or is an rf_equal difference of equal values, whose
+  zero test no scale changes.
 """
 
 import dataclasses
@@ -98,13 +98,26 @@ def test_point_sign_with_chi_off_by_one_is_rejected(monkeypatch):
     assert not check_dimred(2, 3).passed
 
 
+def test_from_forms_dropping_a_pole_content_is_rejected(monkeypatch):
+    # a negative power of a non-primitive vector loses its content:
+    # 1/(2*lam3) is read as 1/lam3
+    monkeypatch.setattr(ratfun.RatFun, "from_forms", _recompiled(
+        ratfun.RatFun.from_forms, "down *= g ** -e", "down *= 1"))
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(3, OX, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+    assert not check_insertion_free(2, 3).passed
+    assert not check_dimred(2, 3).passed
+
+
 def test_swapped_basis_forms_in_the_map_back_are_rejected(monkeypatch):
     map_back = ratfun._map_back
 
-    def swapped(red, basis, inputs):
+    def swapped(red, basis):
         if len(basis) > 1:
             basis = [basis[1], basis[0], *basis[2:]]
-        return map_back(red, basis, inputs)
+        return map_back(red, basis)
 
     monkeypatch.setattr(ratfun, "_map_back", swapped)
     assert not check_js(3, 3).passed
@@ -206,6 +219,12 @@ def test_rf_sum_left_over_its_content_is_rejected(monkeypatch):
         ratfun._rf_sum_flat, "out.num.scale(Fraction(1, content))",
         "out.num"))
     assert not check_js(3, 3).passed
+    assert not check_wallcross(3, OX, 3).passed
+    assert not check_wallcross(2, IlP1, 3).passed
+    assert not check_wallcross(3, IP1, 2).passed
+    for backend in BACKENDS[1:]:
+        assert not check_js(3, 3, backend).passed
+    assert not check_dimred(4, 3).passed
 
 
 def test_divmod_linear_stepping_only_the_pivot_field_is_rejected(

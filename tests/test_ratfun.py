@@ -29,7 +29,6 @@ from wallx.ratfun import (
     ZeroForm,
     _ratfun,
     binomial_rf,
-    canonical_form,
     decide,
     form_poly,
     parse_poly,
@@ -51,23 +50,51 @@ M = RatFun.var("m")
 # linear forms
 
 
+def _primitive(w):
+    """(form, g): the primitive canonical form of the nonzero integer vector
+    w and its signed content g, with g * form == w."""
+    g = math.gcd(*w)
+    if next(c for c in w if c) < 0:
+        g = -g
+    return tuple(c // g for c in w), g
+
+
+def _parts(pairs, scalar=1):
+    """(factored, scalar) of RatFun.from_forms(pairs, scalar)."""
+    r = RatFun.from_forms(pairs, scalar)
+    return r.factored, r.num.const_value()
+
+
 def test_canonical_form_sign_pinning():
-    assert canonical_form(-1, 0, 2, 0) == ((1, 0, -2, 0), -1)
-    assert canonical_form(1, 0, -2, 0) == ((1, 0, -2, 0), 1)
-    assert canonical_form(0, 0, -2, 3) == ((0, 0, 2, -3), -1)
+    # the first nonzero coefficient is positive; a negated form's sign
+    # enters the scalar once per odd power
+    assert _parts([((-1, 0, 2, 0), 1)]) == ({(1, 0, -2, 0): 1}, -1)
+    assert _parts([((1, 0, -2, 0), 1)]) == ({(1, 0, -2, 0): 1}, 1)
+    assert _parts([((0, 0, -2, 3), -1)]) == ({(0, 0, 2, -3): -1}, -1)
+    assert _parts([((0, 0, -1, 0), 2)]) == ({(0, 0, 1, 0): 2}, 1)
+    # and the coefficients are coprime, the content entering the scalar
+    # once per power
+    assert _parts([((0, 0, 2, 0), 1)]) == ({(0, 0, 1, 0): 1}, 2)
+    assert _parts([((0, 0, -2, 4), -1)], 3) == (
+        {(0, 0, 1, -2): -1}, Fraction(-3, 2))
+    assert _parts([((-2, 0, 0, 6), 2)]) == ({(1, 0, 0, -3): 2}, 4)
+    assert _parts([((0, 0, 1, -1), 1), ((0, 0, 2, -2), -1)]) == (
+        {}, Fraction(1, 2))
 
 
 def test_canonical_form_rejects_zero():
     with pytest.raises(ZeroForm):
-        canonical_form(0, 0, 0, 0)
+        RatFun.from_forms([((0, 0, 0, 0), 1)])
     with pytest.raises(ZeroForm):
         RatFun.from_forms([((1, 0, 0, 0), 1), ((0, 0, 0, 0), -1)])
 
 
 def test_form_sign_excluded_from_identity():
-    (a, sa), (b, sb) = canonical_form(1, 2, 0, 0), canonical_form(-1, -2, 0, 0)
-    assert a == b and hash(a) == hash(b)
-    assert {sa, sb} == {1, -1}
+    # lam1 + 2*lam2, its negation and its double are one form
+    a, b, c = (RatFun.from_forms([(v, 1)])
+               for v in ((1, 2, 0, 0), (-1, -2, 0, 0), (2, 4, 0, 0)))
+    assert a.factored == b.factored == c.factored == {(1, 2, 0, 0): 1}
+    assert (a.num, b.num, c.num) == tuple(map(MultiPoly.const, (1, -1, 2)))
 
 
 raw_vectors = st.tuples(*[st.integers(-3, 3)] * 4).filter(any)
@@ -92,8 +119,49 @@ def test_from_forms_is_the_product_of_the_raw_forms(pairs, scalar, points):
         for v, (_, e) in zip(values, pairs):
             want *= v ** e
         assert r.eval_exact(point) == want
+    assert all(_primitive(f) == (f, 1) for f in r.factored)
     text = str(r)
     assert str(parse_ratfun(text)) == text
+
+
+@st.composite
+def equal_form_products(draw):
+    """((pairs, scalar), (pairs, scalar)): two from_forms inputs of one
+    value.  The second negates forms at even powers, scales a form by k
+    against k^-exp in the scalar, and splits an exponent over proportional
+    copies of a form, each against its content in the scalar."""
+    pairs = draw(st.lists(st.tuples(raw_vectors, st.integers(-3, 3)),
+                          max_size=5))
+    scalar = draw(rationals.filter(bool))
+    other, other_scalar = [], scalar
+    for v, e in pairs:
+        how = draw(st.sampled_from(("keep", "negate", "scale", "split")))
+        if how == "negate" and e % 2 == 0:
+            other.append((tuple(-c for c in v), e))
+        elif how == "scale":
+            k = draw(st.integers(-3, 3).filter(bool))
+            other.append((tuple(k * c for c in v), e))
+            other_scalar /= Fraction(k) ** e
+        elif how == "split":
+            a, b = (draw(st.integers(-3, 3).filter(bool)) for _ in "ab")
+            e1 = draw(st.integers(-3, 3))
+            other += [(tuple(a * c for c in v), e1),
+                      (tuple(b * c for c in v), e - e1)]
+            other_scalar /= Fraction(a) ** e1 * Fraction(b) ** (e - e1)
+        else:
+            other.append((v, e))
+    order = draw(st.permutations(range(len(other))))
+    return (pairs, scalar), ([other[i] for i in order], other_scalar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(equal_form_products())
+def test_from_forms_text_is_a_function_of_the_value(case):
+    (pairs, scalar), (other, other_scalar) = case
+    a = RatFun.from_forms(pairs, scalar)
+    b = RatFun.from_forms(other, other_scalar)
+    assert str(a) == str(b)
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +319,17 @@ def test_grammar_rejects_garbage():
             parse_poly(bad)
 
 
+def test_grammar_rejects_a_form_that_is_not_primitive():
+    # the writer prints primitive forms only: 1/(2*lam3) is lam3^-1 * 1/2
+    for bad in ["prod[ 2*lam3^-1 ] * ( 1 ) / ( 1 )",
+                "prod[ m^1 ; 2*lam1 - 4*m^2 ] * ( 1 ) / ( 1 )",
+                "prod[ -3*lam2^2 ] * ( 1 ) / ( 1 )"]:
+        with pytest.raises(ParseError, match="not a primitive"):
+            parse_ratfun(bad)
+    assert parse_ratfun("prod[ lam3^-1 ] * ( 1/2 ) / ( 1 )") == \
+        RatFun.from_forms([((0, 0, 2, 0), -1)])
+
+
 def test_grammar_folds_a_constant_denominator_into_the_num():
     assert parse_ratfun("prod[ ] * ( 3 ) / ( 2 )") == \
         RatFun.const(Fraction(3, 2))
@@ -283,6 +362,17 @@ def test_substitute_m_collapses_or_cancels():
     # m -> lam3 turns (m/lam3) into 1
     assert (M / L3).substitute_m() == RatFun.const(1)
     assert (M - L3).substitute_m().is_zero()
+
+
+def test_substitute_m_of_proportional_forms_is_their_ratio():
+    # (lam3 - m) / (2*lam3 - 2*m) is 1/2, whichever form comes first
+    num, den = ((0, 0, 1, -1), 1), ((0, 0, 2, -2), -1)
+    for pairs in ([num, den], [den, num]):
+        assert str(RatFun.from_forms(pairs).substitute_m()) == \
+            "prod[ ] * ( 1/2 ) / ( 1 )"
+    # lam3 + m goes to 2*lam3, whose content folds: (lam3 + m)/(2*lam3) -> 1
+    value = RatFun.from_forms([((0, 0, 1, 1), 1), ((0, 0, 2, 0), -1)])
+    assert str(value.substitute_m()) == "prod[ ] * ( 1 ) / ( 1 )"
 
 
 @settings(max_examples=40, deadline=None)
@@ -475,7 +565,7 @@ def test_rf_sum_of_fraction_scalars_multiplies_only_integer_polynomials():
 
 
 linear_forms = st.tuples(*[st.integers(-3, 3)] * 4).filter(any).map(
-    lambda c: canonical_form(*c)[0])
+    lambda c: _primitive(c)[0])
 mixed_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 3)] * 4),
     st.one_of(st.integers(-5, 5),
@@ -557,11 +647,11 @@ def unnormalised_values(draw):
 
 
 def _assert_normal(v):
-    """The normal form's invariant: no zero exponent, canonical keys, no
-    factored form dividing a non-constant num, and no num that is one
-    linear form."""
+    """The normal form's invariant: no zero exponent, primitive canonical
+    keys, no factored form dividing a non-constant num, and no num that is
+    one linear form."""
     assert all(v.factored.values())
-    assert all(canonical_form(*f) == (f, 1) for f in v.factored)
+    assert all(_primitive(f) == (f, 1) for f in v.factored)
     assert ratfun._form_coeffs(v.num) is None
     if not v.num.is_const():
         for f in v.factored:
@@ -693,6 +783,26 @@ def test_rf_sum_string_does_not_depend_on_factor_order():
         assert str(rf_sum(_shuffled_factors(terms, rng))) == want
 
 
+WALL_SUMS = [("js", k, d) for k in (1, 2, 3, 4) for d in (1, 2, 3)] + [
+    (i0, 2, d) for i0 in ("IlP1:1", "IlP1:2", "IlP1:3", "OX")
+    for d in range(4)]
+
+
+@pytest.mark.parametrize("kind,k,d", WALL_SUMS,
+                         ids=[f"{i0}-k{k}-d{d}" for i0, k, d in WALL_SUMS])
+def test_rf_sum_string_does_not_depend_on_grouping(kind, k, d):
+    # a js localization sum, or a plus fiber of the wall Lmm:2, summed flat,
+    # in two halves and reversed: lam3, 2*lam3 and 3*lam3 are one form, so
+    # no grouping leaves proportional factors apart
+    points = (js_fixed_points(k, d) if kind == "js"
+              else fiber_plus(k, parse_i0(kind), d))
+    terms = [contribution(fp) for fp in points]
+    half = len(terms) // 2
+    flat = str(rf_sum(terms))
+    assert str(rf_sum([rf_sum(terms[:half]), rf_sum(terms[half:])])) == flat
+    assert str(rf_sum(terms[::-1])) == flat
+
+
 def _term_pairs(sum_fn, terms):
     """(result, sum of len(a) * len(b) over the MultiPoly products made)."""
     mul = MultiPoly.__mul__
@@ -779,20 +889,28 @@ def test_reduced_rf_sum_string_equals_the_flat_path(terms):
         y = ratfun._coordinates(f, pivots, basis)
         assert tuple(sum(c * row[i] for c, row in zip(y, basis))
                      for i in range(4)) == f
-        assert canonical_form(*y)[1] == 1
+        assert _primitive(y) == (y, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(shared_form_sums().map(lambda case: case[0]),
+                 sublattice_sums()),
+       st.data())
+def test_rf_sum_string_does_not_depend_on_term_order(terms, data):
+    assert str(rf_sum(data.draw(st.permutations(terms)))) == str(rf_sum(terms))
 
 
 def test_non_saturated_lattice_folds_the_content_of_a_new_factor(
         monkeypatch):
-    # {2*lam3, lam1 + lam2} has the basis (lam1 + lam2, 2*lam3); the sum's
-    # num 2*y1 + y2 maps back to 2*(lam1 + lam2 + lam3), whose content 2
-    # must enter the num as in the flat path
-    terms = [RatFun.from_forms([((0, 0, 2, 0), -1)], 2),
+    # {lam1 + lam2 + 2*lam3, lam1 + lam2} has the basis (lam1 + lam2,
+    # 2*lam3); the sum's num 2*y1 + y2 maps back to 2*(lam1 + lam2 + lam3),
+    # whose content 2 must enter the num as in the flat path
+    terms = [RatFun.from_forms([((1, 1, 2, 0), -1)]),
              RatFun.from_forms([((1, 1, 0, 0), -1)])]
     assert ratfun._lattice_basis({f for t in terms for f in t.factored}) == (
         [0, 2], [(1, 1, 0, 0), (0, 0, 2, 0)])
-    want = "prod[ 2*lam3^-1 ; lam1 + lam2^-1 ; lam1 + lam2 + lam3^1 ] " \
-        "* ( 2 ) / ( 1 )"
+    want = "prod[ lam1 + lam2^-1 ; lam1 + lam2 + lam3^1 ; " \
+        "lam1 + lam2 + 2*lam3^-1 ] * ( 2 ) / ( 1 )"
     assert str(ratfun._rf_sum_flat(terms)) == want
     # the reduced path runs once and enters rf_sum once, through the flat
     # helper, so that a per-call count of rf_sum does not change
