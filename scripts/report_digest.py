@@ -23,6 +23,10 @@ that divides a non-constant num, or a num that is one linear form.  A last
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
 (check_relations, is_cyclic, is_stable_graded) triple with its witness.
+A `sha256[:16]  classify_theta grid` line digests the repr of every
+classify_theta result over the scripts/chamber_grid.py grid at 10 steps per
+unit and kmax 40, and over the integer points of [-25, 25]^2 at kmax 0, 1
+and 10, where on-wall and integer-wall results are frequent.
 
 Comparing the output of two checkouts checks that their reports and quiver
 outcomes are byte-identical.  The wallx sources are taken from this
@@ -49,6 +53,7 @@ from wallx.cli import main as cli_main, series as cli_series  # noqa: E402
 from wallx.ratfun import _form_coeffs, parse_ratfun  # noqa: E402
 
 CHAMBER_SEED = 42
+GRID_STEPS, GRID_KMAX = 10, 40
 
 CRITERION_10 = (
     ["js", "--k", "2", "--dmax", "2"],
@@ -170,6 +175,22 @@ def chamber_digest():
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def classify_digest():
+    """Digest of classify_theta over the chamber grid and integer points.
+
+    The integer points are given as Fraction coordinates; tests check that
+    int coordinates give the same results.
+    """
+    n, step = 3 * GRID_STEPS, Fraction(1, GRID_STEPS)
+    results = [quiver.classify_theta(quiver.Theta(i * step, j * step), GRID_KMAX)
+               for j in range(n, -n - 1, -1) for i in range(-n, n + 1)]
+    results += [quiver.classify_theta(quiver.Theta.of(i, j), k_max)
+                for i in range(-25, 26) for j in range(-25, 26)
+                for k_max in (0, 1, 10)]
+    data = "\n".join(map(repr, results)).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def normal_form_fault(value):
     """How value breaks the normal form's invariant, or None."""
     if not all(value.factored.values()):
@@ -211,6 +232,7 @@ def main():
     print(f"{digest[:16]}  parse_ratfun round trip of {len(values)} values",
           flush=True)
     print(f"{chamber_digest()}  chamber seed {CHAMBER_SEED}", flush=True)
+    print(f"{classify_digest()}  classify_theta grid", flush=True)
     mismatched = [v for v, r in zip(values, read_back) if v != r]
     for v in mismatched[:3]:
         print(f"does not read back to itself: {v}", file=sys.stderr)

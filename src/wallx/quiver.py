@@ -8,15 +8,15 @@ algebra checks on framed representations: the eight quiver relations,
 cyclicity (closure of the framing vector), and stability certification for
 representations carrying a multiplicity-free weight grading.
 
-Matrix, framing and seed entries hold the invariant of the ratfun kernel
-(`ratfun._coef`): an entry is an int whenever its value is integral and a
-Fraction otherwise, never a float.  The 0/1 matrices of the usual checks so
-stay in int arithmetic, and every pivot division is exact.
+Theta coordinates may be int or Fraction; chambers and stability are
+decided in ints.  Matrix, framing and seed entries hold the invariant of
+the ratfun kernel (`ratfun._coef`): an entry is an int whenever its value
+is integral and a Fraction otherwise, never a float.  The relations act
+with sparse arrow columns, and graded stability scans bitmasks.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +33,8 @@ class NotMultiplicityFree(Exception):
 
 @dataclass(frozen=True)
 class Theta:
-    th0: Fraction
-    th1: Fraction
+    th0: Fraction | int
+    th1: Fraction | int
 
     @staticmethod
     def of(th0, th1):
@@ -119,12 +119,19 @@ def walls_up_to(k_max):
     return out
 
 
+def _scaled(theta):
+    """Integers (x, y): theta times the product of its coordinates'
+    denominators, which keeps every sign, order and ratio."""
+    a, b = theta.th0, theta.th1
+    return a.numerator * b.denominator, b.numerator * a.denominator
+
+
 def theta_to_zt(theta):
-    """t = theta1 / (theta0 + theta1); undefined on the infinite wall."""
-    s = theta.th0 + theta.th1
-    if s == 0:
+    """t = theta1 / (theta0 + theta1), a Fraction; undefined on Linf."""
+    x, y = _scaled(theta)
+    if x + y == 0:
         raise DivisionByZero("theta0 + theta1 = 0")
-    return theta.th1 / s
+    return Fraction(y, x + y)
 
 
 @dataclass(frozen=True)
@@ -160,12 +167,6 @@ def _wall_at_integer(r, minus_side):
     return WallLabel("Lpm" if minus_side else "Lpp", -r)
 
 
-def _index_ok(label, k_max):
-    if label.family in ("Lmm", "Lmp"):
-        return label.index <= k_max
-    return label.index <= k_max - 1
-
-
 def classify_theta(theta, k_max=10):
     """Locate theta exactly among the walls with index <= k_max.
 
@@ -177,33 +178,35 @@ def classify_theta(theta, k_max=10):
     the bounding wall pair, with the Zt description added in the region
     theta0 < 0 < theta1, theta0 + theta1 > 0.  Points whose bounding walls
     have index beyond k_max (the accumulation at the infinite wall) come
-    back inconclusive.
+    back inconclusive.  Every test reads x, y = `_scaled(theta)` and
+    divmod(y, x + y), the floor of t and whether t is integral.
     """
-    a, b = theta.th0, theta.th1
-    if a == 0 and b == 0:
-        return ClassifyResult("degenerate")
-    if a + b == 0:
-        fam = "Linf_minus" if a < b else "Linf_plus"
+    x, y = _scaled(theta)
+    s = x + y
+    if s == 0:
+        if x == 0:
+            return ClassifyResult("degenerate")
+        fam = "Linf_minus" if x < y else "Linf_plus"
         return ClassifyResult("wall", wall=WallLabel(fam))
-    if a > 0 and b > 0:
+    if x > 0 and y > 0:
         return ClassifyResult("chamber", chamber="empty")
-    if a < 0 and b < 0:
+    if x < 0 and y < 0:
         return ClassifyResult("chamber", chamber="NC")
-    r = b / (a + b)
-    minus_side = a < b
-    if r.denominator == 1:
-        lab = _wall_at_integer(int(r), minus_side)
-        if not _index_ok(lab, k_max):
+    f, rem = divmod(y, s)
+    minus_side = x < y
+    # t = r is a wall of index <= k_max exactly when 1 - k_max <= r <= k_max
+    if rem == 0:
+        if not 1 - k_max <= f <= k_max:
             return ClassifyResult("inconclusive")
-        return ClassifyResult("wall", wall=lab)
-    f = r.numerator // r.denominator  # floor for Fractions
+        return ClassifyResult("wall", wall=_wall_at_integer(f, minus_side))
+    if not 1 - k_max <= f < k_max:
+        return ClassifyResult("inconclusive")
     lower = _wall_at_integer(f, minus_side)
     upper = _wall_at_integer(f + 1, minus_side)
-    if not (_index_ok(lower, k_max) and _index_ok(upper, k_max)):
-        return ClassifyResult("inconclusive")
-    if a < 0 < b and a + b > 0:
+    if x < 0 < y and s > 0:
         return ClassifyResult("chamber", chamber="Zt", lower=lower,
-                              upper=upper, t=r, interval=(f, f + 1))
+                              upper=upper, t=Fraction(y, s),
+                              interval=(f, f + 1))
     return ClassifyResult("chamber", chamber="between", lower=lower,
                           upper=upper)
 
@@ -243,15 +246,6 @@ def mat(rows):
 
 def zero_mat(nrows, ncols):
     return tuple((0,) * ncols for _ in range(nrows))
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return tuple(() if not B or not B[0] else (0,) * len(B[0])
-                     for _ in A)
-    cols = tuple(zip(*B))
-    return tuple(tuple(_coef(sum(map(mul, row, col))) for col in cols)
-                 for row in A)
 
 
 def mat_vec(A, v):
@@ -317,29 +311,56 @@ class FramedRep:
                 ("c", self.c, 0, 0), ("dd", self.dd, 1, 1))
 
 
-RELATIONS = (
-    ("a2*b1*a1 = a1*b1*a2", lambda r: (mat_mul(r.a2, mat_mul(r.b1, r.a1)),
-                                       mat_mul(r.a1, mat_mul(r.b1, r.a2)))),
-    ("a2*b2*a1 = a1*b2*a2", lambda r: (mat_mul(r.a2, mat_mul(r.b2, r.a1)),
-                                       mat_mul(r.a1, mat_mul(r.b2, r.a2)))),
-    ("b2*a1*b1 = b1*a1*b2", lambda r: (mat_mul(r.b2, mat_mul(r.a1, r.b1)),
-                                       mat_mul(r.b1, mat_mul(r.a1, r.b2)))),
-    ("b2*a2*b1 = b1*a2*b2", lambda r: (mat_mul(r.b2, mat_mul(r.a2, r.b1)),
-                                       mat_mul(r.b1, mat_mul(r.a2, r.b2)))),
-    ("dd*a1 = a1*c", lambda r: (mat_mul(r.dd, r.a1), mat_mul(r.a1, r.c))),
-    ("dd*a2 = a2*c", lambda r: (mat_mul(r.dd, r.a2), mat_mul(r.a2, r.c))),
-    ("c*b1 = b1*dd", lambda r: (mat_mul(r.c, r.b1), mat_mul(r.b1, r.dd))),
-    ("c*b2 = b2*dd", lambda r: (mat_mul(r.c, r.b2), mat_mul(r.b2, r.dd))),
-)
+# Each relation equates two words in the arrows, read as matrix products
+# (the rightmost arrow acts first); _RELATION_WORDS lists each word's arrows
+# in the order they act.
+RELATIONS = ("a2*b1*a1 = a1*b1*a2", "a2*b2*a1 = a1*b2*a2",
+             "b2*a1*b1 = b1*a1*b2", "b2*a2*b1 = b1*a2*b2",
+             "dd*a1 = a1*c", "dd*a2 = a2*c", "c*b1 = b1*dd", "c*b2 = b2*dd")
+_RELATION_WORDS = tuple(
+    (name, *(side.split("*")[::-1] for side in name.split(" = ")))
+    for name in RELATIONS)
+
+
+def _columns(M, ncols):
+    """Columns of M as {row: entry} dicts of the nonzero entries."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(M):
+        if any(row):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+    return cols
+
+
+def _word_image(cols, word, j):
+    """Image {index: entry} of the j-th basis vector under the arrows of
+    word, in order; an entry may be a 0 left by cancellation."""
+    v = cols[word[0]][j]
+    for name in word[1:]:
+        col, w = cols[name], {}
+        for k, x in v.items():
+            for i, e in col[k].items():
+                w[i] = w.get(i, 0) + x * e
+        v = w
+    return v
 
 
 def check_relations(rep):
     """Verify the eight quiver relations; returns ('pass', None) or
-    ('fail', relation name) for the first violated relation."""
-    for name, sides in RELATIONS:
-        lhs, rhs = sides(rep)
-        if lhs != rhs:
-            return ("fail", name)
+    ('fail', relation name) for the first violated relation.
+
+    Each arrow is built once as sparse columns.  A relation holds when its
+    two words send every basis vector of their source space to one image.
+    """
+    cols = {name: _columns(M, rep.dims[src])
+            for name, M, src, _ in rep.arrows()}
+    for name, lhs, rhs in _RELATION_WORDS:
+        for j in range(len(cols[lhs[0]])):
+            left, right = _word_image(cols, lhs, j), _word_image(cols, rhs, j)
+            # a mismatch counts unless only entries that cancelled to 0 differ
+            if left != right and any(x for _, x in left.items() ^ right.items()):
+                return ("fail", name)
     return ("pass", None)
 
 
@@ -393,62 +414,49 @@ def is_cyclic(rep):
     return subrep_closure(rep, [(0, rep.framing)]) == rep.dims
 
 
-def _check_graded_precondition(rep):
-    """Multiplicity-free grading with arrows and framing mapping graded
-    lines to graded lines, so that every subrepresentation is spanned by a
-    subset of the graded basis."""
+# A basis subset of a d-dimensional space is a bitmask with index i at bit
+# d - 1 - i.  In the order of sorted index lists the empty subset is then at
+# place 0 and a nonempty m at (1 << d) + popcount(m) - m - lowbit(m).
+def _order_place(m, d):
+    return (1 << d) + m.bit_count() - m - (m & -m) if m else 0
+
+
+def _graded_reach(rep):
+    """reach[s][t][m]: bitmask of the basis vectors of V_t that the arrows
+    V_s -> V_t send the basis subset m of V_s to; (m0, m1) is arrow-closed
+    when reach[s][t][m_s] lies inside m_t for all s, t.  The same pass
+    checks the multiplicity-free grading, with arrows and framing mapping
+    graded lines to graded lines, so that every subrepresentation is
+    spanned by basis subsets (raises NotMultiplicityFree)."""
     if rep.grading0 is None or rep.grading1 is None:
         raise NotMultiplicityFree("representation carries no grading")
     if len(set(rep.grading0)) != len(rep.grading0) or \
             len(set(rep.grading1)) != len(rep.grading1):
         raise NotMultiplicityFree("a graded piece has dimension > 1")
-    for name, M, _, _ in rep.arrows():
-        for row in M:
-            if sum(1 for x in row if x != 0) > 1:
-                raise NotMultiplicityFree(f"arrow {name} merges graded lines")
-        for j in range(len(M[0]) if M else 0):
-            if sum(1 for row in M if row[j] != 0) > 1:
-                raise NotMultiplicityFree(f"arrow {name} splits a graded line")
-    if sum(1 for x in rep.framing if x != 0) > 1:
-        raise NotMultiplicityFree("framing vector is not homogeneous")
-
-
-def _arrow_closed_subsets(rep):
-    """All (S0, S1) basis subsets closed under every arrow.
-
-    Subsets are scanned as bitmasks: reach[src][tgt][m] is the bitmask of
-    the target indices that the arrows src -> tgt send the source subset m
-    to, so (m0, m1) is closed when reach[s][t][m_s] lies inside m_t for
-    every pair of spaces.  Each index subset is made a frozenset once, up
-    front, and only closed pairs are collected.
-    """
-    dims = rep.dims
+    d0, d1 = dims = rep.dims
     # reach of each single source index, then of every source bitmask
-    single = [[[0] * dims[s] for _ in range(2)] for s in range(2)]
-    for _, M, src, tgt in rep.arrows():
-        row = single[src][tgt]
-        for i, targets in enumerate(M):
-            for j, x in enumerate(targets):
-                if x != 0:
-                    row[j] |= 1 << i
-    reach = [[_mask_unions(single[s][t]) for t in range(2)] for s in range(2)]
-    subsets = [[frozenset(i for i in range(d) if m >> i & 1)
-                for m in range(1 << d)] for d in dims]
-    out = []
-    for m0 in range(1 << dims[0]):
-        if reach[0][0][m0] & ~m0:
-            continue
-        r01 = reach[0][1][m0]
-        for m1 in range(1 << dims[1]):
-            if r01 & ~m1 or reach[1][1][m1] & ~m1 or reach[1][0][m1] & ~m0:
-                continue
-            out.append((subsets[0][m0], subsets[1][m1]))
-    return out
+    single = [[[0] * d0, [0] * d0], [[0] * d1, [0] * d1]]
+    for name, M, src, tgt in rep.arrows():
+        bits, top, hit = single[src][tgt], dims[src] - 1, 1 << len(M)
+        seen = split = 0  # source bits met so far, and those met twice
+        for row in M:
+            hit >>= 1  # the bit of this row's target index
+            if any(row):
+                js = [top - j for j, x in enumerate(row) if x]
+                if len(js) > 1:
+                    raise NotMultiplicityFree(f"arrow {name} merges graded lines")
+                split |= seen & 1 << js[0]
+                seen |= 1 << js[0]
+                bits[js[0]] |= hit
+        if split:
+            raise NotMultiplicityFree(f"arrow {name} splits a graded line")
+    if sum(map(bool, rep.framing)) > 1:
+        raise NotMultiplicityFree("framing vector is not homogeneous")
+    return [[_mask_unions(single[s][t]) for t in range(2)] for s in range(2)]
 
 
 def _mask_unions(single):
-    """For every bitmask m over len(single) indices, the OR of single[j]
-    over the bits j set in m."""
+    """For every bitmask m, the OR of single[j] over the bits j set in m."""
     out = [0]
     for bits in single:
         out += [x | bits for x in out]
@@ -459,18 +467,6 @@ def theta_value(theta, d0, d1):
     return theta.th0 * d0 + theta.th1 * d1
 
 
-def _integral_theta(theta):
-    """theta scaled by the lcm of the denominators of its coordinates.
-
-    The scale is positive, so every theta_value keeps its sign and every
-    comparison between two values keeps its outcome, ties included.
-    """
-    th0, th1 = Fraction(theta.th0), Fraction(theta.th1)
-    scale = math.lcm(th0.denominator, th1.denominator)
-    return Theta(th0.numerator * (scale // th0.denominator),
-                 th1.numerator * (scale // th1.denominator))
-
-
 def is_stable_graded(rep, theta):
     """Certify framed stability by exhaustive subrepresentation search.
 
@@ -479,33 +475,37 @@ def is_stable_graded(rep, theta):
     Theta-value < 0; a proper subrepresentation containing the framing must
     have Theta-value < Theta(V).  Exact ties downgrade the verdict to
     semistable; a strict violation returns ('unstable', witness) with
-    witness = (S0, S1, has_framing).  Candidates are scanned largest first.
-    Values are compared for theta scaled to integer coordinates, in int
-    arithmetic.
+    witness = (S0, S1, has_framing): the least violation, else the least
+    tie, by (-|S0|-|S1|, sorted S0, sorted S1, has_framing).  One scan over
+    the arrow-closed bitmask pairs (m0, m1) collects the candidates, with
+    values in ints for theta scaled to integer coordinates.
     """
-    _check_graded_precondition(rep)
-    theta = _integral_theta(theta)
+    (r00, r01), (r10, r11) = _graded_reach(rep)
+    theta = Theta(*_scaled(theta))
     d0, d1 = rep.dims
     total = theta_value(theta, d0, d1)
-    fsupp = frozenset(i for i, x in enumerate(rep.framing) if x != 0)
-    subs = sorted(_arrow_closed_subsets(rep),
-                  key=lambda s: (-(len(s[0]) + len(s[1])),
-                                 sorted(s[0]), sorted(s[1])))
-    tie = None
-    for S0, S1 in subs:
-        val = theta_value(theta, len(S0), len(S1))
-        if S0 or S1:
-            # unframed subrepresentation (V0', V1', 0)
-            if val > 0:
-                return ("unstable", (S0, S1, False))
-            if val == 0 and tie is None:
-                tie = (S0, S1, False)
-        if fsupp <= S0 and (len(S0), len(S1)) != (d0, d1):
-            # proper subrepresentation containing the framing
-            if val > total:
-                return ("unstable", (S0, S1, True))
-            if val == total and tie is None:
-                tie = (S0, S1, True)
-    if tie is not None:
-        return ("semistable", tie)
-    return ("stable", None)
+    fmask = sum(1 << (d0 - 1 - i) for i, x in enumerate(rep.framing) if x)
+    found = []  # (is a tie, -size, m0, m1, has_framing)
+    for m0 in range(1 << d0):
+        if r00[m0] & ~m0:
+            continue
+        n0, r01m = m0.bit_count(), r01[m0]
+        framed = not fmask & ~m0
+        for m1 in range(1 << d1):
+            if r01m & ~m1 or r11[m1] & ~m1 or r10[m1] & ~m0:
+                continue
+            n1 = m1.bit_count()
+            val = theta_value(theta, n0, n1)
+            if val >= 0 and (m0 or m1):
+                # an unframed subrepresentation (V0', V1', 0)
+                found.append((val == 0, -n0 - n1, m0, m1, False))
+            if val >= total and framed and n0 + n1 < d0 + d1:
+                # a proper subrepresentation containing the framing
+                found.append((val == total, -n0 - n1, m0, m1, True))
+    if not found:
+        return ("stable", None)
+    tie, _, m0, m1, has_framing = min(found, key=lambda c: (
+        c[:2], _order_place(c[2], d0), _order_place(c[3], d1), c[4]))
+    S0, S1 = (frozenset(i for i in range(d) if m >> (d - 1 - i) & 1)
+              for m, d in ((m0, d0), (m1, d1)))
+    return ("semistable" if tie else "unstable", (S0, S1, has_framing))

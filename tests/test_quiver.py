@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from wallx.quiver import (
     NotMultiplicityFree,
     Theta,
     WallLabel,
-    _arrow_closed_subsets,
+    _graded_reach,
     check_relations,
     classify_theta,
     dimvec_bookkeeping,
@@ -21,7 +22,6 @@ from wallx.quiver import (
     is_cyclic,
     is_stable_graded,
     mat,
-    mat_mul,
     parse_wall_label,
     subrep_closure,
     theta_to_zt,
@@ -96,6 +96,25 @@ def test_theta_to_zt():
     assert theta_to_zt(Theta.of(Fraction(-17, 20), 1)) == Fraction(20, 3)
     with pytest.raises(DivisionByZero):
         theta_to_zt(Theta.of(-1, 1))
+    with pytest.raises(DivisionByZero):
+        theta_to_zt(Theta(-1, 1))
+
+
+def test_int_coordinates_give_the_fraction_results():
+    # int / int is a float, so int coordinates must never be divided
+    t = theta_to_zt(Theta(1, 2))
+    assert t == Fraction(2, 3) and type(t) is Fraction
+    t = theta_to_zt(Theta(-3, 6))
+    assert t == 2 and type(t) is Fraction
+    assert str(classify_theta(Theta(1, -3))) == "chamber between Lmp:1 and Lmp:2"
+    assert str(classify_theta(Theta(-2, 3))) == "on_wall Lmm:3"
+    res = classify_theta(Theta(-17, 20))
+    assert res.t == Fraction(20, 3) and type(res.t) is Fraction
+    for i in range(-12, 13):
+        for j in range(-12, 13):
+            for k_max in (0, 1, 5):
+                assert classify_theta(Theta(i, j), k_max) == \
+                    classify_theta(Theta.of(i, j), k_max)
 
 
 def test_theta_to_zt_integer_on_walls():
@@ -226,16 +245,8 @@ def test_matrix_entries_are_int_or_fraction():
     assert M == ((1, 2, Fraction(1, 2)), (Fraction(1, 2), 1, -2))
     assert [type(x) for x in _entries(M)] == \
         [int, int, Fraction, Fraction, int, int]
-    half = mat([[Fraction(1, 2), Fraction(3, 2)], [1, 0]])
-    prod = mat_mul(half, mat([[2, 0], [Fraction(2, 3), 4]]))
-    assert prod == ((2, 6), (2, 0))
-    assert all(type(x) is int for x in _entries(prod))
-    mixed = mat_mul(half, half)
-    assert mixed == ((Fraction(7, 4), Fraction(3, 4)), (Fraction(1, 2), Fraction(3, 2)))
-    assert all(type(x) is Fraction for x in _entries(mixed))
-    ints = mat_mul(mat([[1, 2], [3, 4]]), mat([[0, 1], [1, 0]]))
-    assert ints == ((2, 1), (4, 3))
-    assert all(type(x) is int for x in _entries(ints))
+    half = mat([[Fraction(1, 2), Fraction(3, 2)], [Fraction(6, 3), 0]])
+    assert [type(x) for x in _entries(half)] == [Fraction, Fraction, int, int]
     rep = FramedRep.build((2, 1), a1=[[1, 0]], framing=[Fraction(2, 2), 0])
     for M in (rep.a1, rep.a2, rep.b1, rep.c, rep.dd, (rep.framing,)):
         assert all(type(x) is int for x in _entries(M))
@@ -338,13 +349,15 @@ def test_stability_compares_int_values_and_ignores_positive_theta_scale(
         theta = Theta.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quiver, "_integral_theta", lambda th: th)
+            mp.setattr(quiver, "_scaled", lambda th: (th.th0, th.th1))
             ref = _verdicts(dims, arrows, framing, theta)[2]
-        seen.clear()
         for scale in (1, Fraction(7, 5), 3, Fraction(1, 12)):
+            seen.clear()
             scaled = Theta(theta.th0 * scale, theta.th1 * scale)
             assert _verdicts(dims, arrows, framing, scaled)[2] == ref
-        assert set(seen) <= {int}
+            # the value of V, then one per arrow-closed pair, the empty
+            # pair among them: the scan compares values from theta_value
+            assert len(seen) > 1 and set(seen) <= {int}
         kinds.add(ref[0])
     assert kinds == {"stable", "semistable", "unstable"}
 
@@ -365,15 +378,301 @@ def _brute_closed_subsets(rep):
     return out
 
 
+def _subset(m, d):
+    """Basis subset of a bitmask of the stability scan (index i at bit
+    d - 1 - i)."""
+    return frozenset(i for i in range(d) if m >> (d - 1 - i) & 1)
+
+
+def _graded(dims, arrows, framing=None):
+    d0, d1 = dims
+    return FramedRep.build(dims, *arrows, framing=framing,
+                           grading0=tuple(range(d0)),
+                           grading1=tuple(range(100, 100 + d1)))
+
+
+def test_bitmask_places_follow_sorted_index_lists():
+    for d in range(7):
+        order = sorted(range(1 << d), key=lambda m: sorted(_subset(m, d)))
+        assert [quiver._order_place(m, d) for m in order] == list(range(1 << d))
+
+
 def test_arrow_closed_subsets_match_brute_force():
+    # the reach tables of the stability scan admit exactly the bitmask
+    # pairs whose subsets span a subrepresentation
     rng = random.Random(7)
     for _ in range(300):
         dims, arrows = _random_graded_arrows(rng)
-        # dense arrows too: the scan does not need the grading precondition
-        if rng.random() < 0.5:
-            arrows = tuple([[rng.choice((0, 0, 1, 2)) for _ in row] for row in M]
-                           for M in arrows)
-        rep = FramedRep.build(dims, *arrows)
-        got = _arrow_closed_subsets(rep)
+        d0, d1 = dims
+        rep = _graded(dims, arrows)
+        (r00, r01), (r10, r11) = _graded_reach(rep)
+        got = [(_subset(m0, d0), _subset(m1, d1))
+               for m0 in range(1 << d0) for m1 in range(1 << d1)
+               if not (r00[m0] & ~m0 or r01[m0] & ~m1 or
+                       r11[m1] & ~m1 or r10[m1] & ~m0)]
         assert len(set(got)) == len(got)
         assert set(got) == set(_brute_closed_subsets(rep))
+
+
+# ---------------------------------------------------------------------------
+# the integer, sparse and bitmask kernels against copies of the Fraction,
+# dense-product and sorted-candidate code they replaced
+
+
+def _ref_classify_theta(theta, k_max=10):
+    """classify_theta in Fraction arithmetic."""
+    def wall_at(r, minus_side):
+        if r >= 1:
+            return WallLabel("Lmm" if minus_side else "Lmp", r)
+        return WallLabel("Lpm" if minus_side else "Lpp", -r)
+
+    def index_ok(label):
+        if label.family in ("Lmm", "Lmp"):
+            return label.index <= k_max
+        return label.index <= k_max - 1
+
+    a, b = Fraction(theta.th0), Fraction(theta.th1)
+    if a == 0 and b == 0:
+        return ClassifyResult("degenerate")
+    if a + b == 0:
+        fam = "Linf_minus" if a < b else "Linf_plus"
+        return ClassifyResult("wall", wall=WallLabel(fam))
+    if a > 0 and b > 0:
+        return ClassifyResult("chamber", chamber="empty")
+    if a < 0 and b < 0:
+        return ClassifyResult("chamber", chamber="NC")
+    r = b / (a + b)
+    minus_side = a < b
+    if r.denominator == 1:
+        lab = wall_at(int(r), minus_side)
+        if not index_ok(lab):
+            return ClassifyResult("inconclusive")
+        return ClassifyResult("wall", wall=lab)
+    f = r.numerator // r.denominator
+    lower, upper = wall_at(f, minus_side), wall_at(f + 1, minus_side)
+    if not (index_ok(lower) and index_ok(upper)):
+        return ClassifyResult("inconclusive")
+    if a < 0 < b and a + b > 0:
+        return ClassifyResult("chamber", chamber="Zt", lower=lower,
+                              upper=upper, t=r, interval=(f, f + 1))
+    return ClassifyResult("chamber", chamber="between", lower=lower,
+                          upper=upper)
+
+
+def _branch_thetas(rng, count):
+    """Thetas on both sides of every wall and in every chamber: theta =
+    s * (1 - t, t) for a rational t and scale s, plus the infinite wall
+    and the origin; an integral coordinate is an int half the time."""
+    def coord(q):
+        return int(q) if q.denominator == 1 and rng.random() < 0.5 else q
+
+    for _ in range(count):
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 7))
+        u = rng.random()
+        if u < 0.05:
+            th = (Fraction(0), Fraction(0))
+        elif u < 0.15:
+            th = (s, -s)
+        else:
+            t = Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 5)))
+            th = (s * (1 - t), s * t)
+        yield Theta(coord(th[0]), coord(th[1]))
+
+
+def test_classify_theta_matches_the_fraction_reference():
+    rng = random.Random(19)
+    reached = set()
+    for theta in _branch_thetas(rng, 3000):
+        for k_max in (0, 1, 2, 10):
+            got = classify_theta(theta, k_max)
+            assert repr(got) == repr(_ref_classify_theta(theta, k_max))
+            reached.add((got.kind, got.chamber,
+                         got.wall.family if got.wall else None))
+    assert {kind for kind, _, _ in reached} == \
+        {"degenerate", "wall", "chamber", "inconclusive"}
+    assert {c for _, c, _ in reached} - {None} == \
+        {"empty", "NC", "Zt", "between"}
+    assert {fam for _, _, fam in reached} - {None} == set(quiver.FAMILIES)
+
+
+_REF_RELATIONS = (
+    ("a2*b1*a1 = a1*b1*a2", lambda r: ((r.a2, r.b1, r.a1), (r.a1, r.b1, r.a2))),
+    ("a2*b2*a1 = a1*b2*a2", lambda r: ((r.a2, r.b2, r.a1), (r.a1, r.b2, r.a2))),
+    ("b2*a1*b1 = b1*a1*b2", lambda r: ((r.b2, r.a1, r.b1), (r.b1, r.a1, r.b2))),
+    ("b2*a2*b1 = b1*a2*b2", lambda r: ((r.b2, r.a2, r.b1), (r.b1, r.a2, r.b2))),
+    ("dd*a1 = a1*c", lambda r: ((r.dd, r.a1), (r.a1, r.c))),
+    ("dd*a2 = a2*c", lambda r: ((r.dd, r.a2), (r.a2, r.c))),
+    ("c*b1 = b1*dd", lambda r: ((r.c, r.b1), (r.b1, r.dd))),
+    ("c*b2 = b2*dd", lambda r: ((r.c, r.b2), (r.b2, r.dd))),
+)
+
+
+def _ref_mat_mul(A, B):
+    if not A or not B:
+        return tuple(() if not B or not B[0] else (0,) * len(B[0])
+                     for _ in A)
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                 for row in A)
+
+
+def _ref_check_relations(rep):
+    """check_relations as dense matrix products of both words."""
+    for name, words in _REF_RELATIONS:
+        prods = []
+        for word in words(rep):
+            out = word[-1]
+            for M in reversed(word[:-1]):
+                out = _ref_mat_mul(M, out)
+            prods.append(out)
+        if prods[0] != prods[1]:
+            return ("fail", name)
+    return ("pass", None)
+
+
+def _random_dense_arrows(rng):
+    """Dense arrows with int and Fraction entries; half of them a family
+    that satisfies every relation (a1 = a2 = A, b1 = b2 = B, c = BA,
+    dd = AB), mostly with one entry of one arrow then moved."""
+    d0, d1 = rng.randint(0, 3), rng.randint(0, 3)
+    entries = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+    def dense(rows, cols):
+        return [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+
+    shapes = ((d1, d0), (d1, d0), (d0, d1), (d0, d1), (d0, d0), (d1, d1))
+    if rng.random() < 0.5:
+        return (d0, d1), [dense(r, c) for r, c in shapes]
+    A, B = dense(d1, d0), dense(d0, d1)
+    arrows = [A, [row[:] for row in A], B, [row[:] for row in B],
+              _int_mul(B, A, d0, d0), _int_mul(A, B, d1, d1)]
+    k = rng.randrange(6)
+    if arrows[k] and arrows[k][0] and rng.random() < 0.7:
+        M = arrows[k]
+        M[rng.randrange(len(M))][rng.randrange(len(M[0]))] += Fraction(1, 3)
+    return (d0, d1), arrows
+
+
+def test_check_relations_matches_dense_products():
+    rng = random.Random(23)
+    failed = set()
+    for _ in range(1500):
+        dims, arrows = _random_dense_arrows(rng)
+        rep = FramedRep.build(dims, *arrows)
+        got = check_relations(rep)
+        assert got == _ref_check_relations(rep)
+        failed.add(got[1])
+    # every relation is the first to fail somewhere, and some reps pass
+    assert failed == {None, *quiver.RELATIONS}
+    # dd*a1 and a1*c agree only once the entries of dd*a1 cancel to 0
+    A, B = [[1], [1]], [[1, -1]]
+    rep = FramedRep.build((1, 2), A, A, B, B, _int_mul(B, A, 1, 1),
+                          _int_mul(A, B, 2, 2))
+    assert rep.c == ((0,),) and check_relations(rep) == ("pass", None)
+
+
+def _ref_graded_precondition(rep):
+    if rep.grading0 is None or rep.grading1 is None:
+        raise NotMultiplicityFree("representation carries no grading")
+    if len(set(rep.grading0)) != len(rep.grading0) or \
+            len(set(rep.grading1)) != len(rep.grading1):
+        raise NotMultiplicityFree("a graded piece has dimension > 1")
+    for name, M, _, _ in rep.arrows():
+        for row in M:
+            if sum(1 for x in row if x != 0) > 1:
+                raise NotMultiplicityFree(f"arrow {name} merges graded lines")
+        for j in range(len(M[0]) if M else 0):
+            if sum(1 for row in M if row[j] != 0) > 1:
+                raise NotMultiplicityFree(f"arrow {name} splits a graded line")
+    if sum(1 for x in rep.framing if x != 0) > 1:
+        raise NotMultiplicityFree("framing vector is not homogeneous")
+
+
+def _ref_is_stable_graded(rep, theta):
+    """is_stable_graded over the sorted list of closed subsets, with
+    Fraction values."""
+    _ref_graded_precondition(rep)
+    th0, th1 = Fraction(theta.th0), Fraction(theta.th1)
+    d0, d1 = rep.dims
+    total = th0 * d0 + th1 * d1
+    fsupp = frozenset(i for i, x in enumerate(rep.framing) if x != 0)
+    subs = sorted(_brute_closed_subsets(rep),
+                  key=lambda s: (-(len(s[0]) + len(s[1])),
+                                 sorted(s[0]), sorted(s[1])))
+    tie = None
+    for S0, S1 in subs:
+        val = th0 * len(S0) + th1 * len(S1)
+        if S0 or S1:
+            if val > 0:
+                return ("unstable", (S0, S1, False))
+            if val == 0 and tie is None:
+                tie = (S0, S1, False)
+        if fsupp <= S0 and (len(S0), len(S1)) != (d0, d1):
+            if val > total:
+                return ("unstable", (S0, S1, True))
+            if val == total and tie is None:
+                tie = (S0, S1, True)
+    if tie is not None:
+        return ("semistable", tie)
+    return ("stable", None)
+
+
+def test_stability_matches_the_sorted_candidate_reference():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(1500):
+        dims, arrows = _random_graded_arrows(rng)
+        framing = [0] * dims[0]
+        if dims[0] and rng.random() < 0.85:
+            framing[rng.randrange(dims[0])] = rng.randint(1, 3)
+        rep = _graded(dims, arrows, framing)
+        # small coordinates, often zero or opposite, make many ties
+        th = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+              for _ in range(2)]
+        theta = Theta(*(int(x) if x.denominator == 1 else x for x in th))
+        got = is_stable_graded(rep, theta)
+        assert got == _ref_is_stable_graded(rep, theta)
+        seen.add((got[0], got[1] and got[1][2]))
+    assert seen == {("stable", None), ("semistable", False),
+                    ("semistable", True), ("unstable", False),
+                    ("unstable", True)}
+
+
+def test_graded_precondition_matches_the_reference():
+    # graded arrows with, often, entries added that merge or split lines
+    # (both, in one arrow, when two are added), a second framing entry, or
+    # a repeated grading
+    rng = random.Random(31)
+    raised = set()
+    for _ in range(1000):
+        dims, arrows = _random_graded_arrows(rng)
+        d0, d1 = dims
+        arrows = [[row[:] for row in M] for M in arrows]
+        k = rng.randrange(6)
+        if arrows[k] and arrows[k][0] and rng.random() < 0.6:
+            M = arrows[k]
+            for _ in range(rng.randint(1, 2)):
+                M[rng.randrange(len(M))][rng.randrange(len(M[0]))] = 1
+        framing = [rng.choice((0, 0, 1)) for _ in range(d0)]
+        g0 = tuple(range(d0))
+        if d0 > 1 and rng.random() < 0.1:
+            g0 = (0,) * d0
+        rep = FramedRep.build(dims, *arrows, framing=framing, grading0=g0,
+                              grading1=tuple(range(d1)))
+        results = []
+        for check in (_graded_reach, _ref_graded_precondition):
+            try:
+                check(rep)
+                results.append(None)
+            except NotMultiplicityFree as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        raised.add(results[0] and re.sub(r"arrow \w+ ", "", results[0]))
+    # a split in an early row and a merge in a later one: merging is named
+    rep = FramedRep.build((2, 3), a1=[[1, 0], [1, 0], [1, 1]],
+                          grading0=(0, 1), grading1=(2, 3, 4))
+    with pytest.raises(NotMultiplicityFree, match="a1 merges"):
+        _graded_reach(rep)
+    assert raised == {None, "a graded piece has dimension > 1",
+                      "merges graded lines", "splits a graded line",
+                      "framing vector is not homogeneous"}
