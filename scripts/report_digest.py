@@ -27,6 +27,12 @@ A `sha256[:16]  classify_theta grid` line digests the repr of every
 classify_theta result over the scripts/chamber_grid.py grid at 10 steps per
 unit and kmax 40, and over the integer points of [-25, 25]^2 at kmax 0, 1
 and 10, where on-wall and integer-wall results are frequent.
+A `sha256[:16]  contribution strings of N points` line digests
+str(geom.contribution(fp)), or the name of the exception it raises, for
+every fixed point of the EVAL_MENU fibers (both sides, every degree up to
+tmax) and of js_fixed_points(k, d) for k <= 4, d <= 3.  Eval reports hold
+only residues, so this line is where a change to the text of an eval-path
+value shows.
 
 Comparing the output of two checkouts checks that their reports and quiver
 outcomes are byte-identical.  The wallx sources are taken from this
@@ -48,7 +54,7 @@ from fractions import Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from wallx import quiver  # noqa: E402
+from wallx import geom, quiver  # noqa: E402
 from wallx.cli import main as cli_main, series as cli_series  # noqa: E402
 from wallx.ratfun import _form_coeffs, parse_ratfun  # noqa: E402
 
@@ -191,6 +197,27 @@ def classify_digest():
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def contribution_digest():
+    """(digest, N): str(contribution(fp)) over the N fixed points of the
+    EVAL_MENU fibers and of js k <= 4, d <= 3, in that order."""
+    points = []
+    for i0, k, tmax in load_bench("workloads").EVAL_MENU:
+        i0 = geom.parse_i0(i0)
+        for d in range(tmax + 1):
+            points += geom.fiber_plus(k, i0, d) + geom.fiber_minus(k, i0, d)
+    points += [fp for k in range(1, 5) for d in range(4)
+               for fp in geom.js_fixed_points(k, d)]
+    lines = []
+    for fp in points:
+        try:
+            text = str(geom.contribution(fp))
+        except Exception as exc:
+            text = type(exc).__name__
+        lines.append(f"{fp.label}: {text}")
+    data = "\n".join(lines).encode()
+    return hashlib.sha256(data).hexdigest()[:16], len(points)
+
+
 def normal_form_fault(value):
     """How value breaks the normal form's invariant, or None."""
     if not all(value.factored.values()):
@@ -233,6 +260,8 @@ def main():
           flush=True)
     print(f"{chamber_digest()}  chamber seed {CHAMBER_SEED}", flush=True)
     print(f"{classify_digest()}  classify_theta grid", flush=True)
+    digest, n = contribution_digest()
+    print(f"{digest}  contribution strings of {n} points", flush=True)
     mismatched = [v for v, r in zip(values, read_back) if v != r]
     for v in mismatched[:3]:
         print(f"does not read back to itself: {v}", file=sys.stderr)

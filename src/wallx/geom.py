@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kclass import KClass, chi_p1, euler_class, weight
+from .kclass import _kclass, chi_p1, euler_class, weight
 from .ratfun import PoleAtZeroWeight, RatFun
 
 ON_Y = "on_Y"
@@ -87,7 +87,7 @@ def chi_X(F):
         for (w1, w2, w3, wm), c in chi_p1(a, b).terms.items():
             w = (w1 + t1, w2 + t2, w3 + t3, wm + tm)
             total[w] = total.get(w, 0) + c
-    return KClass(total)
+    return _kclass({w: c for w, c in total.items() if c})
 
 
 def _exterior_powers(normal):
@@ -148,7 +148,7 @@ def chi_pair(F, G, ambient):
                     total[key] = total.get(key, 0) + cn
     # weights that cancel are dropped here; the order of the rest reaches no
     # report, since rf_sum and str sort the forms they meet
-    return KClass(total)
+    return _kclass({w: c for w, c in total.items() if c})
 
 
 def sqrt_class(F):
@@ -222,7 +222,8 @@ def contribution(fp):
         w = (-w1, -w2, -w3, 1 - wm)
         v[w] = v.get(w, 0) + c
     return with_point_sign(
-        fp, euler_class(chi_pair(F, F, "Y3fold") + KClass(v)))
+        fp, euler_class(chi_pair(F, F, "Y3fold")
+                        + _kclass({w: c for w, c in v.items() if c})))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,8 @@ def _support_of(summands):
 
 def _thicken(bundle, count):
     """count copies of bundle twisted by t3^j for j < count."""
-    return [bundle.shifted(weight(w3=j)) for j in range(count)]
+    a, b, (t1, t2, t3, tm) = bundle
+    return [EquivLineBundle(a, b, (t1, t2, t3 + j, tm)) for j in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ def t0_weight(k):
 
 
 def _kclass(terms):
-    """KClass over a dict of nonzero int multiplicities built by KClass
-    arithmetic, taken as it is."""
+    """KClass over a dict of nonzero int multiplicities, taken as it is: its
+    builder has dropped the zeros, as KClass arithmetic does."""
     v = object.__new__(KClass)
     v.terms = terms
     return v
@@ -36,9 +36,16 @@ class KClass:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {w: int(c) for w, c in terms.items() if c != 0}
+        """Zero multiplicities are dropped; ValueError on a weight that is
+        not a tuple of 4 ints or a multiplicity that is not integral."""
+        self.terms = {}
+        for w, c in (terms or {}).items():
+            if type(w) is not tuple or tuple(map(type, w)) != (int,) * 4:
+                raise ValueError(f"weight {w!r} is not a tuple of 4 ints")
+            if c != int(c):
+                raise ValueError(f"multiplicity {c!r} is not integral")
+            if c:
+                self.terms[w] = int(c)
 
     @staticmethod
     def zero():
@@ -131,18 +138,22 @@ def parse_kclass(s):
     return KClass(terms)
 
 
+# chi_p1's class per (a, b); KClass arithmetic never changes a class
+_CHI_P1 = {}
+
+
 def chi_p1(a, b):
     """Character of chi(P^1, O(a Z0 + b Zinf)) by equivariant Riemann-Roch.
 
-    The geometric sum of the RR formula gives sum_{k=-a}^{b} t0^k when
-    -a <= b, the empty class when b = -a-1, and minus the complementary
-    range when b < -a-1.  The rank is a+b+1 in every case.
+    The geometric sum of the RR formula is sum_{k=-a}^{b} t0^k when -a <= b,
+    else minus the range b < k < -a (empty when b = -a-1); the rank is a+b+1
+    in every case.  The class is built once per (a, b) and shared.
     """
-    if -a <= b:
-        return _kclass({t0_weight(k): 1 for k in range(-a, b + 1)})
-    if b == -a - 1:
-        return KClass.zero()
-    return _kclass({t0_weight(k): -1 for k in range(b + 1, -a)})
+    v = _CHI_P1.get((a, b))
+    if v is None:
+        ks, c = (range(-a, b + 1), 1) if -a <= b else (range(b + 1, -a), -1)
+        v = _CHI_P1[a, b] = _kclass({t0_weight(k): c for k in ks})
+    return v
 
 
 def euler_class(v):

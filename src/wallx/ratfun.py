@@ -394,12 +394,36 @@ def form_poly(form):
 
 def form_value(form, assign, p):
     """The form's residue mod p at the residues assign."""
-    return sum(c * a for c, a in zip(form, assign)) % p
+    c1, c2, c3, cm = form
+    a1, a2, a3, am = assign
+    return (c1 * a1 + c2 * a2 + c3 * a3 + cm * am) % p
 
 
 def form_str(form):
     """The form as text, e.g. `lam1 - 2*m`."""
     return _terms_str(form, VARS)
+
+
+class _PrimitiveTable(dict):
+    """(primitive canonical form, signed content g) of each coefficient
+    vector from_forms has folded, keyed by the vector as a tuple; g is the
+    gcd of the entries, negated when the first nonzero one is negative.  An
+    entry is never changed, and a form is the object of its own entry, so
+    equal forms are one object and the eval_mod form tables hit by identity."""
+
+    def __missing__(self, vec):
+        c1, c2, c3, cm = vec
+        g = math.gcd(c1, c2, c3, cm)
+        if not g:
+            raise ZeroForm("all coefficients vanish")
+        if (c1 or c2 or c3 or cm) < 0:
+            g = -g
+        form = vec if g == 1 else self[c1 // g, c2 // g, c3 // g, cm // g][0]
+        entry = self[vec] = (form, g)
+        return entry
+
+
+_PRIMITIVE = _PrimitiveTable()
 
 
 # ---------------------------------------------------------------------------
@@ -458,30 +482,23 @@ class RatFun:
     def from_forms(pairs, scalar=1):
         """scalar * prod form^exp over (coefficients, exp) pairs.
 
-        The one sign-and-content fold: each integer coefficient vector, of
-        any sign and content, is divided by its signed content g (the gcd
-        of its entries, negated when the first nonzero entry is negative),
-        which leaves the primitive canonical form, and g^exp enters the
-        scalar.  Exponents of equal forms are summed and zero ones dropped,
-        which gives the normal form directly.
+        The one sign-and-content fold: each integer coefficient vector (a
+        tuple or a list), of any sign and content, is divided by its signed
+        content g, which leaves the primitive canonical form, and g^exp
+        enters the scalar; both come from the table _PRIMITIVE.  Exponents
+        of equal forms are summed and zero ones dropped: the normal form.
         """
         if not scalar:
             return RatFun.zero()
         factored = {}
         up = down = 1
-        for (c1, c2, c3, cm), e in pairs:
-            g = math.gcd(c1, c2, c3, cm)
-            if not g:
-                raise ZeroForm("all coefficients vanish")
-            if (c1 or c2 or c3 or cm) < 0:
-                g = -g
+        for vec, e in pairs:
+            form, g = _PRIMITIVE[tuple(vec)]
             if g != 1:
-                c1, c2, c3, cm = c1 // g, c2 // g, c3 // g, cm // g
                 if e > 0:
                     up *= g ** e
                 else:
                     down *= g ** -e
-            form = (c1, c2, c3, cm)
             factored[form] = factored.get(form, 0) + e
         if up != down:
             scalar = scalar * up if down == 1 else Fraction(scalar * up, down)

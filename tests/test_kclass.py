@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wallx import kclass, ratfun
 from wallx.geom import fiber_minus, fiber_plus, js_fixed_points, parse_i0
 from wallx.geom import sqrt_class, taut_class
 from wallx.kclass import (
@@ -19,7 +20,7 @@ from wallx.kclass import (
     t0_weight,
     weight,
 )
-from wallx.ratfun import MultiPoly, PoleAtZeroWeight, RatFun
+from wallx.ratfun import MultiPoly, PoleAtZeroWeight, RatFun, rf_sum
 
 
 def test_weight_folds_scaling_exponent():
@@ -77,6 +78,70 @@ def test_parse_rejects_bad_weights():
                 "1*(1,0,0,0)"]:
         with pytest.raises(ValueError):
             parse_kclass(bad)
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0, 0, 0): Fraction(1, 2)},
+    {(1, 0, 0, 0): 1.7},
+    {(1, 0, 0): 1},
+    {(1, 0, 0, 0, 0): 1},
+    {(1, 0, Fraction(1), 0): 1},
+], ids=["half", "float", "three_entries", "five_entries", "fraction_entry"])
+def test_kclass_rejects_non_integral_multiplicities_and_bad_weights(terms):
+    # a ValueError, not a stored 0 (half), a truncated 1 (float) or a
+    # weight no other class can meet
+    with pytest.raises(ValueError):
+        KClass(terms)
+
+
+def test_kclass_takes_integral_fractions_as_ints():
+    v = KClass({(1, 0, 0, 0): Fraction(4, 2), (0, 1, 0, 0): Fraction(0),
+                (0, 0, 1, 0): 2.0})
+    assert list(v.terms.items()) == [((1, 0, 0, 0), 2), ((0, 0, 1, 0), 2)]
+    assert all(type(c) is int for c in v.terms.values())
+    assert KClass({(1, 0, 0, 0): Fraction(0)}).is_zero()
+
+
+def _chi_p1_formula(a, b):
+    """The terms of chi_p1(a, b), built afresh by the Riemann-Roch range."""
+    if -a <= b:
+        return {t0_weight(k): 1 for k in range(-a, b + 1)}
+    if b == -a - 1:
+        return {}
+    return {t0_weight(k): -1 for k in range(b + 1, -a)}
+
+
+def test_chi_p1_table_matches_the_formula_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(kclass, "_CHI_P1", {})
+    keys = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+    cold = {key: chi_p1(*key) for key in keys}
+    assert len(kclass._CHI_P1) == len(keys)
+    for key in keys:
+        want = list(_chi_p1_formula(*key).items())
+        warm = chi_p1(*key)
+        assert warm is cold[key]
+        assert list(warm.terms.items()) == want
+    assert len(kclass._CHI_P1) == len(keys)
+
+
+def test_tabled_classes_and_forms_are_unchanged_by_arithmetic():
+    u, v = chi_p1(2, 1), chi_p1(0, -3)
+    m = (0, 0, 0, 1)
+    classes = {x: list(x.terms.items()) for x in (u, v)}
+    values = [euler_class(x.twist(m)) for x in (u, v)]
+    forms = dict(ratfun._PRIMITIVE)
+    assert all(forms[f][0] is f for r in values for f in r.factored)
+    results = [u + v, u - v, v - u, u + u, -u, u.tensor(v), v.tensor(u),
+               u.dual(), v.dual(), u.twist(m), v.twist((1, -1, 2, 0))]
+    products = [euler_class(r.twist(m)) for r in results if not r.is_zero()]
+    assert not rf_sum(products + values).is_zero()
+    assert values[0] * values[1] / values[1] == values[0]
+    assert chi_p1(2, 1) is u and chi_p1(0, -3) is v
+    for x, terms in classes.items():
+        assert list(x.terms.items()) == terms
+    for key, entry in forms.items():
+        assert ratfun._PRIMITIVE[key] is entry
+        assert ratfun._PrimitiveTable()[key] == entry
 
 
 def test_euler_class_zero_weight_policy():

@@ -5,11 +5,13 @@ A checker that still passes with a mutant in place cannot tell the defect
 from working code.  The mutants here run through rf_sum's reduced path (the
 js and OX wall-crossing sums span a rank-3 lattice of forms) and its flat
 path (the IlP1:1 sums), and the fixed-point, chi_pair, zero-screen,
-content and from_forms mutants also through the eval backend at three
-seeds; the map-back mutant is in rf_sum, which an eval check need not call,
-and the residue_pair and residue_sums mutants are in the eval backend
-alone.  A mutant of a function body is the function recompiled from its
-source with one edit.
+content, from_forms and primitive-table mutants also through the eval
+backend at three seeds; the map-back mutant is in rf_sum, which an eval
+check need not call, and the residue_pair and residue_sums mutants are in
+the eval backend alone.  A mutant of a function body is the function
+recompiled from its source with one edit.  Every test starts and ends with
+empty per-key tables (the empty_tables fixture), so a mutant in a table's
+fill is not hidden by entries an earlier test filled.
 
 Equivalent mutants, kept out:
 - with_point_sign off by one under check_wallcross: it negates both
@@ -35,7 +37,9 @@ import math
 import textwrap
 from fractions import Fraction
 
-from wallx import geom, ratfun, series
+import pytest
+
+from wallx import geom, kclass, ratfun, series
 from wallx.geom import parse_i0
 from wallx.kclass import KClass
 from wallx.ratfun import EvalBackend
@@ -46,6 +50,19 @@ OX = parse_i0("OX")
 IlP1 = parse_i0("IlP1:1")
 IP1 = parse_i0("IP1")
 BACKENDS = ("symbolic", *(EvalBackend(seed=seed) for seed in (1, 2, 3)))
+
+
+@pytest.fixture(autouse=True)
+def empty_tables():
+    """Empty the per-key tables (kclass._CHI_P1, ratfun._PRIMITIVE) before
+    and after each test: a mutant in a table's fill then runs on every key
+    its checks meet, not only on keys no earlier test has filled, and the
+    entries it fills go with it."""
+    kclass._CHI_P1.clear()
+    ratfun._PRIMITIVE.clear()
+    yield
+    kclass._CHI_P1.clear()
+    ratfun._PRIMITIVE.clear()
 
 
 def test_sane_checks_pass():
@@ -109,6 +126,19 @@ def test_from_forms_dropping_a_pole_content_is_rejected(monkeypatch):
         assert not check_wallcross(2, IlP1, 3, backend).passed
     assert not check_insertion_free(2, 3).passed
     assert not check_dimred(2, 3).passed
+
+
+def test_primitive_table_taking_the_content_of_one_entry_is_rejected(
+        monkeypatch):
+    # the table's fill takes the content from the first nonzero coefficient
+    # alone: (2, 3, 0, 0) is read as 2 * (1, 1, 0, 0)
+    monkeypatch.setattr(ratfun._PrimitiveTable, "__missing__", _recompiled(
+        ratfun._PrimitiveTable.__missing__, "g = math.gcd(c1, c2, c3, cm)",
+        "g = math.gcd(c1 or c2 or c3 or cm)"))
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(3, OX, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed
 
 
 def test_swapped_basis_forms_in_the_map_back_are_rejected(monkeypatch):

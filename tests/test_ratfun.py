@@ -164,6 +164,58 @@ def test_from_forms_text_is_a_function_of_the_value(case):
     assert a == b
 
 
+def _fold(pairs, scalar):
+    """(factored, scalar) of RatFun.from_forms(pairs, scalar), by the sign and
+    content fold run afresh on every vector."""
+    if not scalar:
+        return {}, 0
+    factored = {}
+    up = down = 1
+    for (c1, c2, c3, cm), e in pairs:
+        g = math.gcd(c1, c2, c3, cm)
+        if (c1 or c2 or c3 or cm) < 0:
+            g = -g
+        if g != 1:
+            c1, c2, c3, cm = c1 // g, c2 // g, c3 // g, cm // g
+            if e > 0:
+                up *= g ** e
+            else:
+                down *= g ** -e
+        form = (c1, c2, c3, cm)
+        factored[form] = factored.get(form, 0) + e
+    if up != down:
+        scalar = scalar * up if down == 1 else Fraction(scalar * up, down)
+    return {f: e for f, e in factored.items() if e}, scalar
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(-12, 12)] * 4).filter(any),
+                          st.integers(-3, 3), st.booleans()), max_size=8),
+       st.fractions(min_value=-4, max_value=4, max_denominator=9))
+def test_from_forms_table_matches_the_fold(pairs, scalar):
+    # tuple and list vectors of any sign and content; the second call reads
+    # every vector from the table the first one filled
+    pairs = [(list(v) if as_list else v, e) for v, e, as_list in pairs]
+    factored, want = _fold(pairs, scalar)
+    first = RatFun.from_forms(pairs, scalar)
+    again = RatFun.from_forms(pairs, scalar)
+    for r in (first, again):
+        assert list(r.factored.items()) == list(factored.items())
+        assert r.num == MultiPoly.const(want)
+        # equal forms are one object, the one the table holds
+        assert all(ratfun._PRIMITIVE[f][0] is f for f in r.factored)
+    assert all(a is b for a, b in zip(first.factored, again.factored))
+
+
+def test_zero_vector_raises_on_a_warm_table():
+    RatFun.from_forms([((0, 2, -2, 0), 1), ((1, 0, 0, 0), -1)])
+    assert (0, 2, -2, 0) in ratfun._PRIMITIVE
+    for zero in ((0, 0, 0, 0), [0, 0, 0, 0]):
+        with pytest.raises(ZeroForm):
+            RatFun.from_forms([((0, 2, -2, 0), 1), (zero, 1)])
+    assert (0, 0, 0, 0) not in ratfun._PRIMITIVE
+
+
 # ---------------------------------------------------------------------------
 # arithmetic and normal form
 
