@@ -23,6 +23,13 @@ that divides a non-constant num, or a num that is one linear form.  A last
 workload's checks at seed 42, called straight into wallx.quiver as
 bench/passrun.py calls them: every classify_theta result, and every
 (check_relations, is_cyclic, is_stable_graded) triple with its witness.
+A `sha256[:16]  chamber general reps` line digests, over a fixed seeded set
+of GENERAL_REPS representations with int, Fraction, str and float entries,
+zero and non-unit pivots, zero arrows, wrong shapes, bad entries and
+missing gradings, each build error or the outcomes of check_relations,
+is_cyclic, subrep_closure on seeded vectors and is_stable_graded, with
+every exception text: the chamber workload's 0/1 graded reps never reach
+the Fraction, pivot and error paths.
 A `sha256[:16]  classify_theta grid` line digests the repr of every
 classify_theta result over the scripts/chamber_grid.py grid at 10 steps per
 unit and kmax 40, and over the integer points of [-25, 25]^2 at kmax 0, 1
@@ -47,6 +54,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -59,6 +67,10 @@ from wallx.cli import main as cli_main, series as cli_series  # noqa: E402
 from wallx.ratfun import _form_coeffs, parse_ratfun  # noqa: E402
 
 CHAMBER_SEED = 42
+GENERAL_REPS = 1500
+# zero entries first, then the nonzero ones from GENERAL_ENTRIES[7]
+GENERAL_ENTRIES = (0, 0, 0, 0, "0", 0.0, Fraction(0), 1, -1, 2, -3, "2/3",
+                   "-5/2", "4/2", 0.5, -1.25, Fraction(3, 4))
 GRID_STEPS, GRID_KMAX = 10, 40
 
 CRITERION_10 = (
@@ -181,6 +193,89 @@ def chamber_digest():
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _general_matrix(rng, rows, cols):
+    u = rng.random()
+    if u < 0.2:
+        return None
+    M = [[0] * cols for _ in range(rows)]
+    if u < 0.35:
+        return M
+    if u < 0.6:  # one nonzero entry per column
+        for j in range(cols * bool(rows)):
+            M[rng.randrange(rows)][j] = rng.choice(GENERAL_ENTRIES[7:])
+        return M
+    return [[rng.choice(GENERAL_ENTRIES) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _product(A, B, rows, cols):
+    return [[sum(Fraction(A[i][k]) * Fraction(B[k][j]) for k in range(len(B)))
+             for j in range(cols)] for i in range(rows)]
+
+
+def _general_rep(rng):
+    """(dims, six arrows, framing, gradings, closure seeds, theta)."""
+    d0, d1 = dims = rng.randint(0, 3), rng.randint(0, 3)
+    shapes = ((d1, d0), (d1, d0), (d0, d1), (d0, d1), (d0, d0), (d1, d1))
+    if rng.random() < 0.3:  # a1 = a2 = A, b1 = b2 = B, c = BA, dd = AB
+        A = _general_matrix(rng, d1, d0) or [[0] * d0 for _ in range(d1)]
+        B = _general_matrix(rng, d0, d1) or [[0] * d1 for _ in range(d0)]
+        arrows = [A, A, B, B, _product(B, A, d0, d0), _product(A, B, d1, d1)]
+    else:
+        arrows = [_general_matrix(rng, r, c) for r, c in shapes]
+    k = rng.randrange(6)
+    M = arrows[k]
+    if M and M[0] and rng.random() < 0.1:  # one arrow out of shape
+        arrows[k] = M[1:] if rng.random() < 0.5 else [M[0] + [1], *M[1:]]
+    elif M and M[0] and rng.random() < 0.03:  # an entry _coef rejects
+        arrows[k] = [[rng.choice((None, "")), *M[0][1:]], *M[1:]]
+    framing = [rng.choice(GENERAL_ENTRIES)
+               for _ in range(d0 + (rng.random() < 0.02))]
+    gradings = {}
+    if rng.random() < 0.9:
+        gradings = {"grading0": tuple(range(d0)),
+                    "grading1": tuple(range(100, 100 + d1))}
+    seeds = [[(s, [rng.choice(GENERAL_ENTRIES) for _ in range(dims[s])])
+              for s in (rng.randrange(2) for _ in range(rng.randint(1, 3)))]
+             for _ in range(2)]
+    if rng.random() < 0.05:
+        seeds[0][0][1].append(1)
+    theta = quiver.Theta.of(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                            Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    return dims, arrows, framing, gradings, seeds, theta
+
+
+def _outcome(f, *args):
+    """repr of f(*args), witnesses as sorted lists, or the exception text."""
+    try:
+        out = f(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if f is quiver.is_stable_graded and out[1] is not None:
+        out = (out[0], (sorted(out[1][0]), sorted(out[1][1]), out[1][2]))
+    return repr(out)
+
+
+def general_rep_digest():
+    """Digest of the rep checks over the GENERAL_REPS seeded general reps."""
+    rng = random.Random("wallx-digest:general-reps")
+    lines = []
+    for _ in range(GENERAL_REPS):
+        dims, arrows, framing, gradings, seeds, theta = _general_rep(rng)
+        try:
+            rep = quiver.FramedRep.build(dims, *arrows, framing=framing,
+                                         **gradings)
+        except Exception as exc:
+            lines.append(f"build {type(exc).__name__}: {exc}")
+            continue
+        lines.append(" | ".join(
+            [_outcome(quiver.check_relations, rep),
+             _outcome(quiver.is_cyclic, rep),
+             *(_outcome(quiver.subrep_closure, rep, s) for s in seeds),
+             _outcome(quiver.is_stable_graded, rep, theta)]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def classify_digest():
     """Digest of classify_theta over the chamber grid and integer points.
 
@@ -259,6 +354,7 @@ def main():
     print(f"{digest[:16]}  parse_ratfun round trip of {len(values)} values",
           flush=True)
     print(f"{chamber_digest()}  chamber seed {CHAMBER_SEED}", flush=True)
+    print(f"{general_rep_digest()}  chamber general reps", flush=True)
     print(f"{classify_digest()}  classify_theta grid", flush=True)
     digest, n = contribution_digest()
     print(f"{digest}  contribution strings of {n} points", flush=True)

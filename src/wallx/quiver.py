@@ -11,8 +11,10 @@ representations carrying a multiplicity-free weight grading.
 Theta coordinates may be int or Fraction; chambers and stability are
 decided in ints.  Matrix, framing and seed entries hold the invariant of
 the ratfun kernel (`ratfun._coef`): an entry is an int whenever its value
-is integral and a Fraction otherwise, never a float.  The relations act
-with sparse arrow columns, and graded stability scans bitmasks.
+is integral and a Fraction otherwise, never a float.  A representation
+holds each arrow once, as sparse columns built with its shape check; the
+relations, the subrepresentation closure and the graded reach tables all
+read those columns, and graded stability scans bitmasks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import cache
 
 from .ratfun import DivisionByZero, _coef
 
@@ -160,8 +162,10 @@ class ClassifyResult:
         return f"chamber between {self.lower} and {self.upper}"
 
 
+@cache
 def _wall_at_integer(r, minus_side):
-    """Wall label whose line is t = r (an integer) on the given side."""
+    """Wall label whose line is t = r (an integer) on the given side; one
+    shared (frozen) label per (r, minus_side)."""
     if r >= 1:
         return WallLabel("Lmm" if minus_side else "Lmp", r)
     return WallLabel("Lpm" if minus_side else "Lpp", -r)
@@ -238,77 +242,69 @@ def wall_object(label):
 
 
 # ---------------------------------------------------------------------------
-# Exact matrix helpers (maps stored as rows-of-target x cols-of-source).
+# Framed representations.  Each arrow is held once as sparse columns: column
+# j of an arrow is {i: entry} over its nonzero entries, the image of the j-th
+# basis vector of the source space.
 
-def mat(rows):
-    return tuple(tuple(_coef(x) for x in row) for row in rows)
-
-
-def zero_mat(nrows, ncols):
-    return tuple((0,) * ncols for _ in range(nrows))
-
-
-def mat_vec(A, v):
-    return tuple(_coef(sum(map(mul, row, v))) for row in A)
+# (name, source space index, target space index) of each arrow
+ARROWS = (("a1", 0, 1), ("a2", 0, 1), ("b1", 1, 0), ("b2", 1, 0),
+          ("c", 0, 0), ("dd", 1, 1))
 
 
 @dataclass(frozen=True)
 class FramedRep:
     """Framed representation: V0, V1 with arrows a_i: V0->V1, b_i: V1->V0,
     loops c on V0 and dd on V1, a framing vector in V0, and an optional
-    weight grading of the chosen bases."""
+    weight grading of the chosen bases.  cols[name][j] holds the nonzero
+    entries {i: entry} of column j of the arrow name."""
 
     dims: tuple
-    a1: tuple
-    a2: tuple
-    b1: tuple
-    b2: tuple
-    c: tuple
-    dd: tuple
+    cols: dict
     framing: tuple
     grading0: tuple | None = None
     grading1: tuple | None = None
 
-    def __post_init__(self):
-        d0, d1 = self.dims
-
-        def shape(M, r, cdim):
-            return len(M) == r and all(len(row) == cdim for row in M)
-
-        for name, M, r, cdim in (("a1", self.a1, d1, d0), ("a2", self.a2, d1, d0),
-                                 ("b1", self.b1, d0, d1), ("b2", self.b2, d0, d1),
-                                 ("c", self.c, d0, d0), ("dd", self.dd, d1, d1)):
-            if not shape(M, r, cdim):
-                raise ValueError(f"matrix {name} has wrong shape")
-        if len(self.framing) != d0:
-            raise ValueError("framing vector has wrong length")
-        if self.grading0 is not None and len(self.grading0) != d0:
-            raise ValueError("grading0 has wrong length")
-        if self.grading1 is not None and len(self.grading1) != d1:
-            raise ValueError("grading1 has wrong length")
-
     @staticmethod
     def build(dims, a1=None, a2=None, b1=None, b2=None, c=None, dd=None,
               framing=None, grading0=None, grading1=None):
+        """A rep from arrows given as rows of the target by columns of the
+        source (None for the zero map).  One pass over every row checks its
+        length, applies `_coef` to each entry and keeps the nonzero ones; an
+        entry `_coef` rejects raises before any shape error."""
         d0, d1 = dims
-
-        def m(M, r, cdim):
-            return zero_mat(r, cdim) if M is None else mat(M)
-
-        return FramedRep(
-            dims=(d0, d1),
-            a1=m(a1, d1, d0), a2=m(a2, d1, d0),
-            b1=m(b1, d0, d1), b2=m(b2, d0, d1),
-            c=m(c, d0, d0), dd=m(dd, d1, d1),
-            framing=tuple(_coef(x) for x in
-                          ((0,) * d0 if framing is None else framing)),
-            grading0=grading0, grading1=grading1)
-
-    def arrows(self):
-        """(name, matrix, source space index, target space index)."""
-        return (("a1", self.a1, 0, 1), ("a2", self.a2, 0, 1),
-                ("b1", self.b1, 1, 0), ("b2", self.b2, 1, 0),
-                ("c", self.c, 0, 0), ("dd", self.dd, 1, 1))
+        cols, wrong = {}, None
+        for (name, src, tgt), M in zip(ARROWS, (a1, a2, b1, b2, c, dd)):
+            n = dims[src]
+            cols[name] = col = [{} for _ in range(n)]
+            if M is None:  # the zero map, rows shared and only read
+                M = [[0] * n] * dims[tgt]
+            i = -1
+            for i, row in enumerate(M):
+                if type(row) is not list:
+                    row = list(row)
+                if len(row) != n:
+                    wrong = wrong or name
+                    for x in row:
+                        _coef(x)
+                    continue
+                for j, x in enumerate(row):
+                    if type(x) is not int:
+                        x = _coef(x)
+                    if x:
+                        col[j][i] = x
+            if i + 1 != dims[tgt]:
+                wrong = wrong or name
+        framing = tuple([_coef(x) for x in
+                         ((0,) * d0 if framing is None else framing)])
+        if wrong:
+            raise ValueError(f"matrix {wrong} has wrong shape")
+        if len(framing) != d0:
+            raise ValueError("framing vector has wrong length")
+        if grading0 is not None and len(grading0) != d0:
+            raise ValueError("grading0 has wrong length")
+        if grading1 is not None and len(grading1) != d1:
+            raise ValueError("grading1 has wrong length")
+        return FramedRep((d0, d1), cols, framing, grading0, grading1)
 
 
 # Each relation equates two words in the arrows, read as matrix products
@@ -320,17 +316,6 @@ RELATIONS = ("a2*b1*a1 = a1*b1*a2", "a2*b2*a1 = a1*b2*a2",
 _RELATION_WORDS = tuple(
     (name, *(side.split("*")[::-1] for side in name.split(" = ")))
     for name in RELATIONS)
-
-
-def _columns(M, ncols):
-    """Columns of M as {row: entry} dicts of the nonzero entries."""
-    cols = [{} for _ in range(ncols)]
-    for i, row in enumerate(M):
-        if any(row):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = x
-    return cols
 
 
 def _word_image(cols, word, j):
@@ -350,12 +335,15 @@ def check_relations(rep):
     """Verify the eight quiver relations; returns ('pass', None) or
     ('fail', relation name) for the first violated relation.
 
-    Each arrow is built once as sparse columns.  A relation holds when its
-    two words send every basis vector of their source space to one image.
+    A relation holds when its two words send every basis vector of their
+    source space to one image; it holds at once when each word passes
+    through an arrow with no nonzero entry.
     """
-    cols = {name: _columns(M, rep.dims[src])
-            for name, M, src, _ in rep.arrows()}
+    cols = rep.cols
+    zero = {name for name, col in cols.items() if not any(col)}
     for name, lhs, rhs in _RELATION_WORDS:
+        if not (zero.isdisjoint(lhs) or zero.isdisjoint(rhs)):
+            continue  # both words are the zero map
         for j in range(len(cols[lhs[0]])):
             left, right = _word_image(cols, lhs, j), _word_image(cols, rhs, j)
             # a mismatch counts unless only entries that cancelled to 0 differ
@@ -365,20 +353,24 @@ def check_relations(rep):
 
 
 def _reduce_against(basis, vec):
-    """Reduce vec against a row-echelon basis; return the residue."""
+    """Reduce vec against a row-echelon basis with pivots 1; return the
+    residue."""
     v = list(vec)
     for piv, row in basis:
-        if v[piv] != 0:
-            coef = _coef(Fraction(v[piv], row[piv]))
-            v = [_coef(x - coef * y) for x, y in zip(v, row)]
+        x = v[piv]
+        if x:
+            v = [y - x * z for y, z in zip(v, row)]
     return v
 
 
 def _basis_insert(basis, vec):
-    """Insert vec into the echelon basis; True if the span grew."""
+    """Insert vec, divided by its pivot, into the echelon basis; True if the
+    span grew."""
     v = _reduce_against(basis, vec)
     for piv, x in enumerate(v):
-        if x != 0:
+        if x:
+            if x != 1:
+                v = [_coef(Fraction(y, x)) for y in v]
             basis.append((piv, tuple(v)))
             return True
     return False
@@ -400,10 +392,14 @@ def subrep_closure(rep, seeds):
             work.append((space, vec))
     while work:
         space, vec = work.pop()
-        for _, M, src, tgt in rep.arrows():
+        for name, src, tgt in ARROWS:
             if src != space:
                 continue
-            img = mat_vec(M, vec)
+            img = [0] * rep.dims[tgt]
+            for x, col in zip(vec, rep.cols[name]):
+                if x:
+                    for i, e in col.items():
+                        img[i] += x * e
             if _basis_insert(bases[tgt], img):
                 work.append((tgt, img))
     return (len(bases[0]), len(bases[1]))
@@ -436,18 +432,19 @@ def _graded_reach(rep):
     d0, d1 = dims = rep.dims
     # reach of each single source index, then of every source bitmask
     single = [[[0] * d0, [0] * d0], [[0] * d1, [0] * d1]]
-    for name, M, src, tgt in rep.arrows():
-        bits, top, hit = single[src][tgt], dims[src] - 1, 1 << len(M)
-        seen = split = 0  # source bits met so far, and those met twice
-        for row in M:
-            hit >>= 1  # the bit of this row's target index
-            if any(row):
-                js = [top - j for j, x in enumerate(row) if x]
-                if len(js) > 1:
-                    raise NotMultiplicityFree(f"arrow {name} merges graded lines")
-                split |= seen & 1 << js[0]
-                seen |= 1 << js[0]
-                bits[js[0]] |= hit
+    for name, src, tgt in ARROWS:
+        bits, top = single[src][tgt], dims[tgt] - 1
+        seen = merged = split = 0  # target bits met, and those met twice
+        for j, col in enumerate(rep.cols[name]):
+            hit = 0  # the bits of this column's target indices
+            for i in col:
+                hit |= 1 << top - i
+            merged |= seen & hit
+            seen |= hit
+            split |= len(col) > 1
+            bits[-1 - j] |= hit
+        if merged:
+            raise NotMultiplicityFree(f"arrow {name} merges graded lines")
         if split:
             raise NotMultiplicityFree(f"arrow {name} splits a graded line")
     if sum(map(bool, rep.framing)) > 1:
@@ -485,14 +482,15 @@ def is_stable_graded(rep, theta):
     d0, d1 = rep.dims
     total = theta_value(theta, d0, d1)
     fmask = sum(1 << (d0 - 1 - i) for i, x in enumerate(rep.framing) if x)
+    closed1 = [m1 for m1 in range(1 << d1) if not r11[m1] & ~m1]
     found = []  # (is a tie, -size, m0, m1, has_framing)
     for m0 in range(1 << d0):
         if r00[m0] & ~m0:
             continue
         n0, r01m = m0.bit_count(), r01[m0]
         framed = not fmask & ~m0
-        for m1 in range(1 << d1):
-            if r01m & ~m1 or r11[m1] & ~m1 or r10[m1] & ~m0:
+        for m1 in closed1:
+            if r01m & ~m1 or r10[m1] & ~m0:
                 continue
             n1 = m1.bit_count()
             val = theta_value(theta, n0, n1)

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -21,7 +22,6 @@ from wallx.quiver import (
     dimvec_inverse,
     is_cyclic,
     is_stable_graded,
-    mat,
     parse_wall_label,
     subrep_closure,
     theta_to_zt,
@@ -30,7 +30,7 @@ from wallx.quiver import (
     wall_object,
     walls_up_to,
 )
-from wallx.ratfun import DivisionByZero
+from wallx.ratfun import DivisionByZero, _coef
 
 
 def test_wall_label_text_round_trip():
@@ -40,6 +40,19 @@ def test_wall_label_text_round_trip():
         parse_wall_label("Lxx:1")
     with pytest.raises(ValueError):
         WallLabel("Lmm", 0)
+
+
+def test_classifier_shares_one_valid_label_per_wall():
+    # classify_theta hands out one cached label per wall; each one is a
+    # label the text parser builds and validates afresh
+    for r in range(-12, 13):
+        for minus_side in (True, False):
+            label = quiver._wall_at_integer(r, minus_side)
+            assert label is quiver._wall_at_integer(r, minus_side)
+            assert label == parse_wall_label(str(label))
+    a = classify_theta(Theta.of(-2, 3)).wall
+    b = classify_theta(Theta.of(-4, 6)).wall
+    assert a is b and a == parse_wall_label("Lmm:3")
 
 
 def test_walls_up_to_counts_and_lines():
@@ -148,6 +161,14 @@ def test_wall_object_descriptions():
 # framed representations
 
 
+def _dense(rep):
+    """Dense view of the arrows of rep: name -> rows of the target by
+    columns of the source, 0 where a column holds no entry."""
+    return {name: tuple(tuple(col.get(i, 0) for col in rep.cols[name])
+                        for i in range(rep.dims[tgt]))
+            for name, _, tgt in quiver.ARROWS}
+
+
 def test_relations_trivial_cases():
     assert check_relations(FramedRep.build((1, 1)))[0] == "pass"
     assert check_relations(FramedRep.build((1, 1), a1=[[1]]))[0] == "pass"
@@ -159,6 +180,11 @@ def test_relations_trivial_cases():
 def test_relations_shape_validation():
     with pytest.raises(ValueError):
         FramedRep.build((2, 1), a1=[[1]])
+    # an arrow left out is the zero map of its shape, which no negative
+    # dimension has
+    for dims, name in (((1, -1), "a1"), ((-1, 1), "a1"), ((-2, 0), "b1")):
+        with pytest.raises(ValueError, match=f"matrix {name} has wrong shape"):
+            FramedRep.build(dims)
 
 
 def test_empty_framing_list_is_rejected():
@@ -236,20 +262,34 @@ def test_stability_grading_preconditions():
 # exactness of the integer/Fraction kernel
 
 
-def _entries(M):
-    return [x for row in M for x in row]
+def _stored(rep):
+    return [x for cols in rep.cols.values() for col in cols
+            for x in col.values()]
 
 
 def test_matrix_entries_are_int_or_fraction():
-    M = mat([[1, Fraction(4, 2), Fraction(1, 2)], [0.5, "3/3", -2]])
-    assert M == ((1, 2, Fraction(1, 2)), (Fraction(1, 2), 1, -2))
-    assert [type(x) for x in _entries(M)] == \
-        [int, int, Fraction, Fraction, int, int]
-    half = mat([[Fraction(1, 2), Fraction(3, 2)], [Fraction(6, 3), 0]])
-    assert [type(x) for x in _entries(half)] == [Fraction, Fraction, int, int]
-    rep = FramedRep.build((2, 1), a1=[[1, 0]], framing=[Fraction(2, 2), 0])
-    for M in (rep.a1, rep.a2, rep.b1, rep.c, rep.dd, (rep.framing,)):
-        assert all(type(x) is int for x in _entries(M))
+    rep = FramedRep.build((3, 2), a1=[[1, Fraction(4, 2), Fraction(1, 2)],
+                                      [0.5, "3/3", -2]])
+    assert rep.cols["a1"] == [{0: 1, 1: Fraction(1, 2)}, {0: 2, 1: 1},
+                              {0: Fraction(1, 2), 1: -2}]
+    assert [type(x) for col in rep.cols["a1"] for x in col.values()] == \
+        [int, Fraction, int, int, Fraction, int]
+    half = FramedRep.build((2, 2), c=[[Fraction(1, 2), Fraction(3, 2)],
+                                      [Fraction(6, 3), "1/3"]])
+    assert [type(x) for x in _stored(half)] == [Fraction, int, Fraction, Fraction]
+    # every stored entry is a nonzero int or Fraction; zeros store nothing
+    rep = FramedRep.build((2, 2), a1=[[0, 0.0], ["0", Fraction(0)]],
+                          b2=[["-0", 0], [0.25, -3]], framing=[Fraction(2, 2), 0])
+    assert rep.cols["a1"] == [{}, {}]
+    assert all(type(x) in (int, Fraction) and x for x in _stored(rep))
+    assert _stored(rep) == [Fraction(1, 4), -3]
+    assert [type(x) for x in rep.framing] == [int, int]
+    # an entry _coef rejects raises, even where its value would be falsy
+    for bad in (None, ""):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _coef(bad)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            FramedRep.build((1, 1), dd=[[bad]])
 
 
 def test_subrep_closure_exact_pivot_division():
@@ -364,6 +404,7 @@ def test_stability_compares_int_values_and_ignores_positive_theta_scale(
 
 def _brute_closed_subsets(rep):
     d0, d1 = rep.dims
+    dense = _dense(rep)
     out = []
     for S0, S1 in itertools.product(
             [frozenset(s) for r in range(d0 + 1)
@@ -372,8 +413,9 @@ def _brute_closed_subsets(rep):
              for s in itertools.combinations(range(d1), r)]):
         sets = (S0, S1)
         if all(i in sets[tgt]
-               for _, M, src, tgt in rep.arrows()
-               for j in sets[src] for i in range(len(M)) if M[i][j] != 0):
+               for name, src, tgt in quiver.ARROWS
+               for j in sets[src] for i, row in enumerate(dense[name])
+               if row[j] != 0):
             out.append((S0, S1))
     return out
 
@@ -496,14 +538,14 @@ def test_classify_theta_matches_the_fraction_reference():
 
 
 _REF_RELATIONS = (
-    ("a2*b1*a1 = a1*b1*a2", lambda r: ((r.a2, r.b1, r.a1), (r.a1, r.b1, r.a2))),
-    ("a2*b2*a1 = a1*b2*a2", lambda r: ((r.a2, r.b2, r.a1), (r.a1, r.b2, r.a2))),
-    ("b2*a1*b1 = b1*a1*b2", lambda r: ((r.b2, r.a1, r.b1), (r.b1, r.a1, r.b2))),
-    ("b2*a2*b1 = b1*a2*b2", lambda r: ((r.b2, r.a2, r.b1), (r.b1, r.a2, r.b2))),
-    ("dd*a1 = a1*c", lambda r: ((r.dd, r.a1), (r.a1, r.c))),
-    ("dd*a2 = a2*c", lambda r: ((r.dd, r.a2), (r.a2, r.c))),
-    ("c*b1 = b1*dd", lambda r: ((r.c, r.b1), (r.b1, r.dd))),
-    ("c*b2 = b2*dd", lambda r: ((r.c, r.b2), (r.b2, r.dd))),
+    ("a2*b1*a1 = a1*b1*a2", (("a2", "b1", "a1"), ("a1", "b1", "a2"))),
+    ("a2*b2*a1 = a1*b2*a2", (("a2", "b2", "a1"), ("a1", "b2", "a2"))),
+    ("b2*a1*b1 = b1*a1*b2", (("b2", "a1", "b1"), ("b1", "a1", "b2"))),
+    ("b2*a2*b1 = b1*a2*b2", (("b2", "a2", "b1"), ("b1", "a2", "b2"))),
+    ("dd*a1 = a1*c", (("dd", "a1"), ("a1", "c"))),
+    ("dd*a2 = a2*c", (("dd", "a2"), ("a2", "c"))),
+    ("c*b1 = b1*dd", (("c", "b1"), ("b1", "dd"))),
+    ("c*b2 = b2*dd", (("c", "b2"), ("b2", "dd"))),
 )
 
 
@@ -518,12 +560,13 @@ def _ref_mat_mul(A, B):
 
 def _ref_check_relations(rep):
     """check_relations as dense matrix products of both words."""
+    dense = _dense(rep)
     for name, words in _REF_RELATIONS:
         prods = []
-        for word in words(rep):
-            out = word[-1]
-            for M in reversed(word[:-1]):
-                out = _ref_mat_mul(M, out)
+        for word in words:
+            out = dense[word[-1]]
+            for arrow in reversed(word[:-1]):
+                out = _ref_mat_mul(dense[arrow], out)
             prods.append(out)
         if prods[0] != prods[1]:
             return ("fail", name)
@@ -568,16 +611,18 @@ def test_check_relations_matches_dense_products():
     A, B = [[1], [1]], [[1, -1]]
     rep = FramedRep.build((1, 2), A, A, B, B, _int_mul(B, A, 1, 1),
                           _int_mul(A, B, 2, 2))
-    assert rep.c == ((0,),) and check_relations(rep) == ("pass", None)
+    assert _dense(rep)["c"] == ((0,),) and check_relations(rep) == ("pass", None)
 
 
-def _ref_graded_precondition(rep):
+def _ref_graded_precondition(rep, dense=None):
+    """The grading precondition scanned on dense rows (by default the dense
+    view of rep's columns)."""
     if rep.grading0 is None or rep.grading1 is None:
         raise NotMultiplicityFree("representation carries no grading")
     if len(set(rep.grading0)) != len(rep.grading0) or \
             len(set(rep.grading1)) != len(rep.grading1):
         raise NotMultiplicityFree("a graded piece has dimension > 1")
-    for name, M, _, _ in rep.arrows():
+    for name, M in (dense or _dense(rep)).items():
         for row in M:
             if sum(1 for x in row if x != 0) > 1:
                 raise NotMultiplicityFree(f"arrow {name} merges graded lines")
@@ -676,3 +721,214 @@ def test_graded_precondition_matches_the_reference():
     assert raised == {None, "a graded piece has dimension > 1",
                       "merges graded lines", "splits a graded line",
                       "framing vector is not homogeneous"}
+
+
+# Copies of the dense-row code that the sparse columns replaced: build ran
+# `_ref_mat` on every arrow, then checked shapes; the relations built
+# `_ref_columns` from the rows; the closure multiplied rows (`_ref_mat_vec`)
+# and reduced against an echelon basis with unnormalised pivots.
+
+def _ref_mat(rows):
+    return tuple(tuple(_coef(x) for x in row) for row in rows)
+
+
+def _ref_mat_vec(A, v):
+    return tuple(_coef(sum(map(mul, row, v))) for row in A)
+
+
+def _ref_reduce_against(basis, vec):
+    v = list(vec)
+    for piv, row in basis:
+        if v[piv] != 0:
+            coef = _coef(Fraction(v[piv], row[piv]))
+            v = [_coef(x - coef * y) for x, y in zip(v, row)]
+    return v
+
+
+def _ref_columns(M, ncols):
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(M):
+        if any(row):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+    return cols
+
+
+def _ref_build(dims, arrows, framing):
+    """(dense rows by arrow name, framing) as the dense build made them,
+    raising where it raised."""
+    d0, _ = dims
+    dense = {name: (tuple((0,) * dims[src] for _ in range(dims[tgt]))
+                    if M is None else _ref_mat(M))
+             for (name, src, tgt), M in zip(quiver.ARROWS, arrows)}
+    framing = tuple(_coef(x) for x in ((0,) * d0 if framing is None else framing))
+    for name, src, tgt in quiver.ARROWS:
+        M = dense[name]
+        if len(M) != dims[tgt] or any(len(row) != dims[src] for row in M):
+            raise ValueError(f"matrix {name} has wrong shape")
+    if len(framing) != d0:
+        raise ValueError("framing vector has wrong length")
+    return dense, framing
+
+
+def _ref_relations_on_columns(dims, dense):
+    cols = {name: _ref_columns(dense[name], dims[src])
+            for name, src, _ in quiver.ARROWS}
+    for name, lhs, rhs in quiver._RELATION_WORDS:
+        for j in range(len(cols[lhs[0]])):
+            left = quiver._word_image(cols, lhs, j)
+            right = quiver._word_image(cols, rhs, j)
+            if left != right and any(x for _, x in left.items() ^ right.items()):
+                return ("fail", name)
+    return ("pass", None)
+
+
+def _ref_closure(dims, dense, seeds):
+    def insert(basis, vec):
+        v = _ref_reduce_against(basis, vec)
+        for piv, x in enumerate(v):
+            if x != 0:
+                basis.append((piv, tuple(v)))
+                return True
+        return False
+
+    bases, work = ([], []), []
+    for space, vec in seeds:
+        vec = tuple(_coef(x) for x in vec)
+        if len(vec) != dims[space]:
+            raise ValueError("seed vector has wrong length")
+        if insert(bases[space], vec):
+            work.append((space, vec))
+    while work:
+        space, vec = work.pop()
+        for name, src, tgt in quiver.ARROWS:
+            if src == space:
+                img = _ref_mat_vec(dense[name], vec)
+                if insert(bases[tgt], img):
+                    work.append((tgt, img))
+    return (len(bases[0]), len(bases[1]))
+
+
+def _zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
+_GENERAL_ENTRIES = (0, 0, 0, 0, 1, -1, 2, -3, Fraction(2, 3), Fraction(-5, 2),
+                    Fraction(4, 2), Fraction(0), "3/4", "-2", "0", 0.5, -1.25,
+                    0.0)
+
+
+def _random_general_arrows(rng):
+    """Dims and six arrows of every kind the dense build accepted: None, all
+    zero, one entry per column, or dense, with int, Fraction, str and float
+    entries and non-unit pivots; some satisfy the relations by construction
+    (a1 = a2 = A, b1 = b2 = B, c = BA, dd = AB, zero arrows allowed), some
+    have one arrow out of shape or an entry that `_coef` rejects."""
+    d0, d1 = rng.randint(0, 3), rng.randint(0, 3)
+    shapes = ((d1, d0), (d1, d0), (d0, d1), (d0, d1), (d0, d0), (d1, d1))
+
+    def arrow(r, c):
+        u = rng.random()
+        if u < 0.2:
+            return None
+        if u < 0.35:
+            return [[0] * c for _ in range(r)]
+        if u < 0.6:
+            M = [[0] * c for _ in range(r)]
+            for j in range(c):
+                if r:
+                    M[rng.randrange(r)][j] = rng.choice(_GENERAL_ENTRIES[4:])
+            return M
+        return [[rng.choice(_GENERAL_ENTRIES) for _ in range(c)]
+                for _ in range(r)]
+
+    if rng.random() < 0.3:
+        A = [[_coef(x) for x in row] for row in arrow(d1, d0) or _zeros(d1, d0)]
+        B = [[_coef(x) for x in row] for row in arrow(d0, d1) or _zeros(d0, d1)]
+        arrows = [A, A, B, B, _int_mul(B, A, d0, d0), _int_mul(A, B, d1, d1)]
+    else:
+        arrows = [arrow(r, c) for r, c in shapes]
+    if rng.random() < 0.15:
+        k = rng.randrange(6)
+        r, c = shapes[k]
+        M = arrows[k] = [row[:] for row in arrows[k] or _zeros(r, c)]
+        u = rng.random()
+        if M and u < 0.3:
+            M.pop(rng.randrange(len(M)))
+        elif M and u < 0.6:
+            M[rng.randrange(len(M))].append(rng.choice(_GENERAL_ENTRIES))
+        elif M and c and u < 0.8:
+            M[rng.randrange(len(M))].pop()
+        else:
+            M.append([1] * c)
+    if rng.random() < 0.03:
+        k = rng.randrange(6)
+        r, c = shapes[k]
+        if r and c:
+            M = arrows[k] = [row[:] for row in arrows[k] or _zeros(r, c)]
+            M[rng.randrange(r)][rng.randrange(c)] = rng.choice((None, ""))
+    return (d0, d1), arrows
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, TypeError, NotMultiplicityFree) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_sparse_columns_match_the_dense_row_copies():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(1200):
+        dims, arrows = _random_general_arrows(rng)
+        d0, d1 = dims
+        framing = [rng.choice(_GENERAL_ENTRIES) for _ in range(d0)]
+        if rng.random() < 0.02:
+            framing.append(1)
+        gradings = {}
+        if rng.random() < 0.9:
+            gradings = dict(grading0=tuple(range(d0)),
+                            grading1=tuple(range(100, 100 + d1)))
+        rep = _outcome(FramedRep.build, dims, *arrows, framing, **gradings)
+        ref = _outcome(_ref_build, dims, arrows, framing)
+        if isinstance(ref[0], str):  # the dense build raised
+            assert rep == ref
+            seen.add(ref[1].split()[0])
+            continue
+        dense, ref_framing = ref
+        # the columns hold exactly the nonzero entries of the dense rows,
+        # of the same types
+        got = _dense(rep)
+        assert got == dense and rep.framing == ref_framing
+        assert [type(x) for M in got.values() for row in M for x in row] == \
+            [type(x) for M in dense.values() for row in M for x in row]
+        verdict = check_relations(rep)
+        assert verdict == _ref_relations_on_columns(dims, dense)
+        assert verdict == _ref_check_relations(rep)
+        # relations whose two words, or only one word, pass through a zero
+        # arrow
+        zero = {name for name, M in dense.items() if not any(map(any, M))}
+        for _, lhs, rhs in quiver._RELATION_WORDS:
+            seen.add(("zero words", bool(zero & set(lhs)) + bool(zero & set(rhs))))
+        seen.add(verdict[0])
+        for _ in range(3):
+            seeds = [(s, [rng.choice(_GENERAL_ENTRIES) for _ in range(dims[s])])
+                     for s in (rng.randrange(2) for _ in range(rng.randint(1, 3)))]
+            if rng.random() < 0.05:
+                seeds[0][1].append(1)
+            assert _outcome(subrep_closure, rep, seeds) == \
+                _outcome(_ref_closure, dims, dense, seeds)
+        assert is_cyclic(rep) == (_ref_closure(dims, dense, [(0, ref_framing)])
+                                  == dims)
+        reach = _outcome(_graded_reach, rep)
+        ref_reach = _outcome(_ref_graded_precondition, rep, dense)
+        assert (reach[1] if isinstance(reach[0], str) else None) == \
+            (ref_reach[1] if ref_reach else None)
+        seen.add(ref_reach and re.sub(r"arrow \w+ ", "", ref_reach[1]))
+    assert seen >= {"matrix", "framing", "Invalid", "argument", "pass", "fail",
+                    ("zero words", 1), ("zero words", 2), None,
+                    "representation carries no grading",
+                    "merges graded lines", "splits a graded line",
+                    "framing vector is not homogeneous"}
