@@ -13,7 +13,7 @@ decided in ints.  Matrix, framing and seed entries hold the invariant of
 the ratfun kernel (`ratfun._coef`): an entry is an int whenever its value
 is integral and a Fraction otherwise, never a float.  A representation
 holds each arrow once, as sparse columns built with its shape check; the
-relations, the subrepresentation closure and the graded reach tables all
+relations, the subrepresentation closure and the graded reach table all
 read those columns, and graded stability scans bitmasks.
 """
 
@@ -215,32 +215,6 @@ def classify_theta(theta, k_max=10):
                           upper=upper)
 
 
-def dimvec_bookkeeping(n, d):
-    """(chi, degree) -> dimension vector (d0, d1) = (n, n - d)."""
-    return (n, n - d)
-
-
-def dimvec_inverse(d0, d1):
-    """Dimension vector -> (chi, degree) = (d0, d0 - d1)."""
-    return (d0, d0 - d1)
-
-
-def wall_object(label):
-    """Destabilising object on a finite wall: (description, dimvec, flop).
-
-    The dimension vector is read off the wall line A*theta0 + B*theta1 = 0
-    as (A, B); the Lmp/Lpp walls are the flop-side mirrors of Lmm/Lpm.
-    """
-    if label.family.startswith("Linf"):
-        raise ValueError("the infinite wall carries no finite destabiliser")
-    k = label.index
-    if label.family in ("Lmm", "Lmp"):
-        desc = f"O_P1({k - 1})"
-    else:
-        desc = f"O_P1({-k - 1})[1]"
-    return (desc, wall_line(label), label.family in ("Lmp", "Lpp"))
-
-
 # ---------------------------------------------------------------------------
 # Framed representations.  Each arrow is held once as sparse columns: column
 # j of an arrow is {i: entry} over its nonzero entries, the image of the j-th
@@ -268,16 +242,22 @@ class FramedRep:
     def build(dims, a1=None, a2=None, b1=None, b2=None, c=None, dd=None,
               framing=None, grading0=None, grading1=None):
         """A rep from arrows given as rows of the target by columns of the
-        source (None for the zero map).  One pass over every row checks its
-        length, applies `_coef` to each entry and keeps the nonzero ones; an
-        entry `_coef` rejects raises before any shape error."""
+        source (None for the zero map, whose rows are not walked).  One pass
+        over every given row checks its length, applies `_coef` to each entry
+        and keeps the nonzero ones; an entry `_coef` rejects raises before
+        any shape error."""
         d0, d1 = dims
         cols, wrong = {}, None
         for (name, src, tgt), M in zip(ARROWS, (a1, a2, b1, b2, c, dd)):
             n = dims[src]
             cols[name] = col = [{} for _ in range(n)]
-            if M is None:  # the zero map, rows shared and only read
-                M = [[0] * n] * dims[tgt]
+            if M is None:
+                # the zero map: no entries to check, and rows of n zeros,
+                # which a negative count of rows or columns cannot give
+                rows = dims[tgt]
+                if rows < 0 or rows and n < 0:
+                    wrong = wrong or name
+                continue
             i = -1
             for i, row in enumerate(M):
                 if type(row) is not list:
@@ -376,31 +356,35 @@ def _basis_insert(basis, vec):
     return False
 
 
+# the (arrow name, target space) of the arrows leaving each space
+_OUTGOING = tuple(tuple((name, tgt) for name, src, tgt in ARROWS if src == s)
+                  for s in (0, 1))
+
+
 def subrep_closure(rep, seeds):
     """Smallest arrow-stable pair of subspaces containing the seed vectors.
 
     Seeds are (space, vector) pairs with space 0 or 1, each vector of that
     space's dimension.  Returns the dimension vector of the closure.
     """
+    dims, cols = rep.dims, rep.cols
     bases = ([], [])
     work = []
     for space, vec in seeds:
         vec = tuple(_coef(x) for x in vec)
-        if len(vec) != rep.dims[space]:
+        if len(vec) != dims[space]:
             raise ValueError("seed vector has wrong length")
         if _basis_insert(bases[space], vec):
             work.append((space, vec))
     while work:
         space, vec = work.pop()
-        for name, src, tgt in ARROWS:
-            if src != space:
-                continue
-            img = [0] * rep.dims[tgt]
-            for x, col in zip(vec, rep.cols[name]):
+        for name, tgt in _OUTGOING[space]:
+            img = [0] * dims[tgt]
+            for x, col in zip(vec, cols[name]):
                 if x:
                     for i, e in col.items():
                         img[i] += x * e
-            if _basis_insert(bases[tgt], img):
+            if any(img) and _basis_insert(bases[tgt], img):
                 work.append((tgt, img))
     return (len(bases[0]), len(bases[1]))
 
@@ -418,50 +402,40 @@ def _order_place(m, d):
 
 
 def _graded_reach(rep):
-    """reach[s][t][m]: bitmask of the basis vectors of V_t that the arrows
-    V_s -> V_t send the basis subset m of V_s to; (m0, m1) is arrow-closed
-    when reach[s][t][m_s] lies inside m_t for all s, t.  The same pass
-    checks the multiplicity-free grading, with arrows and framing mapping
-    graded lines to graded lines, so that every subrepresentation is
-    spanned by basis subsets (raises NotMultiplicityFree)."""
+    """reach[b]: bitmask of the basis vectors that the arrows send basis
+    vector b to, in one bit space of V0 and V1: index i of V0 at bit
+    d0 + d1 - 1 - i, index i of V1 at bit d1 - 1 - i.  A basis subset m
+    spans a subrepresentation when the union of reach[b] over its bits b
+    lies inside m.  The same pass checks the multiplicity-free grading,
+    with arrows and framing mapping graded lines to graded lines, so that
+    every subrepresentation is spanned by basis subsets (raises
+    NotMultiplicityFree)."""
     if rep.grading0 is None or rep.grading1 is None:
         raise NotMultiplicityFree("representation carries no grading")
     if len(set(rep.grading0)) != len(rep.grading0) or \
             len(set(rep.grading1)) != len(rep.grading1):
         raise NotMultiplicityFree("a graded piece has dimension > 1")
-    d0, d1 = dims = rep.dims
-    # reach of each single source index, then of every source bitmask
-    single = [[[0] * d0, [0] * d0], [[0] * d1, [0] * d1]]
+    d0, d1 = rep.dims
+    top = (d0 + d1 - 1, d1 - 1)  # the bit of index 0 of each space
+    reach = [0] * (d0 + d1)
     for name, src, tgt in ARROWS:
-        bits, top = single[src][tgt], dims[tgt] - 1
+        at, to = top[src], top[tgt]
         seen = merged = split = 0  # target bits met, and those met twice
         for j, col in enumerate(rep.cols[name]):
             hit = 0  # the bits of this column's target indices
             for i in col:
-                hit |= 1 << top - i
+                hit |= 1 << to - i
             merged |= seen & hit
             seen |= hit
             split |= len(col) > 1
-            bits[-1 - j] |= hit
+            reach[at - j] |= hit
         if merged:
             raise NotMultiplicityFree(f"arrow {name} merges graded lines")
         if split:
             raise NotMultiplicityFree(f"arrow {name} splits a graded line")
     if sum(map(bool, rep.framing)) > 1:
         raise NotMultiplicityFree("framing vector is not homogeneous")
-    return [[_mask_unions(single[s][t]) for t in range(2)] for s in range(2)]
-
-
-def _mask_unions(single):
-    """For every bitmask m, the OR of single[j] over the bits j set in m."""
-    out = [0]
-    for bits in single:
-        out += [x | bits for x in out]
-    return out
-
-
-def theta_value(theta, d0, d1):
-    return theta.th0 * d0 + theta.th1 * d1
+    return reach
 
 
 def is_stable_graded(rep, theta):
@@ -474,32 +448,30 @@ def is_stable_graded(rep, theta):
     semistable; a strict violation returns ('unstable', witness) with
     witness = (S0, S1, has_framing): the least violation, else the least
     tie, by (-|S0|-|S1|, sorted S0, sorted S1, has_framing).  One scan over
-    the arrow-closed bitmask pairs (m0, m1) collects the candidates, with
-    values in ints for theta scaled to integer coordinates.
+    the arrow-closed bitmasks m of `_graded_reach`'s bit space, split into
+    m0 = m >> d1 and m1, collects the candidates, with values in ints for
+    theta scaled to integer coordinates.
     """
-    (r00, r01), (r10, r11) = _graded_reach(rep)
-    theta = Theta(*_scaled(theta))
+    unions = [0]  # unions[m]: the OR of reach[b] over the bits b of m
+    for bits in _graded_reach(rep):
+        unions += [u | bits for u in unions]
+    x, y = _scaled(theta)
     d0, d1 = rep.dims
-    total = theta_value(theta, d0, d1)
-    fmask = sum(1 << (d0 - 1 - i) for i, x in enumerate(rep.framing) if x)
-    closed1 = [m1 for m1 in range(1 << d1) if not r11[m1] & ~m1]
+    total, low = x * d0 + y * d1, (1 << d1) - 1
+    fmask = sum(1 << (d0 - 1 - i) for i, v in enumerate(rep.framing) if v)
     found = []  # (is a tie, -size, m0, m1, has_framing)
-    for m0 in range(1 << d0):
-        if r00[m0] & ~m0:
+    for m, u in enumerate(unions):
+        if u & ~m:
             continue
-        n0, r01m = m0.bit_count(), r01[m0]
-        framed = not fmask & ~m0
-        for m1 in closed1:
-            if r01m & ~m1 or r10[m1] & ~m0:
-                continue
-            n1 = m1.bit_count()
-            val = theta_value(theta, n0, n1)
-            if val >= 0 and (m0 or m1):
-                # an unframed subrepresentation (V0', V1', 0)
-                found.append((val == 0, -n0 - n1, m0, m1, False))
-            if val >= total and framed and n0 + n1 < d0 + d1:
-                # a proper subrepresentation containing the framing
-                found.append((val == total, -n0 - n1, m0, m1, True))
+        m0, m1 = m >> d1, m & low
+        n0, n1 = m0.bit_count(), m1.bit_count()
+        val = x * n0 + y * n1
+        if val >= 0 and m:
+            # an unframed subrepresentation (V0', V1', 0)
+            found.append((val == 0, -n0 - n1, m0, m1, False))
+        if val >= total and not fmask & ~m0 and n0 + n1 < d0 + d1:
+            # a proper subrepresentation containing the framing
+            found.append((val == total, -n0 - n1, m0, m1, True))
     if not found:
         return ("stable", None)
     tie, _, m0, m1, has_framing = min(found, key=lambda c: (
