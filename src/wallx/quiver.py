@@ -401,6 +401,19 @@ def _order_place(m, d):
     return (1 << d) + m.bit_count() - m - (m & -m) if m else 0
 
 
+@cache
+def _subset(m, d):
+    """The basis subset of the bitmask m, as a frozenset of indices."""
+    return frozenset(i for i in range(d) if m >> (d - 1 - i) & 1)
+
+
+@cache
+def _masks_in_order(d):
+    """The bitmasks of the basis subsets of a d-dimensional space, in the
+    order of their sorted index lists."""
+    return sorted(range(1 << d), key=lambda m: _order_place(m, d))
+
+
 def _graded_reach(rep):
     """reach[b]: bitmask of the basis vectors that the arrows send basis
     vector b to, in one bit space of V0 and V1: index i of V0 at bit
@@ -448,9 +461,10 @@ def is_stable_graded(rep, theta):
     semistable; a strict violation returns ('unstable', witness) with
     witness = (S0, S1, has_framing): the least violation, else the least
     tie, by (-|S0|-|S1|, sorted S0, sorted S1, has_framing).  One scan over
-    the arrow-closed bitmasks m of `_graded_reach`'s bit space, split into
-    m0 = m >> d1 and m1, collects the candidates, with values in ints for
-    theta scaled to integer coordinates.
+    the arrow-closed bitmasks m = m0 << d1 | m1 of `_graded_reach`'s bit
+    space, in the order of (sorted S0, sorted S1), keeps the least
+    candidate, with values in ints for theta scaled to integer
+    coordinates.
     """
     unions = [0]  # unions[m]: the OR of reach[b] over the bits b of m
     for bits in _graded_reach(rep):
@@ -459,23 +473,32 @@ def is_stable_graded(rep, theta):
     d0, d1 = rep.dims
     total, low = x * d0 + y * d1, (1 << d1) - 1
     fmask = sum(1 << (d0 - 1 - i) for i, v in enumerate(rep.framing) if v)
-    found = []  # (is a tie, -size, m0, m1, has_framing)
-    for m, u in enumerate(unions):
-        if u & ~m:
-            continue
-        m0, m1 = m >> d1, m & low
-        n0, n1 = m0.bit_count(), m1.bit_count()
-        val = x * n0 + y * n1
-        if val >= 0 and m:
-            # an unframed subrepresentation (V0', V1', 0)
-            found.append((val == 0, -n0 - n1, m0, m1, False))
-        if val >= total and not fmask & ~m0 and n0 + n1 < d0 + d1:
-            # a proper subrepresentation containing the framing
-            found.append((val == total, -n0 - n1, m0, m1, True))
-    if not found:
+    best = None  # ((is a tie, -size), m0, m1, has_framing) of the least
+    for m0 in _masks_in_order(d0):
+        n0 = m0.bit_count()
+        high, v0, framing_in = m0 << d1, x * n0, not fmask & ~m0
+        for m1 in _masks_in_order(d1):
+            m = high | m1
+            if unions[m] & ~m:
+                continue
+            n1 = m1.bit_count()
+            val = v0 + y * n1
+            # an unframed subrepresentation (V0', V1', 0), and a proper
+            # subrepresentation containing the framing: of the two, the
+            # framed one only when it is a violation and the unframed one a
+            # tie
+            unframed = val >= 0 and m
+            framed = val >= total and framing_in and n0 + n1 < d0 + d1
+            if not (unframed or framed):
+                continue
+            has_framing = framed and (not unframed or val == 0 != total)
+            head = (val == total if has_framing else val == 0, -n0 - n1)
+            # the scan runs in the order of (sorted S0, sorted S1), so the
+            # first candidate of the least head is the least candidate
+            if best is None or head < best[0]:
+                best = (head, m0, m1, has_framing)
+    if best is None:
         return ("stable", None)
-    tie, _, m0, m1, has_framing = min(found, key=lambda c: (
-        c[:2], _order_place(c[2], d0), _order_place(c[3], d1), c[4]))
-    S0, S1 = (frozenset(i for i in range(d) if m >> (d - 1 - i) & 1)
-              for m, d in ((m0, d0), (m1, d1)))
+    (tie, _), m0, m1, has_framing = best
+    S0, S1 = _subset(m0, d0), _subset(m1, d1)
     return ("semistable" if tie else "unstable", (S0, S1, has_framing))

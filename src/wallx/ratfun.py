@@ -15,6 +15,7 @@ any other nonzero value raises NonUnitDivisor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -120,6 +121,17 @@ def _power(base, n):
         if not n:
             return result
         base = base * base
+
+
+def _power_rows(assign, top, p):
+    """Per residue a of assign, the list of a^k mod p for k = 0..top."""
+    rows = []
+    for a in assign:
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * a % p)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +276,7 @@ class MultiPoly:
             return 0
         if len(terms) == 1 and 0 in terms:
             return _residue(terms[0], p)
-        top = max(terms) >> 48
-        tables = []
-        for a in assign:
-            row = [1]
-            for _ in range(top):
-                row.append(row[-1] * a % p)
-            tables.append(row)
-        t0, t1, t2, t3 = tables
+        t0, t1, t2, t3 = _power_rows(assign, max(terms) >> 48, p)
         total = 0
         # the fields are read with the literal _MASK, which a global lookup
         # per term would slow
@@ -640,20 +645,6 @@ class RatFun:
             raise EvalDegenerate("denominator hit zero at sample point")
         return num * pow(den, -1, p) % p
 
-    def eval_exact(self, assign):
-        """Evaluate at exact rational assignments; raises DivisionByZero on poles."""
-        acc = sum(Fraction(c) * math.prod(Fraction(a) ** n for a, n in
-                                          zip(assign, _unpack(e)))
-                  for e, c in self.num.terms.items())
-        for f, e in self.factored.items():
-            v = sum(Fraction(c) * Fraction(a) for c, a in zip(f, assign))
-            if v == 0:
-                if e < 0:
-                    raise DivisionByZero("denominator form vanishes at point")
-                return Fraction(0)
-            acc *= v**e
-        return acc
-
     # -- serialization
 
     def __str__(self):
@@ -694,12 +685,14 @@ _HYPERPLANE_BASE = (0x2545F4914F6CDD1D, 0x1B873593CC9E2D51,
                     0x27D4EB2F165667C5, 0x3C6EF372FE94F82A)
 
 
+@functools.cache
 def _hyperplane_point(coeffs):
     """A fixed point mod DEFAULT_PRIME on the hyperplane sum coeffs * vars = 0.
 
     The pivot variable (the first with a nonzero coefficient) is solved for;
     the others take _HYPERPLANE_BASE.  None when the pivot coefficient is
-    0 mod p, so that the pivot cannot be solved for.
+    0 mod p, so that the pivot cannot be solved for.  Cached per coefficient
+    tuple: each division bound asks for its form's point.
     """
     p = DEFAULT_PRIME
     piv = next(i for i in range(NVARS) if coeffs[i])
@@ -712,41 +705,89 @@ def _hyperplane_point(coeffs):
     return tuple(point)
 
 
-def _may_divide(poly, form):
-    """False only when form provably does not divide poly.
+class _Lines(dict):
+    """Entry i: poly on the line of the hyperplane points of the forms with
+    pivot x_i (x_i free, every other variable at its _HYPERPLANE_BASE
+    residue), as its coefficient list mod DEFAULT_PRIME by power of x_i,
+    built on first use; None when a coefficient denominator is 0 mod p."""
 
-    poly is evaluated mod DEFAULT_PRIME at the form's fixed hyperplane point.
-    Let v be the lcm of poly's coefficient denominators.  If form divides
-    poly, it divides the integer polynomial v * poly, and by Gauss's lemma
-    v * poly = form0 * Q with form0 the primitive part of form and Q an
-    integer polynomial.  The content of form divides its pivot coefficient,
-    which is nonzero mod p, so form0 vanishes at the point with form, and
-    poly's value v^-1 * form0 * Q is 0 mod p.  So a nonzero value proves that
-    form does not divide poly.  A zero value, or a coefficient denominator
-    that is 0 mod p, answers "may divide".
+    __slots__ = ("poly",)
+
+    def __init__(self, poly):
+        self.poly = poly
+
+    def __missing__(self, piv):
+        p, terms = DEFAULT_PRIME, self.poly.terms
+        base = [b % p for b in _HYPERPLANE_BASE]
+        base[piv] = 1  # x_i's row of powers is all ones
+        top = max(terms) >> 48
+        t0, t1, t2, t3 = _power_rows(base, top, p)
+        shift, line = 36 - 12 * piv, [0] * (top + 1)
+        try:
+            for e, c in terms.items():
+                if type(c) is not int:
+                    c = _residue(c, p)
+                line[e >> shift & 4095] += (
+                    c * t0[e >> 36 & 4095] * t1[e >> 24 & 4095]
+                    * t2[e >> 12 & 4095] * t3[e & 4095])
+            line = [c % p for c in line]
+        except ValueError:
+            line = None
+        self[piv] = line
+        return line
+
+
+def _division_bound(lines, form):
+    """n_f >= every n with form^n dividing lines.poly, or None (unknown).
+
+    n_f is the multiplicity of x_f, the pivot coordinate of the form's
+    _hyperplane_point, as a root of the pivot's line (see _Lines).  If
+    form^n divides poly, then by Gauss's lemma form0^n divides v * poly,
+    with form0 the primitive part of form and v the lcm of poly's
+    coefficient denominators.  On the line form0 is c * (x - x_f), where c
+    divides form's pivot coefficient and so is nonzero mod p, and v is
+    invertible mod p, so (x - x_f)^n divides the line: n_f >= n.  A pivot
+    coefficient or a denominator that is 0 mod p, or a line that is 0 mod
+    p, gives None.  Horner's rule answers the common n_f = 0 with no list.
     """
     point = _hyperplane_point(form)
     if point is None:
-        return True
-    try:
-        return poly.eval_mod(point, DEFAULT_PRIME) == 0
-    except ValueError:
-        return True
+        return None
+    piv = next(i for i in range(NVARS) if form[i])
+    line, p, x, r = lines[piv], DEFAULT_PRIME, point[piv], 0
+    if line is None:
+        return None
+    for c in reversed(line):
+        r = (r * x + c) % p
+    if r:
+        return 0
+    n = 0
+    while any(line):
+        # synthetic division by x - x_f: quot ends with the remainder
+        quot, r = [], 0
+        for c in reversed(line):
+            r = (r * x + c) % p
+            quot.append(r)
+        if r:
+            return n
+        n, line = n + 1, quot[-2::-1]
+    return None
 
 
-def _divide_out(poly, form):
+def _divide_out(poly, form, lines):
     """(poly / form^n, n) for the largest n with form^n dividing poly.
 
-    The hyperplane test runs before each synthetic division, so a division
-    that would fail is mostly never started; an exact division decides.
+    poly is lines.poly over powers of other forms (or none), so form^n
+    divides lines.poly too and n <= _division_bound(lines, form).  At most
+    that many synthetic divisions are started; an exact one decides, and
+    the first inexact one stops.
     """
-    n = 0
-    while not poly.is_const() and _may_divide(poly, form):
+    n, bound = 0, 0 if poly.is_const() else _division_bound(lines, form)
+    while n != bound and not poly.is_const():  # a bound of None bounds nothing
         q, exact = poly.divmod_linear(form)
         if not exact:
             break
-        poly = q
-        n += 1
+        poly, n = q, n + 1
     return poly, n
 
 
@@ -758,13 +799,15 @@ def _normal(factored, num, forms):
     linear form moves to the factored part, its content folded into num by
     from_forms, and zero exponents are dropped.  forms must hold every key
     of factored with a nonzero exponent.  The forms are primitive, so no two
-    are proportional and their order does not change the result.
+    are proportional and their order does not change the result.  Every
+    form's division bound reads the lines of the num given (see _Lines).
     """
     if num.is_zero():
         return RatFun.zero()
     if not num.is_const():
+        lines = _Lines(num)
         for f in forms:
-            num, up = _divide_out(num, f)
+            num, up = _divide_out(num, f, lines)
             if up:
                 factored[f] = factored.get(f, 0) + up
         split = _linear_split(num)

@@ -29,6 +29,10 @@ Equivalent mutants, kept out:
   with rf_sum has content 1 (the target's x - i factors, the k = 2
   specialised totals) or is an rf_equal difference of equal values, whose
   zero test no scale changes.
+- _division_bound one too low under every check: a form left in a num
+  changes a value's text but not its value, and rf_equal zero-tests a
+  difference.  test_hyperplane_test_never_rejects_a_multiple in
+  tests/test_ratfun.py kills it.
 """
 
 import dataclasses

@@ -97,6 +97,22 @@ def test_form_sign_excluded_from_identity():
     assert (a.num, b.num, c.num) == tuple(map(MultiPoly.const, (1, -1, 2)))
 
 
+def _eval_exact(r, assign):
+    """r at exact rational assignments, from its num's terms and its forms;
+    raises DivisionByZero on a pole."""
+    acc = sum(Fraction(c) * math.prod(Fraction(a) ** n for a, n in
+                                      zip(assign, ratfun._unpack(e)))
+              for e, c in r.num.terms.items())
+    for f, e in r.factored.items():
+        v = sum(Fraction(c) * Fraction(a) for c, a in zip(f, assign))
+        if v == 0:
+            if e < 0:
+                raise DivisionByZero("denominator form vanishes at point")
+            return Fraction(0)
+        acc *= v**e
+    return acc
+
+
 raw_vectors = st.tuples(*[st.integers(-3, 3)] * 4).filter(any)
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -118,7 +134,7 @@ def test_from_forms_is_the_product_of_the_raw_forms(pairs, scalar, points):
         want = scalar
         for v, (_, e) in zip(values, pairs):
             want *= v ** e
-        assert r.eval_exact(point) == want
+        assert _eval_exact(r, point) == want
     assert all(_primitive(f) == (f, 1) for f in r.factored)
     text = str(r)
     assert str(parse_ratfun(text)) == text
@@ -279,7 +295,7 @@ def test_binomial_rf_integer_points():
     x = 2 * M / L3
     b2 = binomial_rf(x, 2)
     # at m/lam3 = 3: binom(6,2) = 15
-    val = b2.eval_exact((1, 1, 1, 3))
+    val = _eval_exact(b2, (1, 1, 1, 3))
     assert val == 15
 
 
@@ -625,26 +641,47 @@ mixed_polys = st.dictionaries(
     min_size=1, max_size=5)
 
 
-@settings(max_examples=100, deadline=None)
-@given(linear_forms, mixed_polys, st.integers(1, 3))
-def test_hyperplane_test_never_rejects_a_multiple(f, g, scale):
+def _bound(poly, form):
+    """The division bound of form on poly's own lines."""
+    return ratfun._division_bound(ratfun._Lines(poly), form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_forms, mixed_polys, st.integers(1, 3), st.integers(1, 3))
+def test_hyperplane_test_never_rejects_a_multiple(f, g, scale, n):
+    p = DEFAULT_PRIME
     g = MultiPoly(g)
-    if g.is_zero():
-        return
+    assume(not g.is_zero())
     # also the non-primitive scale * f, such as 2*lam3
     for form in (f, tuple(scale * c for c in f)):
-        assert ratfun._may_divide(form_poly(form) * g, form)
+        poly = form_poly(form) ** n * g
+        lines = ratfun._Lines(poly)
+        bound = ratfun._division_bound(lines, form)
+        assert bound is None or bound >= n
+        # the pivot's line, evaluated at the pivot coordinate of the form's
+        # hyperplane point, is poly's residue at that point
+        point = ratfun._hyperplane_point(form)
+        piv = next(i for i, c in enumerate(form) if c)
+        x = point[piv]
+        assert (sum(c * pow(x, k, p) for k, c in enumerate(lines[piv])) % p
+                == poly.eval_mod(point, p))
 
 
 def test_hyperplane_test_examples():
     two_lam3 = (0, 0, 2, 0)
     g = MultiPoly({(1, 0, 0, 0): Fraction(1, 3), (0, 0, 0, 1): Fraction(-5, 2)})
-    assert ratfun._may_divide(form_poly(two_lam3) * g, two_lam3)
-    assert not ratfun._may_divide(g, two_lam3)
+    assert _bound(form_poly(two_lam3) * g, two_lam3) == 1
+    assert _bound(form_poly(two_lam3) ** 3 * g, two_lam3) == 3
+    assert _bound(g, two_lam3) == 0
     lam1 = (1, 0, 0, 0)
-    # a coefficient denominator that is 0 mod p may divide
+    # a coefficient denominator that is 0 mod p reads "unknown"
     bad = MultiPoly({(0, 1, 0, 0): Fraction(1, DEFAULT_PRIME)})
-    assert ratfun._may_divide(bad, lam1)
+    assert _bound(bad, lam1) is None
+    # so does a line that is 0 mod p: lam2 - b2 vanishes on lam1's line,
+    # where lam2 takes the base residue b2
+    b2 = ratfun._HYPERPLANE_BASE[1] % DEFAULT_PRIME
+    on_line = MultiPoly({(0, 1, 0, 0): 1, (0, 0, 0, 0): -b2})
+    assert _bound(on_line, lam1) is None
 
 
 def _extracted_strings():
@@ -661,7 +698,7 @@ def _extracted_strings():
 
 def test_extract_linear_same_string_without_hyperplane_test(monkeypatch):
     want = _extracted_strings()
-    monkeypatch.setattr(ratfun, "_may_divide", lambda poly, form: True)
+    monkeypatch.setattr(ratfun, "_division_bound", lambda lines, form: None)
     assert _extracted_strings() == want
 
 
