@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 = all checks passed, 1 = an identity check failed, 2 = usage
-error, 3 = internal pole/enumeration error.  Reports are deterministic for a
-fixed command and seed (`--threads` is accepted and has no effect), and
-check results are cached on disk keyed by the command, its canonical
-parameters, the package version and a digest of the package sources.
+error, 3 = internal error: any WallxError that a command has not already
+turned into a usage error.  Reports are deterministic for a fixed command
+and seed (`--threads` is accepted and has no effect), and check results are
+cached on disk keyed by the command, its canonical parameters, the package
+version and a digest of the package sources.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -34,18 +34,8 @@ from .geom import (
     parse_label,
 )
 from .quiver import Theta, classify_theta, parse_wall_label, wall_halfplane, walls_up_to
-from .ratfun import (
-    DegreeOverflow,
-    DivisionByZero,
-    EvalBackend,
-    EvalDegenerate,
-    NonUnitDivisor,
-    PoleAtSubstitution,
-    PoleAtZeroWeight,
-    ZeroForm,
-)
+from .ratfun import EvalBackend, WallxError
 from .series import (
-    CapExceeded,
     check_dimred,
     check_insertion_free,
     check_js,
@@ -55,19 +45,6 @@ from .series import (
     sign_search,
     wall_target,
 )
-
-INTERNAL_ERRORS = (
-    DegreeOverflow,
-    PoleAtZeroWeight,
-    PoleAtSubstitution,
-    EvalDegenerate,
-    DivisionByZero,
-    ZeroForm,
-    NonUnitDivisor,
-    CapExceeded,
-    UnsupportedConfiguration,
-)
-
 
 # ---------------------------------------------------------------------------
 # cache
@@ -217,24 +194,12 @@ def write_csv(path, rows):
     write_output(path, text.getvalue().encode())
 
 
-@contextlib.contextmanager
-def internal_errors_exit_3():
-    """Turn an internal error into one stderr line and exit code 3."""
-    try:
-        yield
-    except INTERNAL_ERRORS as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(3)
-
-
 def run_check(compute, command, cache_params, no_cache, json_path, csv_path):
     """Cache-aware driver for the identity-check subcommands."""
     key = cache_key(command, cache_params)
     data = None if no_cache else cache_get(key)
     if data is None:
-        with internal_errors_exit_3():
-            report = compute()
-        data = report.to_json().encode()
+        data = compute().to_json().encode()
         if not no_cache:
             try:
                 cache_put(key, data)
@@ -274,7 +239,19 @@ def add_options(opts):
     return wrap
 
 
-@click.group()
+class WallxGroup(click.Group):
+    """The command group: a WallxError that escapes a command becomes one
+    stderr line and exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except WallxError as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=WallxGroup)
 @click.version_option(__version__)
 def main():
     """Exact wall-crossing and stability-chamber checks."""
@@ -363,10 +340,9 @@ def wallcross(wall, i0_text, tmax, sign_overrides, backend, points, seed,
         raise click.UsageError(str(exc))
     overrides = parse_sign_overrides(sign_overrides)
     if overrides:
-        with internal_errors_exit_3():
-            known = {fp.label for d in range(tmax + 1)
-                     for fiber in (fiber_plus, fiber_minus)
-                     for fp in fiber(label.index, i0, d)}
+        known = {fp.label for d in range(tmax + 1)
+                 for fiber in (fiber_plus, fiber_minus)
+                 for fp in fiber(label.index, i0, d)}
         unknown = sorted(set(overrides) - known)
         if unknown:
             raise click.UsageError(
@@ -430,11 +406,10 @@ def insertion_free(k, dmax, json_path, csv_path, no_cache):
 def series(kind, qmax, tmax, gamma, csv_path):
     """Expand a named reference series."""
     gamma = parse_gamma(gamma)
-    with internal_errors_exit_3():
-        if kind.startswith("primary:"):
-            s = primary_series(kind.split(":", 1)[1], gamma, qmax, tmax)
-        else:
-            s = product_series(kind, qmax, tmax)
+    if kind.startswith("primary:"):
+        s = primary_series(kind.split(":", 1)[1], gamma, qmax, tmax)
+    else:
+        s = product_series(kind, qmax, tmax)
     rows = []
     for (n, j) in sorted(s.coeffs):
         rows.append((f"q^{n}*t^{j}", str(s.coeffs[(n, j)])))
@@ -448,9 +423,8 @@ def series(kind, qmax, tmax, gamma, csv_path):
               help='Fixed-point label, e.g. "js:k=2,d=3,comp=2,1".')
 def contribution_cmd(label):
     """Print the signed equivariant contribution of one fixed point."""
-    with internal_errors_exit_3():
-        fp = parse_label(label)
-        value = contribution(fp)
+    fp = parse_label(label)
+    value = contribution(fp)
     click.echo(f"label   : {fp.label}")
     click.echo(f"support : {fp.support}")
     click.echo(f"chi,deg : {fp.chi},{fp.deg}")
@@ -469,9 +443,7 @@ def signsearch(k, d, cap, backend, points, seed):
     (-1)^d binom(k m/lam3, d)."""
     be, _ = make_backend(backend, points, seed)
     fps = js_fixed_points(k, d)
-    with internal_errors_exit_3():
-        signs = sign_search(fps, wall_target(k, d).coeff(d), cap=cap,
-                            backend=be)
+    signs = sign_search(fps, wall_target(k, d).coeff(d), cap=cap, backend=be)
     if signs is None:
         click.echo("no sign assignment matches")
         sys.exit(1)

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .kclass import _kclass, chi_p1, euler_class, weight
-from .ratfun import PoleAtZeroWeight, RatFun
+from .ratfun import PoleAtZeroWeight, RatFun, WallxError
 
 ON_Y = "on_Y"
 ON_Z = "on_Z"
 THICKENED = "thickened"
 
 
-class UnsupportedConfiguration(ValueError):
+class UnsupportedConfiguration(WallxError, ValueError):
     pass
 
 

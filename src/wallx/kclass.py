@@ -80,18 +80,6 @@ class KClass:
     def __sub__(self, other):
         return self + (-other)
 
-    def tensor(self, other):
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = (wa[0] + wb[0], wa[1] + wb[1], wa[2] + wb[2], wa[3] + wb[3])
-                s = out.get(w, 0) + ca * cb
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return _kclass(out)
-
     def twist(self, w):
         """Tensor with the single weight w."""
         return _kclass({
@@ -108,34 +96,6 @@ class KClass:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "sum[ ]"
-        body = " ; ".join(
-            f"{self.terms[w]}*({w[0]},{w[1]},{w[2]},{w[3]})"
-            for w in sorted(self.terms)
-        )
-        return f"sum[ {body} ]"
-
-    __repr__ = __str__
-
-
-def parse_kclass(s):
-    s = s.strip()
-    if not (s.startswith("sum[") and s.endswith("]")):
-        raise ValueError(f"bad KClass text {s!r}")
-    body = s[4:-1].strip()
-    if not body:
-        return KClass.zero()
-    terms = {}
-    for chunk in body.split(";"):
-        mult, _, wpart = chunk.strip().partition("*")
-        w = tuple(int(x) for x in wpart.strip().strip("()").split(","))
-        if len(w) != 4:
-            raise ValueError(f"weight {wpart.strip()!r} needs 4 entries")
-        terms[w] = terms.get(w, 0) + int(mult)
-    return KClass(terms)
 
 
 # chi_p1's class per (a, b); KClass arithmetic never changes a class

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .ratfun import DivisionByZero, _coef
+from .ratfun import DivisionByZero, WallxError, _coef
 
 FAMILIES = ("Lmm", "Lpm", "Lmp", "Lpp", "Linf_minus", "Linf_plus")
 
 
-class NotMultiplicityFree(Exception):
+class NotMultiplicityFree(WallxError):
     """The grading precondition for subset-enumeration stability fails."""
 
 

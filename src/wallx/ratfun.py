@@ -28,35 +28,40 @@ NVARS = 4
 DEFAULT_PRIME = (1 << 61) - 1
 
 
-class DivisionByZero(ZeroDivisionError):
+class WallxError(Exception):
+    """Base of every error wallx raises; each subclass keeps its builtin
+    base too.  The CLI turns one that reaches it into exit code 3."""
+
+
+class DivisionByZero(WallxError, ZeroDivisionError):
     pass
 
 
-class NonUnitDivisor(ZeroDivisionError):
+class NonUnitDivisor(WallxError, ZeroDivisionError):
     """The inverse of a value whose num is not a constant."""
 
 
-class ZeroForm(ValueError):
+class ZeroForm(WallxError, ValueError):
     """All coefficients of a would-be linear form vanish."""
 
 
-class PoleAtZeroWeight(ZeroDivisionError):
+class PoleAtZeroWeight(WallxError, ZeroDivisionError):
     pass
 
 
-class PoleAtSubstitution(ZeroDivisionError):
+class PoleAtSubstitution(WallxError, ZeroDivisionError):
     pass
 
 
-class EvalDegenerate(RuntimeError):
+class EvalDegenerate(WallxError, RuntimeError):
     """Repeated sampling kept hitting zeros of a denominator."""
 
 
-class ParseError(ValueError):
+class ParseError(WallxError, ValueError):
     pass
 
 
-class DegreeOverflow(OverflowError):
+class DegreeOverflow(WallxError, OverflowError):
     """A polynomial's total degree does not fit a monomial key's fields."""
 
 
@@ -466,7 +471,7 @@ class RatFun:
 
     def __init__(self, factored=None, num=_ONE):
         factored = dict(factored or {})
-        out = _normal(factored, num, list(factored))
+        out = _normal(factored, num)
         self.factored, self.num = out.factored, out.num
 
     # -- constructors
@@ -539,7 +544,7 @@ class RatFun:
         factored = dict(self.factored)
         for f, e in other.factored.items():
             factored[f] = factored.get(f, 0) + e
-        return _normal(factored, self.num * other.num, list(factored))
+        return _normal(factored, self.num * other.num)
 
     __rmul__ = __mul__
 
@@ -592,9 +597,6 @@ class RatFun:
         nb, db = other.expand()
         return (na * db - nb * da).is_zero()
 
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return 0
-
     # -- specialization and evaluation
 
     def substitute_m(self):
@@ -609,8 +611,7 @@ class RatFun:
                     f"denominator factor {form_str(f)} vanishes at m=lam3")
             pairs.append(((c1, c2, c3 + cm, 0), e))
         out = RatFun.from_forms(pairs)
-        return _normal(out.factored, out.num * self.num.subs_m_lam3(),
-                       list(out.factored))
+        return _normal(out.factored, out.num * self.num.subs_m_lam3())
 
     def residue_pair(self, assign, p, table):
         """(num, den) residues mod p whose quotient is the value's residue.
@@ -791,25 +792,25 @@ def _divide_out(poly, form, lines):
     return poly, n
 
 
-def _normal(factored, num, forms):
+def _normal(factored, num):
     """The normal form of prod form^exp over factored, times num.
 
-    Every copy of each form in forms is divided out of a non-constant num
-    into factored, which is taken over and changed; then a num that is one
-    linear form moves to the factored part, its content folded into num by
-    from_forms, and zero exponents are dropped.  forms must hold every key
-    of factored with a nonzero exponent.  The forms are primitive, so no two
-    are proportional and their order does not change the result.  Every
-    form's division bound reads the lines of the num given (see _Lines).
+    Every copy of each key of factored, zero exponents included, is divided
+    out of a non-constant num into factored, which is taken over and
+    changed; then a num that is one linear form moves to the factored part,
+    its content folded into num by from_forms, and zero exponents are
+    dropped.  The forms are primitive, so no two are proportional and their
+    order does not change the result.  Every form's division bound reads the
+    lines of the num given (see _Lines).
     """
     if num.is_zero():
         return RatFun.zero()
     if not num.is_const():
         lines = _Lines(num)
-        for f in forms:
+        for f in list(factored):
             num, up = _divide_out(num, f, lines)
             if up:
-                factored[f] = factored.get(f, 0) + up
+                factored[f] += up
         split = _linear_split(num)
         if split is not None:
             (form, _), = split.factored.items()
@@ -1040,7 +1041,7 @@ def _rf_sum_flat(terms):
             p = powers[form, e] = form_poly(form) ** e
         return p
 
-    out = _normal(common, _shared_expansion(group, power), allforms)
+    out = _normal(common, _shared_expansion(group, power))
     return _ratfun(out.factored, out.num.scale(Fraction(1, content)))
 
 
@@ -1175,8 +1176,7 @@ def parse_ratfun(s):
     if den.is_zero() or not den.is_const():
         raise ParseError(f"not a nonzero constant denominator in {s!r}")
     out = RatFun.from_forms(pairs, Fraction(1, den.const_value()))
-    return _normal(out.factored, parse_poly(num).scale(out.num.const_value()),
-                   list(out.factored))
+    return _normal(out.factored, parse_poly(num).scale(out.num.const_value()))
 
 
 def parse_poly(s):

@@ -35,6 +35,7 @@ from .ratfun import (
     EvalDegenerate,
     NonUnitDivisor,
     RatFun,
+    WallxError,
     binomial_rf,
     decide,
     residue_sums,
@@ -44,7 +45,7 @@ from .ratfun import (
 )
 
 
-class CapExceeded(ValueError):
+class CapExceeded(WallxError, ValueError):
     pass
 
 
@@ -172,6 +173,15 @@ def _qt_binom_factor(x, k, tstep, q_order, t_lo, t_hi):
     return QTSeries(coeffs, q_order, t_lo, t_hi)
 
 
+# kind -> (the factors (1 - q^k t^step)^{c k m/lam3} per k, as (c, step)
+# pairs in product order; the t window in multiples of t_order)
+_PRODUCTS = {
+    "PT": (((1, 1),), (0, 1)),
+    "MacMahon": (((-2, 0),), (0, 0)),
+    "NC": (((-2, 0), (1, 1), (1, -1)), (-1, 1)),
+}
+
+
 def product_series(kind, q_order, t_order=None):
     """Named reference products expanded to the given q-order.
 
@@ -179,32 +189,19 @@ def product_series(kind, q_order, t_order=None):
     MacMahon: M(q)^{2 m / lam3} = prod_k (1 - q^k)^{-2 k m / lam3}
     NC: MacMahon * prod (1 - q^k t)^{k m/lam3} * prod (1 - q^k t^-1)^{k m/lam3}
     """
+    if kind not in _PRODUCTS:
+        raise ValueError(f"unknown product kind {kind!r}")
     if t_order is None:
         t_order = q_order
+    factors, (lo, hi) = _PRODUCTS[kind]
+    t_lo, t_hi = lo * t_order, hi * t_order
     m_over_l3 = RatFun.var("m") / RatFun.var("lam3")
-    if kind == "PT":
-        out = QTSeries.one(q_order, 0, t_order)
-        for k in range(1, q_order + 1):
-            out = out * _qt_binom_factor(k * m_over_l3, k, 1,
-                                         q_order, 0, t_order)
-        return out
-    if kind == "MacMahon":
-        out = QTSeries.one(q_order)
-        for k in range(1, q_order + 1):
-            out = out * _qt_binom_factor(-2 * k * m_over_l3, k, 0,
-                                         q_order, 0, 0)
-        return out
-    if kind == "NC":
-        out = QTSeries.one(q_order, -t_order, t_order)
-        for k in range(1, q_order + 1):
-            out = out * _qt_binom_factor(-2 * k * m_over_l3, k, 0,
-                                         q_order, -t_order, t_order)
-            out = out * _qt_binom_factor(k * m_over_l3, k, 1,
-                                         q_order, -t_order, t_order)
-            out = out * _qt_binom_factor(k * m_over_l3, k, -1,
-                                         q_order, -t_order, t_order)
-        return out
-    raise ValueError(f"unknown product kind {kind!r}")
+    out = QTSeries.one(q_order, t_lo, t_hi)
+    for k in range(1, q_order + 1):
+        for c, step in factors:
+            out = out * _qt_binom_factor(c * k * m_over_l3, k, step,
+                                         q_order, t_lo, t_hi)
+    return out
 
 
 def primary_series(chamber, gammaE, q_order, t_order=None):

@@ -4,11 +4,13 @@ on-disk result cache."""
 import csv
 import json
 import pathlib
+import tempfile
 import time
 
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import wallx.cli as cli_mod
 from wallx.cli import cache_get, cache_key, cache_put, main
@@ -375,3 +377,129 @@ def test_unknown_sign_override_label_is_usage_error(runner, tmp_path):
     assert "PASS" not in res.output
     assert not report.exists()
     assert not (tmp_path / "cache").exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over drawn argv: 0 pass, 1 identity failed,
+# 2 usage, 3 internal, never a traceback, and a cache entry only for a
+# report
+
+def _opt(flag, good, bad):
+    """--flag with a well-formed value 19 times in 20, else with a
+    malformed one or left out."""
+    def pick(n):
+        if n:
+            return st.sampled_from(good).map(lambda v: [flag, v])
+        return st.one_of(st.just([]),
+                         st.sampled_from(bad).map(lambda v: [flag, v]))
+    return st.integers(0, 19).flatmap(pick)
+
+
+_BAD_COUNTS = ("-1", "0", "x", "+2", "1/2", "")
+# fixed-point labels, the last ten naming no fixed point (exit 3)
+_LABELS = ("js:k=1,d=1,comp=1", "js:k=2,d=2,comp=1,1", "js:k=2,d=2,comp=2,0",
+           "plus:Lmm2,i0=IlP1:1,comp=1,0,0,0", "minus:Lmm2,i0=IlP1:1",
+           "minus:Lmm3,i0=IP1,subset=1",
+           "js:k=0,d=1,comp=1", "js:k=2,d=-1,comp=1", "js:k=2",
+           "js:k=x,d=1,comp=1", "js:k=1,d=1,comp=0", "js:",
+           "plus:Lmm2,i0=IlP1:1,comp=a", "minus:Lmm2,i0=OX,comp=",
+           "garbage", "")
+# a wall, a reference object, one fixed point of theirs and the largest
+# --tmax that keeps the check quick; the last site is a reference that the
+# wall does not classify
+_SITES = (("Lmm:1", "OX", "js:k=1,d=1,comp=1", 2),
+          ("Lmm:2", "IlP1:1", "plus:Lmm2,i0=IlP1:1,comp=1,0,0,0", 2),
+          ("Lmm:3", "IP1", "minus:Lmm3,i0=IP1,subset=1", 1),
+          ("Lmm:1", "IlP1:1", "minus:Lmm1,i0=OX", 2))
+_BAD_OVERRIDES = ("plus:Lmm2,i0=IlP1:1,comp=1,0,0,0=2", "nosuch=-1", "x=0",
+                  "=1", "-1", "")
+_EVAL = [_opt("--backend", ("symbolic", "eval"), ("exact", "")),
+         _opt("--points", ("1", "3"), ("0", "-2", "x")),
+         _opt("--seed", ("0", "42", "-1"), ("x", "1.5", ""))]
+_REPORT = [_opt("--threads", ("1", "4"), ("0", "-5")),
+           st.sampled_from([[], ["--no-cache"]])]
+_K = _opt("--k", ("1", "2", "3"), _BAD_COUNTS)
+
+
+@st.composite
+def _wallcross_site(draw):
+    """--wall, --i0, --tmax and --sign-override: a site's own parts, its
+    point flipped or kept, or malformed ones."""
+    wall, i0, point, tmax = draw(st.sampled_from(_SITES))
+    argv = draw(_opt("--wall", (wall,), ("Lmm:0", "Lmm:-1", "Lmm", "Lmm:x",
+                                         "Lpm:1", "Linf_minus", "bad", "")))
+    argv += draw(_opt("--i0", (i0,), ("IlP1:2", "IlP1:0", "IlP1:-1",
+                                      "IlP1:x", "IlP1", "IP1:1", "bad", "")))
+    argv += draw(_opt("--tmax", [str(t) for t in range(tmax + 1)],
+                      ("-1", "x")))
+    flip, keep = f"{point}=-1", f"{point}=+1"
+    bad = draw(st.sampled_from(_BAD_OVERRIDES))
+    override = draw(st.sampled_from((None, None, flip, flip, keep, bad)))
+    if override is not None:
+        argv += ["--sign-override", override]
+    return argv
+
+
+_GRAMMAR = {
+    "walls": [_opt("--kmax", ("0", "2", "3"), ("-1", "x"))],
+    "classify": [_opt("--theta", ("-1,1", "-17/20,1", "1/2,-1/3", "0,0",
+                                  "2,1", "-2/3,5"),
+                      ("1,1/0", "inf,1", "nan,1", "1", "x,y", "1,2,3", "")),
+                 _opt("--kmax", ("0", "10"), ("-1", "x"))],
+    "js": [_K, _opt("--dmax", ("1", "2", "3"), _BAD_COUNTS), *_EVAL,
+           *_REPORT],
+    "wallcross": [_wallcross_site(), *_EVAL, *_REPORT],
+    "dimred": [_K, _opt("--dmax", ("0", "2", "3"), ("-1", "x")), *_REPORT],
+    "insertion-free": [_K, _opt("--dmax", ("0", "2", "3"), ("-1", "x")),
+                       *_REPORT],
+    "series": [_opt("--kind", ("PT", "MacMahon", "NC", "primary:I",
+                               "primary:II_III", "primary:IV",
+                               "primary:other"),
+                    ("primary:V", "QT", "")),
+               _opt("--qmax", ("0", "1", "3"), ("-1", "x")),
+               _opt("--tmax", ("0", "2"), ("-1", "x")),
+               _opt("--gamma", ("1", "-1", "2/3", "0"),
+                    ("1/0", "inf", "nan", "x", "", "1/2/3"))],
+    "contribution": [_opt("--label", _LABELS, ("",))],
+    "signsearch": [_K, _opt("--d", ("0", "1", "2", "3"), ("-1", "x")),
+                   _opt("--cap", ("1", "3", "20"), ("-1", "0", "x")),
+                   *_EVAL],
+}
+_EXTRA = st.sampled_from([[]] * 18 + [["--bogus"], ["stray"]])
+_CHECKS = ("js", "wallcross", "dimred", "insertion-free")
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for part in _GRAMMAR[command]:
+        argv += draw(part)
+    return argv + draw(_EXTRA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_exit_code_contract_holds_for_drawn_argv(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache, report = pathlib.Path(tmp, "cache"), pathlib.Path(tmp, "r.json")
+        if argv[0] in _CHECKS:
+            argv = argv + ["--json", str(report)]
+        res = CliRunner().invoke(main, argv, env={"WALLX_CACHE": str(cache)})
+        code = res.exit_code
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in res.output
+        if code in (2, 3):
+            assert not list(cache.glob("*"))
+        if argv[0] in _CHECKS and code in (0, 1):
+            verdicts = [rec["verdict"]
+                        for rec in json.loads(report.read_text())["degrees"]]
+            if code == 0:
+                assert verdicts and set(verdicts) == {"equal"}
+            else:
+                assert "unequal" in verdicts
+        elif argv[0] == "signsearch" and code == 1:
+            assert res.stdout == "no sign assignment matches\n"
+        else:
+            assert code != 1

@@ -692,7 +692,7 @@ def _extracted_strings():
     f, g = (1, -1, 0, 0), (0, 0, 1, 0)
     rest = MultiPoly({(1, 1, 0, 0): 3, (0, 0, 2, 0): -1, (0, 0, 0, 1): 1})
     raw = _ratfun({}, form_poly(f) ** 2 * form_poly(g) * rest)
-    out.append(str(ratfun._normal({}, raw.num, [f, g])))
+    out.append(str(ratfun._normal({f: 0, g: 0}, raw.num)))
     return out
 
 
@@ -714,11 +714,11 @@ def test_planted_non_divisible_num_needs_no_synthetic_division(monkeypatch):
         return divmod_linear(self, form)
 
     monkeypatch.setattr(MultiPoly, "divmod_linear", counted)
-    out = ratfun._normal({}, num, [f])
+    out = ratfun._normal({f: 0}, num)
     assert calls == []
     assert out.factored == {} and out.num == num
     # a divisible num still goes through exact division
-    ratfun._normal({}, num - MultiPoly.const(1), [f])
+    ratfun._normal({f: 0}, num - MultiPoly.const(1))
     assert calls
 
 
