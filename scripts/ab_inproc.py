@@ -5,8 +5,10 @@
 
 Loads each src/wallx as its own package (wallx imports only relatively) and
 runs A's bench/workloads.py checks on both in alternating order, with fresh
-caches per round.  Prints per-round B/A time ratios, their median and range;
-exits 1 if an outcome differs."""
+caches per round.  Both packages are imported afresh, untimed, at the start
+of each round, so every round starts with empty per-key tables, as a bench
+pass does.  Prints per-round B/A time ratios, their median and range; exits
+1 if an outcome differs."""
 
 import argparse
 import contextlib
@@ -20,6 +22,8 @@ from statistics import median
 
 
 def load(checkout, name):
+    for mod in [m for m in sys.modules if m.split(".")[0] == name]:
+        del sys.modules[mod]
     src = os.path.join(checkout, "src", "wallx")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(src, "__init__.py"), submodule_search_locations=[src])
@@ -59,8 +63,9 @@ def main():
     args = ap.parse_args()
     sys.path.insert(0, os.path.join(args.a, "bench"))
     checks = importlib.import_module("workloads").make_checks(args.workload, args.seed)
-    pkgs, ratios, differ = (load(args.a, "wallx_a"), load(args.b, "wallx_b")), [], 0
+    ratios, differ = [], 0
     for r in range(args.rounds):
+        pkgs = (load(args.a, "wallx_a"), load(args.b, "wallx_b"))
         spent, got = [0.0, 0.0], [None, None]
         with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
             for i, item in enumerate(checks):

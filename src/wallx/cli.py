@@ -25,6 +25,7 @@ import click
 from . import __version__
 from .geom import (
     UnsupportedConfiguration,
+    check_wall_i0,
     contribution,
     fiber_minus,
     fiber_plus,
@@ -336,6 +337,7 @@ def wallcross(wall, i0_text, tmax, sign_overrides, backend, points, seed,
         raise click.UsageError("only Lmm:k walls carry classified fibers")
     try:
         i0 = parse_i0(i0_text)
+        check_wall_i0(label.index, i0)
     except UnsupportedConfiguration as exc:
         raise click.UsageError(str(exc))
     overrides = parse_sign_overrides(sign_overrides)

@@ -1,19 +1,22 @@
 """Equivariant sheaves on the local resolved conifold 4-fold O_P1(-1,-1,0).
 
 Every torus-fixed object in scope pushes down to a finite direct sum of
-twisted line bundles O(a Z0 + b Zinf) x t^w on the base P1.  This module
-computes their chi-classes by equivariant Riemann-Roch on P1 plus adjunction
-along the normal bundle of P1 in the relevant ambient space, and enumerates
-the classified fixed loci over the walls Lmm(k) together with their signs.
+twisted line bundles O(a Z0 + b Zinf) x t^w on the base P1, in runs: a line
+bundle thickened by t3^j for j < n.  This module computes their chi-classes
+by equivariant Riemann-Roch on P1 plus adjunction along the normal bundle of
+P1 in the relevant ambient space, and enumerates the classified fixed loci
+over the walls Lmm(k) together with their signs.  A fixed point's pairing
+with itself is summed from a per-key table of run pairs (_PAIRINGS).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .kclass import _kclass, chi_p1, euler_class, weight
+from .kclass import ZERO_WEIGHT, _kclass, chi_p1, euler_class, weight
 from .ratfun import PoleAtZeroWeight, RatFun, WallxError
 
 ON_Y = "on_Y"
@@ -31,13 +34,6 @@ class EquivLineBundle(NamedTuple):
     a: int
     b: int
     twist: tuple = (0, 0, 0, 0)
-
-    def shifted(self, w):
-        t = self.twist
-        return EquivLineBundle(
-            self.a, self.b,
-            (t[0] + w[0], t[1] + w[1], t[2] + w[2], t[3] + w[3]),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,45 +111,95 @@ def chi_pair(F, G, ambient):
     """Adjunction chi-pairing of two sheaves inside an ambient space.
 
     Alternating sum over exterior powers of the normal bundle of P1:
-    sum_p (-1)^p chi_P1(Hom(L, L' x wedge^p N)) over all summand pairs.
-    Each term chi_p1(a, b) is t0^k over one range of k with multiplicity +1,
-    or over the complementary range with -1 (see kclass.chi_p1); t0^k
-    twisted by t is (t0 - k, t1 - k, t2 - k, t3).  Summand pairs with the
-    same differences give the same terms, so each distinct difference is
-    expanded once, with its count as a multiplicity; the pairs are grouped
-    by degree difference, so each group finds its range once per power.
+    sum_p (-1)^p chi_P1(Hom(L, L' x wedge^p N)) over all summand pairs,
+    each term a chi_p1 class twisted by t' - t and the power's twist.
     """
-    groups = {}
-    for a, b, (t0, t1, t2, t3) in F.summands:
-        for ap, bp, (u0, u1, u2, u3) in G.summands:
-            twists = groups.setdefault((ap - a, bp - b), {})
-            d = (u0 - t0, u1 - t1, u2 - t2, u3 - t3)
-            twists[d] = twists.get(d, 0) + 1
     total = {}
-    for wa, wb, (w0, w1, w2, w3), sign in EXTERIOR_POWERS[ambient]:
-        for (da, db), twists in groups.items():
-            a = da + wa
-            b = db + wb
-            if -a <= b:
-                ks, c = range(-a, b + 1), sign
-            elif b == -a - 1:
-                continue
-            else:
-                ks, c = range(b + 1, -a), -sign
-            for (d0, d1, d2, d3), n in twists.items():
-                t0, t1, t2, t3 = d0 + w0, d1 + w1, d2 + w2, d3 + w3
-                cn = c * n
-                for k in ks:
-                    key = (t0 - k, t1 - k, t2 - k, t3)
-                    total[key] = total.get(key, 0) + cn
+    for a, b, t in F.summands:
+        for ap, bp, u in G.summands:
+            for wa, wb, w, sign in EXTERIOR_POWERS[ambient]:
+                s0, s1, s2, s3 = (u[i] - t[i] + w[i] for i in range(4))
+                for (k0, k1, k2, k3), c in chi_p1(
+                        ap - a + wa, bp - b + wb).terms.items():
+                    key = (k0 + s0, k1 + s1, k2 + s2, k3 + s3)
+                    total[key] = total.get(key, 0) + sign * c
     # weights that cancel are dropped here; the order of the rest reaches no
     # report, since rf_sum and str sort the forms they meet
     return _kclass({w: c for w, c in total.items() if c})
 
 
+# chi_pair of two runs per (ambient, a' - a, b' - b, twist' - twist, n, n'):
+# one entry serves every translate, KClass arithmetic never changes one, and
+# the entries share one tuple per weight (_WEIGHTS)
+_PAIRINGS = {}
+_WEIGHTS = {}
+
+
+def _runs(F):
+    """F's summands as runs (a, b, twist, n): maximal progressions
+    L, L t3, ..., L t3^(n-1) of one bundle L = O(a Z0 + b Zinf) t^twist."""
+    runs, after = [], None
+    for a, b, t in F.summands:
+        if (a, b, t) == after:
+            runs[-1][3] += 1
+        else:
+            runs.append([a, b, t, 1])
+        after = (a, b, (t[0], t[1], t[2] + 1, t[3]))
+    return runs
+
+
+def _fill(key):
+    """The _PAIRINGS entry of key from the one of its line pair L, L' t3^-d2
+    (n = n' = 1, by chi_pair): L t3^j against L' t3^j' twists it by
+    t3^(d2 + s), s = j' - j, which min(n, n' - s) - max(0, -s) pairs have."""
+    ambient, da, db, d0, d1, d2, d3, n, np = key
+    line = (ambient, da, db, d0, d1, 0, d3, 1, 1)
+    if key == line:
+        terms = chi_pair(EquivSheaf.of(O_P1), EquivSheaf.of(
+            EquivLineBundle(da, db, (d0, d1, 0, d3))), ambient).terms
+    else:
+        terms = (_PAIRINGS.get(line) or _fill(line)).terms
+    total = {}
+    for s in range(1 - n, np):
+        m = min(n, np - s) - max(0, -s)
+        for (w0, w1, w2, w3), c in terms.items():
+            w = (w0, w1, w2 + d2 + s, w3)
+            total[w] = total.get(w, 0) + m * c
+    v = _PAIRINGS[key] = _kclass(
+        {_WEIGHTS.setdefault(w, w): c for w, c in total.items() if c})
+    return v
+
+
+def _pairings(F, ambient):
+    """The table entries that sum to chi_pair(F, F, ambient), one per
+    ordered pair of F's runs."""
+    runs = _runs(F)
+    entries = []
+    for a, b, (t0, t1, t2, t3), n in runs:
+        for ap, bp, (u0, u1, u2, u3), np in runs:
+            key = (ambient, ap - a, bp - b,
+                   u0 - t0, u1 - t1, u2 - t2, u3 - t3, n, np)
+            entries.append(_PAIRINGS.get(key) or _fill(key))
+    return entries
+
+
+def _summed(entries):
+    total = {}
+    for v in entries:
+        for w, c in v.terms.items():
+            total[w] = total.get(w, 0) + c
+    return _kclass({w: c for w, c in total.items() if c})
+
+
 def sqrt_class(F):
     """Half Ext-class -chi_X(F) + chi_Y(F, F)."""
-    return -chi_X(F) + chi_pair(F, F, "Y3fold")
+    return -chi_X(F) + _summed(_pairings(F, "Y3fold"))
+
+
+def chiZ_class(F):
+    """Reduced pair class on the 3-fold Z: chi_Z(F,F) - chi_Z(F) + chi_Z(F)^v t3."""
+    cx = chi_X(F)
+    return _summed(_pairings(F, "Z3fold")) - cx + cx.dual().twist((0, 0, 1, 0))
 
 
 def taut_class(F):
@@ -161,39 +207,12 @@ def taut_class(F):
     return chi_X(F).dual().twist((0, 0, 0, 1))
 
 
-# (a, b, twist[2], shape shift, sign) of each wedge^p N of Y3fold
-_Y_SHAPES = tuple((a, b, t[2], (t[2] - t[0], t[2] - t[1], -t[3]), sign)
-                  for a, b, t, sign in EXTERIOR_POWERS["Y3fold"])
-
-
-def _zero_weight_mult(F, cx):
-    """Multiplicity of the zero weight in sqrt_class(F) + taut_class(F),
-    read off the summands; cx is chi_X(F).
-
-    The taut class has the zero weight where cx has (0, 0, 0, 1).  The term
-    of chi_pair for a summand pair (L, L') and a power wedge^p N is the zero
-    weight when its twist t has t3 = 0 and t0 = t1 = t2 = k, for the one k
-    that may lie in the term's range.  So only pairs whose shapes
-    (t0 - t2, t1 - t2, t3) differ by the power's shift can give it.
-    """
-    groups = {}
-    for L in F.summands:
-        t = L.twist
-        groups.setdefault((t[0] - t[2], t[1] - t[2], t[3]), []).append(L)
-    mult = cx.terms.get((0, 0, 0, 1), 0) - cx.zero_mult()
-    for wa, wb, w2, (s0, s1, s3), sign in _Y_SHAPES:
-        for (g0, g1, g3), group in groups.items():
-            partners = groups.get((g0 + s0, g1 + s1, g3 + s3))
-            if partners is None:
-                continue
-            for a, b, t in group:
-                for ap, bp, tp in partners:
-                    lo, hi, k = a - ap - wa, bp - b + wb, tp[2] - t[2] + w2
-                    if lo <= k <= hi:
-                        mult += sign
-                    elif hi < k < lo:
-                        mult -= sign
-    return mult
+def _zero_mult(entries, cx):
+    """Multiplicity of the zero weight in sqrt_class(F) + taut_class(F), from
+    the entries of _pairings(F, "Y3fold") and cx = chi_X(F); the taut class
+    has the zero weight where cx has (0, 0, 0, 1)."""
+    return (sum(v.terms.get(ZERO_WEIGHT, 0) for v in entries)
+            + cx.terms.get((0, 0, 0, 1), 0) - cx.zero_mult())
 
 
 def with_point_sign(fp, value):
@@ -208,13 +227,14 @@ def contribution(fp):
     e(sqrt_class) e(taut_class): the sqrt weights have m-weight 0 and the
     taut weights m-weight 1, so the two classes share no weight and no
     linear form.  It vanishes exactly when the square-root class has a
-    positive zero-weight part.  That multiplicity is read off the summands
-    first, so a vanishing point builds no class and no pairing; a negative
-    one reaches euler_class, which raises PoleAtZeroWeight.
+    positive zero-weight part.  That multiplicity is read off the pairing's
+    table entries first, so a vanishing point sums no pairing and builds no
+    class; a negative one reaches euler_class, which raises PoleAtZeroWeight.
     """
     F = fp.sheaf
     cx = chi_X(F)
-    if _zero_weight_mult(F, cx) > 0:
+    entries = _pairings(F, "Y3fold")
+    if _zero_mult(entries, cx) > 0:
         return RatFun.zero()
     # -chi_X(F) + taut_class(F), as one dict
     v = {w: -c for w, c in cx.terms.items()}
@@ -222,7 +242,7 @@ def contribution(fp):
         w = (-w1, -w2, -w3, 1 - wm)
         v[w] = v.get(w, 0) + c
     return with_point_sign(
-        fp, euler_class(chi_pair(F, F, "Y3fold")
+        fp, euler_class(_summed(entries)
                         + _kclass({w: c for w, c in v.items() if c})))
 
 
@@ -252,10 +272,13 @@ def _support_of(summands):
     return THICKENED
 
 
+@functools.cache
 def _thicken(bundle, count):
-    """count copies of bundle twisted by t3^j for j < count."""
+    """count copies of bundle twisted by t3^j for j < count, as one shared
+    tuple per (bundle, count)."""
     a, b, (t1, t2, t3, tm) = bundle
-    return [EquivLineBundle(a, b, (t1, t2, t3 + j, tm)) for j in range(count)]
+    return tuple(EquivLineBundle(a, b, (t1, t2, t3 + j, tm))
+                 for j in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +307,8 @@ def _js_point(k, comp):
     """The JS point of the composition (d_0, ..., d_{k-1}): the summand for
     slot i is O((k-1-i) Zinf + i Z0) thickened by sum_{j<d_i} t3^j."""
     summands = []
-    for i, di in enumerate(comp):
-        summands.extend(_thicken(EquivLineBundle(i, k - 1 - i), di))
+    for bundle, di in zip(_slots(k, ("OX", 0)), comp):
+        summands.extend(_thicken(bundle, di))
     d = sum(comp)
     return _point(f"js:k={k},d={d},comp={_comp_text(comp)}", summands,
                   chi=k * d, deg=d)
@@ -297,7 +320,7 @@ def _i0_sheaf(i0):
     if kind == "OX":
         return []
     if kind == "IlP1":
-        return _thicken(O_P1, l)
+        return list(_thicken(O_P1, l))
     if kind == "IP1":
         return [O_P1]
     raise UnsupportedConfiguration(f"unknown I0 {i0!r}")
@@ -330,7 +353,7 @@ def i0_label(i0):
     return f"IlP1:{l}" if kind == "IlP1" else kind
 
 
-def _check_wall_i0(k, i0):
+def check_wall_i0(k, i0):
     kind, _ = i0
     if kind == "OX":
         if k < 1:
@@ -345,58 +368,54 @@ def _check_wall_i0(k, i0):
         raise UnsupportedConfiguration(f"unknown I0 {i0!r}")
 
 
-def _plus_parts(k, i0):
-    """The number of parts of a plus-side point's composition."""
-    return {"OX": k, "IlP1": 4, "IP1": 3 * k - 2}[i0[0]]
-
-
 def fiber_plus(k, i0, d):
     """Fixed points on the plus side of the wall Lmm(k) over the given I0."""
-    _check_wall_i0(k, i0)
+    check_wall_i0(k, i0)
     return [_plus_point(k, i0, comp)
-            for comp in compositions(d, _plus_parts(k, i0))]
+            for comp in compositions(d, len(_slots(k, i0)))]
+
+
+@functools.cache
+def _slots(k, i0):
+    """The bundle that each part of a plus-side composition thickens, in the
+    composition's order; over OX, the JS point's slots."""
+    kind, l = i0
+    if kind == "OX":
+        return tuple(EquivLineBundle(i, k - 1 - i) for i in range(k))
+    if kind == "IlP1":
+        return (EquivLineBundle(0, 1, weight(w1=1)),
+                EquivLineBundle(0, 1, weight(w2=1)),
+                EquivLineBundle(0, 1, weight(w3=l)),
+                EquivLineBundle(1, 0, weight(w3=l)))
+    # IP1, k >= 3: parts d_1..d_{k-1}, e_1..e_{k-1}, f_0..f_{k-1}
+    return tuple(EquivLineBundle(k - 1 - i, i, twist)
+                 for twist, first in ((weight(w1=1), 1), (weight(w2=1), 1),
+                                      (weight(w3=1), 0))
+                 for i in range(first, k))
 
 
 def _plus_point(k, i0, comp):
-    """The plus-side point of a composition into _plus_parts(k, i0) parts;
+    """The plus-side point of a composition into len(_slots(k, i0)) parts;
     over OX it is the JS point."""
     kind, l = i0
     if kind == "OX":
         return _js_point(k, comp)
     summands = _i0_sheaf(i0)
+    for bundle, di in zip(_slots(k, i0), comp):
+        summands.extend(_thicken(bundle, di))
     d = sum(comp)
     label = f"plus:Lmm{k},i0={i0_label(i0)},comp={_comp_text(comp)}"
     if kind == "IlP1":
-        new = (
-            EquivLineBundle(0, 1, weight(w1=1)),
-            EquivLineBundle(0, 1, weight(w2=1)),
-            EquivLineBundle(0, 1, weight(w3=l)),
-            EquivLineBundle(1, 0, weight(w3=l)),
-        )
-        for bundle, di in zip(new, comp):
-            summands.extend(_thicken(bundle, di))
         return _point(label, summands, chi=l + 2 * d, deg=l + d,
                       sign_extra=1 if comp[1] > 0 else 0)
-    # kind == "IP1", k >= 3: tuples (d_1..d_{k-1}, e_1..e_{k-1}, f_0..f_{k-1})
-    ds = comp[: k - 1]
     es = comp[k - 1: 2 * (k - 1)]
-    fs = comp[2 * (k - 1):]
-    for i in range(1, k):
-        bundle = EquivLineBundle(k - 1 - i, i)
-        summands.extend(_thicken(bundle.shifted(weight(w1=1)), ds[i - 1]))
-    for i in range(1, k):
-        bundle = EquivLineBundle(k - 1 - i, i)
-        summands.extend(_thicken(bundle.shifted(weight(w2=1)), es[i - 1]))
-    for i in range(0, k):
-        bundle = EquivLineBundle(k - 1 - i, i)
-        summands.extend(_thicken(bundle.shifted(weight(w3=1)), fs[i]))
     return _point(label, summands, chi=1 + k * d, deg=1 + d,
                   sign_extra=sum(1 for e in es if e > 0))
 
 
 def fiber_minus(k, i0, d):
     """Fixed points on the minus side of the wall Lmm(k) over the given I0."""
-    _check_wall_i0(k, i0)
+    check_wall_i0(k, i0)
     if i0[0] != "IP1":
         return [] if d > 0 else [_minus_point(k, i0, ())]
     return [_minus_point(k, i0, subset)
@@ -522,10 +541,10 @@ def parse_label(text):
             raise UnsupportedConfiguration(f"unclassified wall in {text!r}")
         k = _parse_int(wall[3:], text)
         i0 = parse_i0(fields.get("i0", ""))
-        _check_wall_i0(k, i0)
+        check_wall_i0(k, i0)
         if head == "plus":
             comp = _parse_ints(fields.get("comp", ""), text)
-            _check_comp(comp, _plus_parts(k, i0), text)
+            _check_comp(comp, len(_slots(k, i0)), text)
             fp = _plus_point(k, i0, comp)
         else:
             subset = (_parse_ints(fields["subset"], text)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geom import (
+    chiZ_class,
     chi_X,
-    chi_pair,
     contribution,
     fiber_minus,
     fiber_plus,
@@ -464,12 +464,6 @@ def check_js(k, d_max, backend="symbolic"):
 
 # ---------------------------------------------------------------------------
 # dimensional reduction m -> lam3
-
-
-def chiZ_class(F):
-    """Reduced pair class on the 3-fold Z: chi_Z(F,F) - chi_Z(F) + chi_Z(F)^v t3."""
-    cx = chi_X(F)
-    return chi_pair(F, F, "Z3fold") - cx + cx.dual().twist((0, 0, 1, 0))
 
 
 def check_dimred(k, d_max):

@@ -152,6 +152,23 @@ def test_wallcross_bad_i0_thickness_is_usage_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("wall, i0, message", [
+    ("Lmm:2", "IP1", "IP1 reference only classified for k >= 3"),
+    ("Lmm:1", "IlP1:1", "IlP1 reference only classified on Lmm(2)"),
+])
+def test_wallcross_unclassified_wall_and_i0_is_usage_error(
+        runner, tmp_path, wall, i0, message):
+    # rejected before any enumeration, the --sign-override label scan too;
+    # the one error line follows click's usage block
+    res = runner.invoke(main, ["wallcross", "--wall", wall, "--i0", i0,
+                               "--sign-override", "nosuch=-1"])
+    assert res.exit_code == 2
+    errors = [l for l in res.stderr.splitlines()
+              if l.lower().startswith("error")]
+    assert errors == [f"Error: {message}"]
+    assert not (tmp_path / "cache").exists()
+
+
 def test_series_command_csv(runner, tmp_path):
     cpath = tmp_path / "s.csv"
     res = runner.invoke(main, ["series", "--kind", "NC", "--qmax", "1",

@@ -11,6 +11,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wallx import geom
 from wallx.geom import (
     AMBIENT_NORMAL,
     EquivLineBundle,
@@ -18,7 +19,11 @@ from wallx.geom import (
     FixedPoint,
     O_P1,
     UnsupportedConfiguration,
-    _zero_weight_mult,
+    _pairings,
+    _runs,
+    _summed,
+    _thicken,
+    _zero_mult,
     chi_X,
     chi_pair,
     compositions,
@@ -106,6 +111,60 @@ def test_chi_pair_matches_kclass_sum_in_value():
             got = chi_pair(a, b, ambient)
             want = _chi_pair_by_kclass(a, b, ambient)
             assert got.terms == want.terms
+
+
+@st.composite
+def _run_sheaves(draw):
+    """(sheaf, number of maximal runs) of concatenated thickened runs; a
+    drawn run may continue the t3 progression of the run before it."""
+    summands, runs = (), 0
+    for _ in range(draw(st.integers(0, 4))):
+        after = None
+        if summands:
+            a, b, (t0, t1, t2, t3) = summands[-1]
+            after = EquivLineBundle(a, b, (t0, t1, t2 + 1, t3))
+        if after and draw(st.booleans()):
+            bundle = after
+        else:
+            bundle = EquivLineBundle(
+                draw(st.integers(-2, 2)), draw(st.integers(-2, 2)),
+                draw(st.tuples(*[st.integers(-2, 2)] * 3, st.integers(-1, 1))))
+        runs += bundle != after
+        summands += _thicken(bundle, draw(st.integers(1, 3)))
+    return EquivSheaf(summands), runs
+
+
+def _tabled(F, ambient):
+    """chi_pair(F, F, ambient), summed from the table of run pairs."""
+    return _summed(_pairings(F, ambient))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_sheaves())
+def test_tabled_self_pairing_is_chi_pair(sheaf_and_runs):
+    F, runs = sheaf_and_runs
+    assert len(_runs(F)) == runs
+    assert tuple(L for a, b, t, n in _runs(F)
+                 for L in _thicken(EquivLineBundle(a, b, t), n)) == F.summands
+    for ambient in ("Y3fold", "Z3fold"):
+        want = chi_pair(F, F, ambient).terms
+        geom._PAIRINGS.clear()
+        assert _tabled(F, ambient).terms == want  # cold table
+        assert _tabled(F, ambient).terms == want  # warm table
+
+
+def test_translated_runs_hit_one_table_entry(monkeypatch):
+    monkeypatch.setattr(geom, "_PAIRINGS", {})
+    F = EquivSheaf(_thicken(EquivLineBundle(1, 0, (0, 1, 0, 0)), 2)
+                   + _thicken(EquivLineBundle(0, 2, (1, 0, 2, 0)), 3))
+    G = EquivSheaf(tuple(
+        EquivLineBundle(a + 2, b - 1, (t0 + 1, t1 - 2, t2 + 3, t3 + 1))
+        for a, b, (t0, t1, t2, t3) in F.summands))
+    entries = _pairings(F, "Y3fold")
+    keys = set(geom._PAIRINGS)
+    assert all(u is v for u, v in zip(_pairings(G, "Y3fold"), entries))
+    assert set(geom._PAIRINGS) == keys
+    assert _tabled(G, "Y3fold").terms == chi_pair(G, G, "Y3fold").terms
 
 
 def test_chi_X_of_structure_sheaf_of_line():
@@ -248,12 +307,20 @@ def test_contribution_is_the_two_factor_product():
         assert str(contribution(fp)) == str(_two_factor_contribution(fp))
 
 
+def _built_class(F):
+    """sqrt_class(F) + taut_class(F), with the pairing from chi_pair."""
+    return -chi_X(F) + chi_pair(F, F, "Y3fold") + taut_class(F)
+
+
+def _screened_mult(F):
+    return _zero_mult(_pairings(F, "Y3fold"), chi_X(F))
+
+
 def _built_outcome(fp):
-    """The contribution built in full, without the zero screen: its text,
-    or "pole"."""
+    """The contribution built in full, without the zero screen or the
+    pairing table: its text, or "pole"."""
     try:
-        F = fp.sheaf
-        value = euler_class(sqrt_class(F) + taut_class(F))
+        value = euler_class(_built_class(fp.sheaf))
     except PoleAtZeroWeight:
         return "pole"
     return str(with_point_sign(fp, value))
@@ -267,9 +334,7 @@ def _outcome(fp):
 
 
 def _assert_screen_matches_the_built_class(fp):
-    F = fp.sheaf
-    assert _zero_weight_mult(F, chi_X(F)) == \
-        (sqrt_class(F) + taut_class(F)).zero_mult()
+    assert _screened_mult(fp.sheaf) == _built_class(fp.sheaf).zero_mult()
     assert _outcome(fp) == _built_outcome(fp)
 
 
@@ -288,7 +353,7 @@ def test_zero_screen_matches_the_built_class_on_the_menu():
     outcomes = set()
     for fp in _menu_and_js_points():
         _assert_screen_matches_the_built_class(fp)
-        outcomes.add(_zero_weight_mult(fp.sheaf, chi_X(fp.sheaf)) > 0)
+        outcomes.add(_screened_mult(fp.sheaf) > 0)
     assert outcomes == {False, True}
 
 

@@ -18,9 +18,10 @@ Equivalent mutants, kept out:
   fibers, so their quotient is unchanged.
 - a skipped residue_pair factor or a dropped residue_sums denominator
   under the symbolic backend: no symbolic check evaluates a RatFun mod p.
-- the zero screen without its wedge^2 N entry under check_js and the OX
-  wall: a js summand's twist is a power of t3, so no two summands' shapes
-  differ by that power's shift (0, -1, 0).
+- the zero screen reading only the diagonal run pairs under check_js and
+  the OX wall: two js runs on slots i != i' have a' - a = b - b' != 0 and
+  twists that differ by a power of t3, so no term of their pairing is the
+  zero weight.
 - divmod_linear stepping only the pivot field under the eval backend:
   eval_mod reads each exponent from its own field and the degree field
   only to size its tables, so a degree field off by one changes no residue.
@@ -56,17 +57,24 @@ IP1 = parse_i0("IP1")
 BACKENDS = ("symbolic", *(EvalBackend(seed=seed) for seed in (1, 2, 3)))
 
 
+def _empty_tables():
+    kclass._CHI_P1.clear()
+    ratfun._PRIMITIVE.clear()
+    geom._PAIRINGS.clear()
+    geom._thicken.cache_clear()
+    geom._slots.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def empty_tables():
-    """Empty the per-key tables (kclass._CHI_P1, ratfun._PRIMITIVE) before
-    and after each test: a mutant in a table's fill then runs on every key
-    its checks meet, not only on keys no earlier test has filled, and the
-    entries it fills go with it."""
-    kclass._CHI_P1.clear()
-    ratfun._PRIMITIVE.clear()
+    """Empty the per-key tables (kclass._CHI_P1, ratfun._PRIMITIVE,
+    geom._PAIRINGS and the enumeration caches geom._thicken, geom._slots)
+    before and after each test: a mutant in a table's fill then runs on
+    every key its checks meet, not only on keys no earlier test has filled,
+    and the entries it fills go with it."""
+    _empty_tables()
     yield
-    kclass._CHI_P1.clear()
-    ratfun._PRIMITIVE.clear()
+    _empty_tables()
 
 
 def test_sane_checks_pass():
@@ -185,10 +193,13 @@ def test_residue_sums_dropping_a_term_den_is_rejected(monkeypatch):
         assert not check_wallcross(2, IlP1, 3, backend).passed
 
 
-def test_zero_screen_without_the_wedge_square_is_rejected(monkeypatch):
-    # the screen forgets the pairs that give the zero weight through
-    # wedge^2 N, so some points with a zero-free class read as vanishing
-    monkeypatch.setattr(geom, "_Y_SHAPES", geom._Y_SHAPES[:-1])
+def test_zero_screen_reading_only_the_diagonal_run_pairs_is_rejected(
+        monkeypatch):
+    # the screen reads the zero weight off the entries of each run paired
+    # with itself, so some points with a zero-free class read as vanishing
+    monkeypatch.setattr(geom, "_zero_mult", _recompiled(
+        geom._zero_mult, "for v in entries)",
+        "for v in entries[::int(len(entries) ** 0.5) + 1])"))
     for backend in BACKENDS:
         assert not check_wallcross(2, IlP1, 3, backend).passed
         assert not check_wallcross(3, IP1, 2, backend).passed
@@ -206,7 +217,6 @@ def test_shifted_chi_pair_weight_is_rejected(monkeypatch):
         return KClass(terms)
 
     monkeypatch.setattr(geom, "chi_pair", shifted)
-    monkeypatch.setattr(series, "chi_pair", shifted)
     for backend in BACKENDS:
         assert not check_js(3, 3, backend).passed
         assert not check_wallcross(2, IlP1, 3, backend).passed
@@ -238,11 +248,12 @@ def test_dropped_term_content_in_rf_sum_is_rejected(monkeypatch):
 
 
 def _recompiled(fn, old, new):
-    """fn, a ratfun function or method, with its source edited once."""
+    """fn, a function or method, with its source edited once and compiled
+    in the namespace of its module."""
     source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1
     namespace = {}
-    exec(source.replace(old, new), vars(ratfun), namespace)
+    exec(source.replace(old, new), fn.__globals__, namespace)
     return namespace[fn.__name__]
 
 
