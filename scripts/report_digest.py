@@ -10,7 +10,8 @@ tests/test_acceptance.py, and the EXTRA commands outside the menus:
 rf_sum-heavy symbolic ones, and eval ones, of which one fails by a sign
 override and exits 1.  Prints one `sha256[:16]  command` line per JSON report, or `exit N`
 in place of the digest when a command wrote none.  The PRINTED commands
-(every `series --kind`, a symbolic and an eval `signsearch`, and nine
+(every `series --kind` at --qmax 2 and at --qmax 3 --tmax 1, NC at
+--qmax 3 --tmax 0, a symbolic and an eval `signsearch`, and nine
 `contribution --label` ones) write no report; their line digests the exit
 code and everything they print.  A
 `sha256[:16]  parse_ratfun round trip of N values` line digests
@@ -114,6 +115,10 @@ SERIES_KINDS = next(p for p in cli_series.params if p.name == "kind").type.choic
 
 PRINTED = (
     *(["series", "--kind", kind, "--qmax", "2"] for kind in SERIES_KINDS),
+    # windows narrower than the product, where NC's cross terms matter
+    *(["series", "--kind", kind, "--qmax", "3", "--tmax", "1"]
+      for kind in SERIES_KINDS),
+    ["series", "--kind", "NC", "--qmax", "3", "--tmax", "0"],
     ["signsearch", "--k", "2", "--d", "2"],
     ["signsearch", "--k", "3", "--d", "2", "--backend", "eval"],
     *(["contribution", "--label", label] for label in (

@@ -401,7 +401,9 @@ def insertion_free(k, dmax, json_path, csv_path, no_cache):
 @click.option("--qmax", type=click.IntRange(min=0), default=3,
               show_default=True)
 @click.option("--tmax", type=click.IntRange(min=0), default=None,
-              help="Laurent t window (defaults to qmax).")
+              help="Laurent t window (defaults to qmax), applied once to "
+                   "the q-truncated product: PT 0 <= j <= tmax, MacMahon "
+                   "j = 0, NC and primary |j| <= tmax.")
 @click.option("--gamma", default="1", show_default=True,
               help="Insertion pairing (rational) for the primary kinds.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
@@ -445,6 +447,8 @@ def signsearch(k, d, cap, backend, points, seed):
     (-1)^d binom(k m/lam3, d)."""
     be, _ = make_backend(backend, points, seed)
     fps = js_fixed_points(k, d)
+    if len(fps) > cap:
+        raise click.UsageError(f"{len(fps)} fixed points exceed --cap {cap}")
     signs = sign_search(fps, wall_target(k, d).coeff(d), cap=cap, backend=be)
     if signs is None:
         click.echo("no sign assignment matches")

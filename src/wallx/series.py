@@ -9,6 +9,7 @@ search's residue screen.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -134,43 +135,37 @@ def wall_target(k, order):
 
 @dataclass
 class QTSeries:
-    """Series in q (order q_order) with Laurent t in [t_lo, t_hi]."""
+    """Series in q, truncated above q^q_order, with Laurent t."""
 
     coeffs: dict  # (n, j) -> RatFun
     q_order: int
-    t_lo: int
-    t_hi: int
 
     def __post_init__(self):
         self.coeffs = {k: c for k, c in self.coeffs.items() if not c.is_zero()}
-
-    @staticmethod
-    def one(q_order, t_lo=0, t_hi=0):
-        return QTSeries({(0, 0): RatFun.const(1)}, q_order, t_lo, t_hi)
 
     def coeff(self, n, j):
         return self.coeffs.get((n, j), RatFun.zero())
 
     def __mul__(self, other):
-        out = {}
+        buckets = {}
         for (na, ja), ca in self.coeffs.items():
             for (nb, jb), cb in other.coeffs.items():
-                n, j = na + nb, ja + jb
-                if n <= self.q_order and self.t_lo <= j <= self.t_hi:
-                    prev = out.get((n, j))
-                    term = ca * cb
-                    out[(n, j)] = term if prev is None else prev + term
-        return QTSeries(out, self.q_order, self.t_lo, self.t_hi)
+                if na + nb <= self.q_order:
+                    buckets.setdefault((na + nb, ja + jb), []).append(ca * cb)
+        return QTSeries({key: rf_sum(terms) for key, terms in buckets.items()},
+                        self.q_order)
 
 
-def _qt_binom_factor(x, k, tstep, q_order, t_lo, t_hi):
-    """(1 - q^k t^tstep)^x truncated, as a QTSeries factor."""
-    coeffs = {}
-    for j in range(q_order // k + 1):
-        if not (t_lo <= tstep * j <= t_hi):
-            continue
-        coeffs[(k * j, tstep * j)] = signed_binomial(x, j)
-    return QTSeries(coeffs, q_order, t_lo, t_hi)
+def _qt_product(factors, q_order, t_lo, t_hi):
+    """prod of the factors sum_j c(j) (q^k t^step)^j, given as (k, step, c),
+    truncated in q only and cut to t_lo <= j <= t_hi once, at the end: a
+    later factor can bring a term from outside the window back into it."""
+    out = QTSeries({(0, 0): RatFun.const(1)}, q_order)
+    for k, step, c in factors:
+        out = out * QTSeries({(k * j, step * j): c(j)
+                              for j in range(q_order // k + 1)}, q_order)
+    return QTSeries({(n, j): v for (n, j), v in out.coeffs.items()
+                     if t_lo <= j <= t_hi}, q_order)
 
 
 # kind -> (the factors (1 - q^k t^step)^{c k m/lam3} per k, as (c, step)
@@ -188,20 +183,27 @@ def product_series(kind, q_order, t_order=None):
     PT: prod_k (1 - q^k t)^{k m / lam3}
     MacMahon: M(q)^{2 m / lam3} = prod_k (1 - q^k)^{-2 k m / lam3}
     NC: MacMahon * prod (1 - q^k t)^{k m/lam3} * prod (1 - q^k t^-1)^{k m/lam3}
+    t windows: PT 0 <= j <= t_order, MacMahon j = 0, NC |j| <= t_order.
     """
     if kind not in _PRODUCTS:
         raise ValueError(f"unknown product kind {kind!r}")
     if t_order is None:
         t_order = q_order
-    factors, (lo, hi) = _PRODUCTS[kind]
-    t_lo, t_hi = lo * t_order, hi * t_order
+    steps, (lo, hi) = _PRODUCTS[kind]
     m_over_l3 = RatFun.var("m") / RatFun.var("lam3")
-    out = QTSeries.one(q_order, t_lo, t_hi)
-    for k in range(1, q_order + 1):
-        for c, step in factors:
-            out = out * _qt_binom_factor(c * k * m_over_l3, k, step,
-                                         q_order, t_lo, t_hi)
-    return out
+    factors = [(k, step, functools.partial(signed_binomial, c * k * m_over_l3))
+               for k in range(1, q_order + 1) for c, step in steps]
+    return _qt_product(factors, q_order, lo * t_order, hi * t_order)
+
+
+# chamber -> the factors exp(c g q t^step) of its series, as (c, step) pairs
+_CHAMBERS = {"I": ((1, 1),), "II_III": ((1, 1), (-1, -1)),
+             "IV": ((-1, -1),), "other": ()}
+
+
+def _exp_coeff(x, j):
+    """x^j / j!, the coefficient of u^j in exp(x u)."""
+    return RatFun.const(x**j / math.factorial(j))
 
 
 def primary_series(chamber, gammaE, q_order, t_order=None):
@@ -209,34 +211,16 @@ def primary_series(chamber, gammaE, q_order, t_order=None):
 
     I: exp(g q t); II_III: exp(g q t - g q t^-1); IV: exp(-g q t^-1);
     other: 1, with g the insertion pairing against the exceptional surface.
+    The t window |j| <= t_order cuts the q-truncated product once.
     """
+    if chamber not in _CHAMBERS:
+        raise ValueError(f"unknown chamber {chamber!r}")
     if t_order is None:
         t_order = q_order
     g = Fraction(gammaE)
-    coeffs = {}
-    if chamber == "I":
-        for n in range(q_order + 1):
-            if n <= t_order:
-                coeffs[(n, n)] = RatFun.const(g**n / math.factorial(n))
-    elif chamber == "II_III":
-        for n in range(q_order + 1):
-            for a in range(n + 1):
-                b = n - a
-                j = a - b
-                if -t_order <= j <= t_order:
-                    val = (g**a * (-g) ** b
-                           / (math.factorial(a) * math.factorial(b)))
-                    prev = coeffs.get((n, j), RatFun.zero())
-                    coeffs[(n, j)] = prev + RatFun.const(val)
-    elif chamber == "IV":
-        for n in range(q_order + 1):
-            if n <= t_order:
-                coeffs[(n, -n)] = RatFun.const((-g) ** n / math.factorial(n))
-    elif chamber == "other":
-        coeffs[(0, 0)] = RatFun.const(1)
-    else:
-        raise ValueError(f"unknown chamber {chamber!r}")
-    return QTSeries(coeffs, q_order, -t_order, t_order)
+    factors = [(1, step, functools.partial(_exp_coeff, c * g))
+               for c, step in _CHAMBERS[chamber]]
+    return _qt_product(factors, q_order, -t_order, t_order)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,14 @@ def test_wallcross_usage_errors(runner):
 
 
 def test_internal_error_exit_code(runner):
+    # more fixed points than --cap is the user's limit, not an internal
+    # error: a usage error with one error line, checked before any search
     res = runner.invoke(main, ["signsearch", "--k", "2", "--d", "2",
                                "--cap", "1"])
-    assert res.exit_code == 3
+    assert res.exit_code == 2
+    errors = [l for l in res.stderr.splitlines()
+              if l.lower().startswith("error")]
+    assert errors == ["Error: 3 fixed points exceed --cap 1"]
 
 
 def test_degree_overflow_exits_3(runner, monkeypatch):
@@ -167,6 +172,15 @@ def test_wallcross_unclassified_wall_and_i0_is_usage_error(
               if l.lower().startswith("error")]
     assert errors == [f"Error: {message}"]
     assert not (tmp_path / "cache").exists()
+
+
+def test_series_nc_window_keeps_cross_terms(runner):
+    # (q t) * (q t^-1) lands at q^2 t^0 inside the t^0 window
+    res = runner.invoke(main, ["series", "--kind", "NC", "--qmax", "3",
+                               "--tmax", "0"])
+    assert res.exit_code == 0
+    assert ("  q^2*t^0      prod[ m^1 ; lam3^-2 ; 5*lam3 + 3*m^1 ] * ( 1 ) "
+            "/ ( 1 )\n") in res.output
 
 
 def test_series_command_csv(runner, tmp_path):

@@ -130,6 +130,57 @@ def test_primary_series_shapes():
         primary_series("V", 1, 1)
 
 
+# each kind's t window at t_order t
+_WINDOWS = {
+    "PT": lambda j, t: 0 <= j <= t,
+    "MacMahon": lambda j, t: j == 0,
+    "NC": lambda j, t: -t <= j <= t,
+}
+
+
+def _texts(s):
+    return {key: str(c) for key, c in s.coeffs.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(_WINDOWS))
+@pytest.mark.parametrize("q", range(5))
+def test_product_window_cuts_the_whole_product(kind, q):
+    # NC's window is two-sided: a term (q t) * (q t^-1) lies inside it
+    # although its first factor does not, so the window cuts the product,
+    # never a factor or a partial product
+    whole = _texts(product_series(kind, q, q))
+    for t in range(q + 2):
+        assert _texts(product_series(kind, q, t)) == {
+            (n, j): text for (n, j), text in whole.items()
+            if _WINDOWS[kind](j, t)}, t
+
+
+def _primary_oracle(chamber, g, q, t):
+    """Closed coefficients of exp(g q t), exp(g q t - g q t^-1) and
+    exp(-g q t^-1) at q^n t^j for n <= q, |j| <= t."""
+    f = math.factorial
+    coeffs = {}
+    for n in range(q + 1):
+        for a in range(n + 1):  # a factors of g q t, b of -g q t^-1
+            b = n - a
+            # I has no -g q t^-1, IV no g q t, other neither
+            if {"I": b, "IV": a, "II_III": 0, "other": n}[chamber]:
+                continue
+            if abs(a - b) <= t:
+                val = g**a * (-g) ** b / (f(a) * f(b))
+                coeffs[(n, a - b)] = coeffs.get((n, a - b), 0) + val
+    return {key: str(RatFun.const(v)) for key, v in coeffs.items() if v}
+
+
+@pytest.mark.parametrize("chamber", ["I", "II_III", "IV", "other"])
+@pytest.mark.parametrize("g", [0, 1, -1, Fraction(2, 3)])
+def test_primary_series_matches_its_closed_coefficients(chamber, g):
+    for q in range(6):
+        for t in range(q + 2):
+            assert (_texts(primary_series(chamber, g, q, t))
+                    == _primary_oracle(chamber, Fraction(g), q, t)), (q, t)
+
+
 # ---------------------------------------------------------------------------
 # identity checkers
 
