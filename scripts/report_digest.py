@@ -41,6 +41,13 @@ every fixed point of the EVAL_MENU fibers (both sides, every degree up to
 tmax) and of js_fixed_points(k, d) for k <= 4, d <= 3.  Eval reports hold
 only residues, so this line is where a change to the text of an eval-path
 value shows.
+A last `sha256[:16]  rf_sum over N seeded c1 = c2 sums` line digests
+str(rf_sum(terms)) over LAM12_SUMS seeded sums whose forms all have
+c1 = c2, with vectors that need not be primitive, Fraction scalars and
+exponents -2..2, most of which keep lam1 + lam2 in the result: rf_sum sums
+such terms with lam1 standing for lam1 + lam2 and maps the result back,
+and the command set's collapsed sums almost never keep lam1 + lam2, so
+this line is where a change to that map back shows.
 
 Comparing the output of two checkouts checks that their reports and quiver
 outcomes are byte-identical.  The wallx sources are taken from this
@@ -65,7 +72,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from wallx import geom, quiver  # noqa: E402
 from wallx.cli import main as cli_main, series as cli_series  # noqa: E402
-from wallx.ratfun import _form_coeffs, parse_ratfun  # noqa: E402
+from wallx.ratfun import RatFun, _form_coeffs, parse_ratfun, rf_sum  # noqa: E402
 
 CHAMBER_SEED = 42
 GENERAL_REPS = 1500
@@ -73,6 +80,7 @@ GENERAL_REPS = 1500
 GENERAL_ENTRIES = (0, 0, 0, 0, "0", 0.0, Fraction(0), 1, -1, 2, -3, "2/3",
                    "-5/2", "4/2", 0.5, -1.25, Fraction(3, 4))
 GRID_STEPS, GRID_KMAX = 10, 40
+LAM12_SUMS = 400
 
 CRITERION_10 = (
     ["js", "--k", "2", "--dmax", "2"],
@@ -318,6 +326,28 @@ def contribution_digest():
     return hashlib.sha256(data).hexdigest()[:16], len(points)
 
 
+def lam12_sum_digest():
+    """Digest of str(rf_sum(terms)) over the LAM12_SUMS seeded sums: 2-5
+    terms over one pool of 1-4 vectors (a, a, c, cm), each term a Fraction
+    scalar times the pool's vectors to exponents -2..2."""
+    rng = random.Random("wallx-digest:lam12-sums")
+    lines = []
+    for _ in range(LAM12_SUMS):
+        pool = []
+        while len(pool) < rng.randint(1, 4):
+            a, c, cm = (rng.randint(-3, 3), rng.randint(-3, 3),
+                        rng.randint(-2, 2))
+            if a or c or cm:
+                pool.append((a, a, c, cm))
+        terms = [RatFun.from_forms(
+            [(v, rng.randint(-2, 2)) for v in pool],
+            Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4, 6)),
+                     rng.randint(1, 12)))
+            for _ in range(rng.randint(2, 5))]
+        lines.append(str(rf_sum(terms)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def normal_form_fault(value):
     """How value breaks the normal form's invariant, or None."""
     if not all(value.factored.values()):
@@ -363,6 +393,8 @@ def main():
     print(f"{classify_digest()}  classify_theta grid", flush=True)
     digest, n = contribution_digest()
     print(f"{digest}  contribution strings of {n} points", flush=True)
+    print(f"{lam12_sum_digest()}  rf_sum over {LAM12_SUMS} seeded c1 = c2 "
+          "sums", flush=True)
     mismatched = [v for v, r in zip(values, read_back) if v != r]
     for v in mismatched[:3]:
         print(f"does not read back to itself: {v}", file=sys.stderr)

@@ -427,7 +427,10 @@ def series(kind, qmax, tmax, gamma, csv_path):
               help='Fixed-point label, e.g. "js:k=2,d=3,comp=2,1".')
 def contribution_cmd(label):
     """Print the signed equivariant contribution of one fixed point."""
-    fp = parse_label(label)
+    try:
+        fp = parse_label(label)
+    except UnsupportedConfiguration as exc:
+        raise click.UsageError(str(exc))
     value = contribution(fp)
     click.echo(f"label   : {fp.label}")
     click.echo(f"support : {fp.support}")

@@ -884,109 +884,39 @@ def _shared_expansion(group, power):
     return _times(total, common, power)
 
 
-def _lattice_basis(forms):
-    """(pivots, rows): the Hermite normal form basis of the lattice the forms
-    generate, or None when its rank is the number of variables they involve.
+def _spread_lam1(poly):
+    """poly, free of lam2, with lam1 + lam2 substituted for lam1.
 
-    Each form is reduced against the rows by integer row operations
-    (Euclid's algorithm on the pivot entries), which keep the rows a basis of
-    the lattice of the forms seen; the pass stops once the rank is NVARS.
-    Then the entries above each pivot are brought into [0, pivot) (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4.2-2.4.3).  A row's
-    first nonzero entry is its positive pivot; the pivot columns increase.
+    Each lam1^n becomes sum_k C(n, k) lam1^(n - k) lam2^k by one key
+    rewrite: the degree field is unchanged, and the images of two distinct
+    lam2-free monomials share none, so no sum cancels.
     """
-    rows = [None] * NVARS
-    for v in forms:
-        for piv in range(NVARS):
-            if not v[piv]:
-                continue
-            row = rows[piv]
-            if row is None:
-                row, v = v, (0, 0, 0, 0)
-            while v[piv]:
-                row, v = v, _axpy(1, row, -(row[piv] // v[piv]), v)
-            rows[piv] = row if row[piv] > 0 else _axpy(-1, row, 0, row)
-        if all(rows):
-            return None
-    pivots = [p for p in range(NVARS) if rows[p]]
-    basis = [rows[p] for p in pivots]
-    if len(basis) == sum(map(any, zip(*basis))):
-        return None
-    for k, p in enumerate(pivots):
-        for j in range(k):
-            basis[j] = _axpy(1, basis[j], -(basis[j][p] // basis[k][p]),
-                             basis[k])
-    return pivots, basis
-
-
-def _axpy(a, x, c, y):
-    """a * x + c * y for two coefficient 4-tuples."""
-    return (a * x[0] + c * y[0], a * x[1] + c * y[1],
-            a * x[2] + c * y[2], a * x[3] + c * y[3])
-
-
-def _coordinates(form, pivots, basis):
-    """The integer coordinates of a lattice form in the echelon basis, padded
-    to NVARS with zeros.  The first nonzero one has the sign of the form's
-    first nonzero coefficient, so a canonical form has canonical
-    coordinates."""
-    y = [0] * NVARS
-    for j, p in enumerate(pivots):
-        x = form[p]
-        for i in range(j):
-            x -= y[i] * basis[i][p]
-        y[j] = x // basis[j][p]
-    return tuple(y)
-
-
-def _map_back(red, basis):
-    """red, a normal form in the coordinates of the basis, with its j-th
-    variable replaced by the form basis[j].
-
-    Each factor maps to the vector its coordinates combine, which from_forms
-    makes a form: the coordinates of a summed (primitive) form give that
-    form back, and a factor _normal found in the coordinates may give a
-    vector whose content enters the num.  The num is substituted
-    multiplying only powers of the basis forms, whose integer products
-    take red.num's coefficients as they are summed.
-    """
-    powers = {}
-
-    def power(j, n):
-        if (j, n) not in powers:
-            powers[j, n] = (form_poly(basis[j]) if n == 1
-                            else power(j, n - 1) * power(j, 1))
-        return powers[j, n]
-
     out = {}
-    for e, c in red.num.terms.items():
-        pows = [power(j, n) for j, n in enumerate(_unpack(e)) if n]
-        term = pows[0] if pows else _ONE
-        for p in pows[1:]:
-            term = term * p
-        for m, v in term.terms.items():
-            out[m] = out.get(m, 0) + c * v
-    num = _poly({m: v for m, v in out.items() if v})
-    back = RatFun.from_forms(
-        ([sum(c * row[i] for c, row in zip(y, basis)) for i in range(NVARS)],
-         e) for y, e in red.factored.items())
-    return _ratfun(back.factored, num.scale(back.num.const_value()))
+    step = (1 << 24) - (1 << 36)  # one lam1 moved to lam2
+    for e, c in poly.terms.items():
+        n = e >> 36 & _MASK
+        for k in range(n + 1):
+            out[e + k * step] = c * math.comb(n, k)
+    return _poly(out)
 
 
 def rf_sum(terms):
     """Exact sum of RatFuns over the shared factored denominator.
 
     When every term's residual num is constant, some form's exponent
-    differs between terms and the forms span a lattice of rank r smaller
-    than the number of variables they involve, the sum runs in r variables:
-    in the coordinates of the lattice's Hermite normal form basis.  The
-    result is mapped back once by substituting each basis form for its
-    variable, an injective ring map that keeps degrees and divisibility by
-    forms, so the normal form there maps to the normal form of the flat
-    sum.  The forms are primitive, so no two are proportional, and the
-    result, string included, does not depend on the order of the terms.
-    Their grouping can still change the text: a group's sum may factor a
-    form that the whole sum keeps inside a non-linear num.
+    differs between terms, and every form (c1, c2, c3, cm) has c1 = c2,
+    some c1 nonzero, the sum runs with lam1 standing for lam1 + lam2: each
+    form is written (c1, 0, c3, cm), which is still primitive and canonical.
+    The result is mapped back once, each form (c1, 0, c3, cm) to
+    (c1, c1, c3, cm), the object of its _PRIMITIVE entry, and the num by
+    substituting lam1 + lam2 for lam1 (_spread_lam1): an injective ring
+    map that keeps degrees and divisibility by forms, so the normal form
+    there maps to the normal form of the flat sum.  Every other sum runs
+    flat in all NVARS variables.  The forms are primitive, so no two are
+    proportional, and the result, string included, does not depend on the
+    order of the terms.  Their grouping can still change the text: a
+    group's sum may factor a form that the whole sum keeps inside a
+    non-linear num.
     """
     terms = [t for t in terms if not t.is_zero()]
     if len(terms) < 2:
@@ -994,14 +924,14 @@ def rf_sum(terms):
     if (any(t.factored != terms[0].factored for t in terms)
             and all(t.num.is_const() for t in terms)):
         forms = set().union(*(t.factored for t in terms))
-        lattice = _lattice_basis(forms)
-        if lattice:
-            pivots, basis = lattice
-            coords = {f: _coordinates(f, pivots, basis) for f in forms}
+        if all(f[0] == f[1] for f in forms) and any(f[0] for f in forms):
             red = _rf_sum_flat([
-                _ratfun({coords[f]: e for f, e in t.factored.items()}, t.num)
+                _ratfun({(c1, 0, c3, cm): e
+                         for (c1, _, c3, cm), e in t.factored.items()}, t.num)
                 for t in terms])
-            return _map_back(red, basis)
+            return _ratfun({_PRIMITIVE[c1, c1, c3, cm][0]: e
+                            for (c1, _, c3, cm), e in red.factored.items()},
+                           _spread_lam1(red.num))
     return _rf_sum_flat(terms)
 
 

@@ -2,16 +2,16 @@
 monkeypatch and asserts that the checks reject it.
 
 A checker that still passes with a mutant in place cannot tell the defect
-from working code.  The mutants here run through rf_sum's reduced path (the
-js and OX wall-crossing sums span a rank-3 lattice of forms) and its flat
-path (the IlP1:1 sums), and the fixed-point, chi_pair, zero-screen,
-content, from_forms and primitive-table mutants also through the eval
-backend at three seeds; the map-back mutant is in rf_sum, which an eval
-check need not call, and the residue_pair and residue_sums mutants are in
-the eval backend alone.  A mutant of a function body is the function
-recompiled from its source with one edit.  Every test starts and ends with
-empty per-key tables (the empty_tables fixture), so a mutant in a table's
-fill is not hidden by entries an earlier test filled.
+from working code.  The mutants here run through rf_sum's collapsed path
+(every form of the js and OX wall-crossing sums has c1 = c2, so they sum
+with lam1 standing for lam1 + lam2) and its flat path (the IlP1:1 sums),
+and the fixed-point, chi_pair, zero-screen, content, from_forms and
+primitive-table mutants also through the eval backend at three seeds; the
+residue_pair and residue_sums mutants are in the eval backend alone.  A
+mutant of a function body is the function recompiled from its source with
+one edit.  Every test starts and ends with empty per-key tables (the
+empty_tables fixture), so a mutant in a table's fill is not hidden by
+entries an earlier test filled.
 
 Equivalent mutants, kept out:
 - with_point_sign off by one under check_wallcross: it negates both
@@ -34,6 +34,13 @@ Equivalent mutants, kept out:
   changes a value's text but not its value, and rf_equal zero-tests a
   difference.  test_hyperplane_test_never_rejects_a_multiple in
   tests/test_ratfun.py kills it.
+- rf_sum's map back skipping the lam2 spread of the num, or leaving c2 at
+  0 in a mapped-back form, under every check: no collapsed sum the checks
+  form keeps lam1 + lam2 in its result (no collapsed num holds lam1, and
+  a c1 = c2 form survives in almost none), so both sides map back alike.
+  test_spread_lam1_substitutes_lam1_plus_lam2 and
+  test_collapsed_sum_maps_lam1_plus_lam2_back in tests/test_ratfun.py
+  kill them.
 """
 
 import dataclasses
@@ -151,19 +158,6 @@ def test_primitive_table_taking_the_content_of_one_entry_is_rejected(
         assert not check_js(3, 3, backend).passed
         assert not check_wallcross(3, OX, 3, backend).passed
         assert not check_wallcross(2, IlP1, 3, backend).passed
-
-
-def test_swapped_basis_forms_in_the_map_back_are_rejected(monkeypatch):
-    map_back = ratfun._map_back
-
-    def swapped(red, basis):
-        if len(basis) > 1:
-            basis = [basis[1], basis[0], *basis[2:]]
-        return map_back(red, basis)
-
-    monkeypatch.setattr(ratfun, "_map_back", swapped)
-    assert not check_js(3, 3).passed
-    assert not check_wallcross(3, OX, 3).passed
 
 
 def test_skipped_eval_mod_factor_is_rejected(monkeypatch):

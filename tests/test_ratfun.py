@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wallx import ratfun
+from wallx import ratfun, series
 from wallx.geom import (
     contribution,
     fiber_minus,
@@ -26,6 +26,7 @@ from wallx.ratfun import (
     NonUnitDivisor,
     ParseError,
     RatFun,
+    VARS,
     ZeroForm,
     _ratfun,
     binomial_rf,
@@ -38,7 +39,12 @@ from wallx.ratfun import (
     rf_sum,
     sample_points,
 )
-from wallx.series import wallcross_quotient
+from wallx.series import (
+    _fiber_terms,
+    check_dimred,
+    check_insertion_free,
+    wallcross_quotient,
+)
 
 L1 = RatFun.var("lam1")
 L2 = RatFun.var("lam2")
@@ -922,34 +928,34 @@ def test_shared_cofactor_is_multiplied_once():
 
 
 # ---------------------------------------------------------------------------
-# rf_sum in the coordinates its forms span
+# rf_sum with lam1 standing for lam1 + lam2
 
 
 def _reduces(terms):
-    """Whether rf_sum takes its reduced path on these nonzero terms."""
+    """Whether rf_sum takes its collapsed path on these nonzero terms."""
     first = terms[0].factored
     forms = set().union(*(t.factored for t in terms))
     return (any(t.factored != first for t in terms)
             and all(t.num.is_const() for t in terms)
-            and ratfun._lattice_basis(forms) is not None)
+            and all(f[0] == f[1] for f in forms) and any(f[0] for f in forms))
+
+
+def _free_of(*names):
+    """holds for _rf_sum_products: the polynomial involves none of names."""
+    slots = [VARS.index(name) for name in names]
+    return lambda p: not any(ratfun._unpack(e)[i]
+                             for e in p.terms for i in slots)
 
 
 @st.composite
-def sublattice_sums(draw):
-    """Constant-residual terms with Fraction scalars whose forms are integer
-    combinations of 1-3 random generators: a rank-1..3 lattice, which may be
-    non-saturated (a generator 2*lam3, or even combinations only) and may
-    have Hermite pivots other than 1."""
-    rank = draw(st.integers(1, 3))
-    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 4).filter(any),
-                         min_size=rank, max_size=rank))
-    pool = []
-    for _ in range(draw(st.integers(2, 5))):
-        combo = draw(st.tuples(*[st.integers(-2, 2)] * rank))
-        v = tuple(sum(c * g[i] for c, g in zip(combo, gens)) for i in range(4))
-        if any(v):
-            pool.append(v)
-    assume(pool)
+def lam12_sums(draw):
+    """Constant-residual terms with Fraction scalars whose forms all have
+    c1 = c2: vectors (a, a, c, cm), some not primitive (2*lam1 + 2*lam2,
+    2*lam3) and some free of lam1 and lam2."""
+    pool = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
+        .filter(any).map(lambda v: (v[0], v[0], v[1], v[2])),
+        min_size=1, max_size=5))
     terms = []
     for _ in range(draw(st.integers(2, 4))):
         scalar = Fraction(draw(st.integers(-6, 6).filter(bool)),
@@ -961,56 +967,79 @@ def sublattice_sums(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sublattice_sums())
+@given(lam12_sums())
 def test_reduced_rf_sum_string_equals_the_flat_path(terms):
-    got, seen = _rf_sum_products(terms)
+    lam2_free = _free_of("lam2")
+    got, seen = _rf_sum_products(
+        terms, lambda p: _int_only(p) and lam2_free(p))
     assert all(seen)
     assert str(got) == str(ratfun._rf_sum_flat(terms))
-    # the basis is in Hermite normal form, and every form is an integer
-    # combination of it whose first nonzero coordinate is positive
-    forms = set().union(*(t.factored for t in terms))
-    pivots, basis = ratfun._lattice_basis(forms)
-    assert pivots == sorted(pivots)
-    for k, (p, row) in enumerate(zip(pivots, basis)):
-        assert not any(row[:p]) and row[p] > 0
-        assert all(0 <= other[p] < row[p] for other in basis[:k])
-    for f in forms:
-        y = ratfun._coordinates(f, pivots, basis)
-        assert tuple(sum(c * row[i] for c, row in zip(y, basis))
-                     for i in range(4)) == f
-        assert _primitive(y) == (y, 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(shared_form_sums().map(lambda case: case[0]),
-                 sublattice_sums()),
+                 lam12_sums()),
        st.data())
 def test_rf_sum_string_does_not_depend_on_term_order(terms, data):
     assert str(rf_sum(data.draw(st.permutations(terms)))) == str(rf_sum(terms))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.tuples(*[st.integers(0, 4)] * 3),
+    st.one_of(st.integers(-5, 5),
+              st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+    min_size=1, max_size=6))
+def test_spread_lam1_substitutes_lam1_plus_lam2(coeffs):
+    # the key rewrite against MultiPoly arithmetic: each lam2-free monomial
+    # lam1^n lam3^e3 m^em times (lam1 + lam2)^n / lam1^n
+    poly = MultiPoly({(n, 0, e3, em): c for (n, e3, em), c in coeffs.items()})
+    want = MultiPoly()
+    for (n, e3, em), c in coeffs.items():
+        want = want + form_poly((1, 1, 0, 0)) ** n * MultiPoly(
+            {(0, 0, e3, em): c})
+    got = ratfun._spread_lam1(poly)
+    assert got == want
+    assert all(type(c) is int or c.denominator != 1
+               for c in got.terms.values())
+
+
+def test_collapsed_sum_maps_lam1_plus_lam2_back():
+    # the result keeps lam1 + lam2 both as a factor and inside its num, so
+    # a map back that leaves c2 at 0 or skips the lam2 spread shows
+    s = RatFun.from_forms([((1, 1, 0, 0), 1)])
+    terms = [1 / s ** 2, 1 / L3 ** 2, RatFun.const(Fraction(1, 3)) / s]
+    assert _reduces(terms)
+    want = ("prod[ lam3^-2 ; lam1 + lam2^-2 ] * ( 1/3*lam1*lam3^2 + "
+            "1/3*lam2*lam3^2 + lam1^2 + 2*lam1*lam2 + lam2^2 + lam3^2 ) "
+            "/ ( 1 )")
+    assert str(ratfun._rf_sum_flat(terms)) == want
+    assert str(rf_sum(terms)) == want
+    # the mapped-back forms are the objects of their _PRIMITIVE entries
+    for f in rf_sum([1 / s, 1 / (s + L3)]).factored:
+        assert ratfun._PRIMITIVE[f][0] is f
+
+
 def test_non_saturated_lattice_folds_the_content_of_a_new_factor(
         monkeypatch):
-    # {lam1 + lam2 + 2*lam3, lam1 + lam2} has the basis (lam1 + lam2,
-    # 2*lam3); the sum's num 2*y1 + y2 maps back to 2*(lam1 + lam2 + lam3),
-    # whose content 2 must enter the num as in the flat path
+    # {lam1 + lam2 + 2*lam3, lam1 + lam2} collapse to {lam1 + 2*lam3,
+    # lam1}; the sum's num 2*lam1 + 2*lam3 is the content 2 times a new
+    # factor, and the 2 must enter the num as in the flat path
     terms = [RatFun.from_forms([((1, 1, 2, 0), -1)]),
              RatFun.from_forms([((1, 1, 0, 0), -1)])]
-    assert ratfun._lattice_basis({f for t in terms for f in t.factored}) == (
-        [0, 2], [(1, 1, 0, 0), (0, 0, 2, 0)])
     want = "prod[ lam1 + lam2^-1 ; lam1 + lam2 + lam3^1 ; " \
         "lam1 + lam2 + 2*lam3^-1 ] * ( 2 ) / ( 1 )"
     assert str(ratfun._rf_sum_flat(terms)) == want
-    # the reduced path runs once and enters rf_sum once, through the flat
+    # the collapsed path runs once and enters rf_sum once, through the flat
     # helper, so that a per-call count of rf_sum does not change
-    reduced, entered = [], []
-    rf_sum_, map_back = ratfun.rf_sum, ratfun._map_back
-    monkeypatch.setattr(ratfun, "_map_back",
-                        lambda *a: reduced.append(1) or map_back(*a))
+    collapsed, entered = [], []
+    rf_sum_, spread = ratfun.rf_sum, ratfun._spread_lam1
+    monkeypatch.setattr(ratfun, "_spread_lam1",
+                        lambda p: collapsed.append(1) or spread(p))
     monkeypatch.setattr(ratfun, "rf_sum",
                         lambda ts: entered.append(1) or rf_sum_(ts))
     assert str(ratfun.rf_sum(terms)) == want
-    assert reduced == entered == [1]
+    assert collapsed == entered == [1]
 
 
 def _misses_a_variable(p):
@@ -1019,20 +1048,63 @@ def _misses_a_variable(p):
     return any(not any(e[i] for e in exps) for i in range(4))
 
 
+def _expands_like_flat(terms, holds):
+    """Whether rf_sum(terms) takes the collapsed path, makes some product,
+    makes only products whose factors satisfy holds, and prints the flat
+    path's text."""
+    got, slots = _rf_sum_products(terms, holds)
+    return (_reduces(terms) and slots and all(slots)
+            and str(got) == str(ratfun._rf_sum_flat(terms)))
+
+
 def test_rank_three_sums_expand_in_three_variables():
     # every js form has c1 = c2: the localization sums of check_js(3, 3)
-    # multiply out in the coordinates (lam1 + lam2, lam3, m)
+    # multiply out in lam1 (for lam1 + lam2), lam3 and m
     for d in (1, 2, 3):
         terms = [contribution(fp) for fp in js_fixed_points(3, d)]
-        got, slots = _rf_sum_products(terms, _misses_a_variable)
-        assert slots and all(slots)
-        assert str(got) == str(ratfun._rf_sum_flat(terms))
+        assert _expands_like_flat(terms, _free_of("lam2"))
     # the IP1 k = 3 plus fiber spans all four variables: the flat path
     terms = [t for t in (contribution(fp)
                          for fp in fiber_plus(3, parse_i0("IP1"), 1))
              if not t.is_zero()]
     assert not _reduces(terms)
     assert not all(_rf_sum_products(terms, _misses_a_variable)[1])
+
+
+def _mixed_sums(term_lists):
+    """The term lists, zeros dropped, in which some form's exponent differs
+    between terms."""
+    lists = ([t for t in terms if not t.is_zero()] for terms in term_lists)
+    return [terms for terms in lists
+            if any(t.factored != terms[0].factored for t in terms)]
+
+
+def test_ox_fiber_sums_expand_in_three_variables():
+    # both fibers of the wall Lmm:3 at OX, as check_wallcross(3, OX, 3)
+    # sums them
+    plus, minus = _fiber_terms(3, parse_i0("OX"), 3)
+    sums = _mixed_sums([*plus.values(), *minus.values()])
+    assert len(sums) == 3
+    for terms in sums:
+        assert _expands_like_flat(terms, _free_of("lam2"))
+
+
+@pytest.mark.parametrize("check, args, count", [
+    (check_insertion_free, (3, 3), 2), (check_dimred, (2, 4), 1)])
+def test_m_free_sums_expand_in_lam1_and_lam3(monkeypatch, check, args,
+                                             count):
+    # the square-root Euler classes, and the contributions at m = lam3,
+    # have forms in lam1 + lam2 and lam3 alone: every sum the check forms,
+    # its rf_equal differences included, multiplies out in two variables
+    formed, rf_sum_ = [], ratfun.rf_sum
+    for module in (ratfun, series):
+        monkeypatch.setattr(module, "rf_sum",
+                            lambda ts: formed.append(ts) or rf_sum_(ts))
+    assert check(*args).passed
+    sums = _mixed_sums(formed)
+    assert len(sums) == count
+    for terms in sums:
+        assert _expands_like_flat(terms, _free_of("lam2", "m"))
 
 
 # ---------------------------------------------------------------------------
