@@ -1,12 +1,13 @@
 """Equivariant sheaves on the local resolved conifold 4-fold O_P1(-1,-1,0).
 
 Every torus-fixed object in scope pushes down to a finite direct sum of
-twisted line bundles O(a Z0 + b Zinf) x t^w on the base P1, in runs: a line
-bundle thickened by t3^j for j < n.  This module computes their chi-classes
-by equivariant Riemann-Roch on P1 plus adjunction along the normal bundle of
-P1 in the relevant ambient space, and enumerates the classified fixed loci
-over the walls Lmm(k) together with their signs.  A fixed point's pairing
-with itself is summed from a per-key table of run pairs (_PAIRINGS).
+twisted line bundles O(a Z0 + b Zinf) x t^w on the base P1, held as runs
+(L, n): the line bundle L thickened by t3^j for j < n.  This module computes
+their chi-classes by equivariant Riemann-Roch on P1 plus adjunction along the
+normal bundle of P1 in the relevant ambient space, and enumerates the
+classified fixed loci over the walls Lmm(k) together with their signs.  A
+sheaf F is passed as its tuple of runs.  A fixed point's pairing with
+itself is summed from a per-key table of run pairs (_PAIRINGS).
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ class EquivLineBundle(NamedTuple):
     twist: tuple = (0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class EquivSheaf:
-    summands: tuple
-
-    @staticmethod
-    def of(*bundles):
-        return EquivSheaf(tuple(bundles))
-
-
 O_P1 = EquivLineBundle(0, 0)
 
 # normal bundle summands of P1 inside each ambient space
@@ -68,8 +60,10 @@ AMBIENT_NORMAL = {
 
 @dataclass(frozen=True)
 class FixedPoint:
+    """A fixed point; runs is its sheaf as a tuple of runs (L, n)."""
+
     label: str
-    sheaf: EquivSheaf
+    runs: tuple
     chi: int
     deg: int
     sign_extra: int = 0
@@ -79,10 +73,12 @@ class FixedPoint:
 def chi_X(F):
     """Pushforward character chi(P1, F)."""
     total = {}
-    for a, b, (t1, t2, t3, tm) in F.summands:
-        for (w1, w2, w3, wm), c in chi_p1(a, b).terms.items():
-            w = (w1 + t1, w2 + t2, w3 + t3, wm + tm)
-            total[w] = total.get(w, 0) + c
+    for (a, b, (t1, t2, t3, tm)), n in F:
+        terms = chi_p1(a, b).terms.items()
+        for j in range(n):
+            for (w1, w2, w3, wm), c in terms:
+                w = (w1 + t1, w2 + t2, w3 + t3 + j, wm + tm)
+                total[w] = total.get(w, 0) + c
     return _kclass({w: c for w, c in total.items() if c})
 
 
@@ -107,22 +103,21 @@ EXTERIOR_POWERS = {name: _exterior_powers(normal)
                    for name, normal in AMBIENT_NORMAL.items()}
 
 
-def chi_pair(F, G, ambient):
-    """Adjunction chi-pairing of two sheaves inside an ambient space.
+def chi_pair(L, Lp, ambient):
+    """Adjunction chi-pairing of two line bundles inside an ambient space.
 
     Alternating sum over exterior powers of the normal bundle of P1:
-    sum_p (-1)^p chi_P1(Hom(L, L' x wedge^p N)) over all summand pairs,
-    each term a chi_p1 class twisted by t' - t and the power's twist.
+    sum_p (-1)^p chi_P1(Hom(L, L' x wedge^p N)), each term a chi_p1 class
+    twisted by t' - t and the power's twist.
     """
+    (a, b, t), (ap, bp, u) = L, Lp
     total = {}
-    for a, b, t in F.summands:
-        for ap, bp, u in G.summands:
-            for wa, wb, w, sign in EXTERIOR_POWERS[ambient]:
-                s0, s1, s2, s3 = (u[i] - t[i] + w[i] for i in range(4))
-                for (k0, k1, k2, k3), c in chi_p1(
-                        ap - a + wa, bp - b + wb).terms.items():
-                    key = (k0 + s0, k1 + s1, k2 + s2, k3 + s3)
-                    total[key] = total.get(key, 0) + sign * c
+    for wa, wb, w, sign in EXTERIOR_POWERS[ambient]:
+        s0, s1, s2, s3 = (u[i] - t[i] + w[i] for i in range(4))
+        for (k0, k1, k2, k3), c in chi_p1(
+                ap - a + wa, bp - b + wb).terms.items():
+            key = (k0 + s0, k1 + s1, k2 + s2, k3 + s3)
+            total[key] = total.get(key, 0) + sign * c
     # weights that cancel are dropped here; the order of the rest reaches no
     # report, since rf_sum and str sort the forms they meet
     return _kclass({w: c for w, c in total.items() if c})
@@ -135,19 +130,6 @@ _PAIRINGS = {}
 _WEIGHTS = {}
 
 
-def _runs(F):
-    """F's summands as runs (a, b, twist, n): maximal progressions
-    L, L t3, ..., L t3^(n-1) of one bundle L = O(a Z0 + b Zinf) t^twist."""
-    runs, after = [], None
-    for a, b, t in F.summands:
-        if (a, b, t) == after:
-            runs[-1][3] += 1
-        else:
-            runs.append([a, b, t, 1])
-        after = (a, b, (t[0], t[1], t[2] + 1, t[3]))
-    return runs
-
-
 def _fill(key):
     """The _PAIRINGS entry of key from the one of its line pair L, L' t3^-d2
     (n = n' = 1, by chi_pair): L t3^j against L' t3^j' twists it by
@@ -155,8 +137,8 @@ def _fill(key):
     ambient, da, db, d0, d1, d2, d3, n, np = key
     line = (ambient, da, db, d0, d1, 0, d3, 1, 1)
     if key == line:
-        terms = chi_pair(EquivSheaf.of(O_P1), EquivSheaf.of(
-            EquivLineBundle(da, db, (d0, d1, 0, d3))), ambient).terms
+        terms = chi_pair(O_P1, EquivLineBundle(da, db, (d0, d1, 0, d3)),
+                         ambient).terms
     else:
         terms = (_PAIRINGS.get(line) or _fill(line)).terms
     total = {}
@@ -171,12 +153,11 @@ def _fill(key):
 
 
 def _pairings(F, ambient):
-    """The table entries that sum to chi_pair(F, F, ambient), one per
-    ordered pair of F's runs."""
-    runs = _runs(F)
+    """The table entries that sum to chi_ambient(F, F), one per ordered
+    pair of F's runs."""
     entries = []
-    for a, b, (t0, t1, t2, t3), n in runs:
-        for ap, bp, (u0, u1, u2, u3), np in runs:
+    for (a, b, (t0, t1, t2, t3)), n in F:
+        for (ap, bp, (u0, u1, u2, u3)), np in F:
             key = (ambient, ap - a, bp - b,
                    u0 - t0, u1 - t1, u2 - t2, u3 - t3, n, np)
             entries.append(_PAIRINGS.get(key) or _fill(key))
@@ -231,7 +212,7 @@ def contribution(fp):
     table entries first, so a vanishing point sums no pairing and builds no
     class; a negative one reaches euler_class, which raises PoleAtZeroWeight.
     """
-    F = fp.sheaf
+    F = fp.runs
     cx = chi_X(F)
     entries = _pairings(F, "Y3fold")
     if _zero_mult(entries, cx) > 0:
@@ -264,31 +245,21 @@ def compositions(d, parts):
             yield (first, *rest)
 
 
-def _support_of(summands):
-    if not summands:
+def _support_of(F):
+    if not F:
         return ON_Y
-    if all(L.twist[2] == 0 for L in summands):
+    if all(n == 1 and L.twist[2] == 0 for L, n in F):
         return ON_Z
     return THICKENED
-
-
-@functools.cache
-def _thicken(bundle, count):
-    """count copies of bundle twisted by t3^j for j < count, as one shared
-    tuple per (bundle, count)."""
-    a, b, (t1, t2, t3, tm) = bundle
-    return tuple(EquivLineBundle(a, b, (t1, t2, t3 + j, tm))
-                 for j in range(count))
 
 
 # ---------------------------------------------------------------------------
 # classified fixed loci over the walls Lmm(k)
 
 
-def _point(label, summands, chi, deg, sign_extra=0):
-    return FixedPoint(label=label, sheaf=EquivSheaf(tuple(summands)),
-                      chi=chi, deg=deg, sign_extra=sign_extra,
-                      support=_support_of(summands))
+def _point(label, runs, chi, deg, sign_extra=0):
+    return FixedPoint(label=label, runs=tuple(runs), chi=chi, deg=deg,
+                      sign_extra=sign_extra, support=_support_of(runs))
 
 
 def _comp_text(comp):
@@ -304,25 +275,22 @@ def js_fixed_points(k, d):
 
 
 def _js_point(k, comp):
-    """The JS point of the composition (d_0, ..., d_{k-1}): the summand for
-    slot i is O((k-1-i) Zinf + i Z0) thickened by sum_{j<d_i} t3^j."""
-    summands = []
-    for bundle, di in zip(_slots(k, ("OX", 0)), comp):
-        summands.extend(_thicken(bundle, di))
+    """The JS point of the composition (d_0, ..., d_{k-1}): slot i's run is
+    O((k-1-i) Zinf + i Z0) thickened d_i times, none where d_i = 0."""
+    runs = [(L, di) for L, di in zip(_slots(k, ("OX", 0)), comp) if di]
     d = sum(comp)
-    return _point(f"js:k={k},d={d},comp={_comp_text(comp)}", summands,
+    return _point(f"js:k={k},d={d},comp={_comp_text(comp)}", runs,
                   chi=k * d, deg=d)
 
 
-def _i0_sheaf(i0):
-    """Sheaf part of the reference object I0."""
+def _i0_runs(i0):
+    """Runs of the reference object I0: O_P1 thickened l times, where IP1
+    is ("IP1", 1), and none for OX."""
     kind, l = i0
     if kind == "OX":
         return []
-    if kind == "IlP1":
-        return list(_thicken(O_P1, l))
-    if kind == "IP1":
-        return [O_P1]
+    if kind in ("IlP1", "IP1"):
+        return [(O_P1, l)]
     raise UnsupportedConfiguration(f"unknown I0 {i0!r}")
 
 
@@ -400,16 +368,15 @@ def _plus_point(k, i0, comp):
     kind, l = i0
     if kind == "OX":
         return _js_point(k, comp)
-    summands = _i0_sheaf(i0)
-    for bundle, di in zip(_slots(k, i0), comp):
-        summands.extend(_thicken(bundle, di))
+    runs = _i0_runs(i0) + [
+        (L, di) for L, di in zip(_slots(k, i0), comp) if di]
     d = sum(comp)
     label = f"plus:Lmm{k},i0={i0_label(i0)},comp={_comp_text(comp)}"
     if kind == "IlP1":
-        return _point(label, summands, chi=l + 2 * d, deg=l + d,
+        return _point(label, runs, chi=l + 2 * d, deg=l + d,
                       sign_extra=1 if comp[1] > 0 else 0)
     es = comp[k - 1: 2 * (k - 1)]
-    return _point(label, summands, chi=1 + k * d, deg=1 + d,
+    return _point(label, runs, chi=1 + k * d, deg=1 + d,
                   sign_extra=sum(1 for e in es if e > 0))
 
 
@@ -426,13 +393,12 @@ def _minus_point(k, i0, subset):
     """The minus-side point of an increasing subset of [1, k-2], which is
     empty but over IP1; there the extension class is recorded
     K-theoretically."""
-    base = _i0_sheaf(i0)
-    summands = base + [EquivLineBundle(k - 1 - i, i) for i in subset]
+    l = i0[1]
+    runs = _i0_runs(i0) + [(EquivLineBundle(k - 1 - i, i), 1) for i in subset]
     label = f"minus:Lmm{k},i0={i0_label(i0)}"
     if subset:
         label += f",subset={_comp_text(subset)}"
-    return _point(label, summands, chi=len(base) + k * len(subset),
-                  deg=len(summands))
+    return _point(label, runs, chi=l + k * len(subset), deg=l + len(subset))
 
 
 def i0_contribution(i0):

@@ -349,7 +349,9 @@ def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
             max((t.degree_bound() for v in num.values() for t in v), default=0),
             max((t.degree_bound() for v in den.values() for t in v), default=0),
         ) + max(r.degree_bound() for r in rhs.coeffs.values())
-        sz = float(backend.sz_bound(maxdeg))
+        bound = backend.sz_bound(maxdeg)
+        # a positive bound below the least float must not read as 0.0
+        sz = float(bound) or (math.nextafter(0.0, 1.0) if bound else 0.0)
         values = list(sz_samples(backend, lambda assign: (
             _eval_quotient_at(num, den, assign, DEFAULT_PRIME, t_max),
             {d: rhs.coeff(d).eval_mod(assign, DEFAULT_PRIME, {})
@@ -475,12 +477,12 @@ def check_dimred(k, d_max):
             sub = contribution(fp).substitute_m()
             subbed.append(sub)
             if fp.support == "thickened":
-                has_t3 = chi_X(fp.sheaf).terms.get((0, 0, 1, 0), 0) > 0
+                has_t3 = chi_X(fp.runs).terms.get((0, 0, 1, 0), 0) > 0
                 ok = sub.is_zero() and has_t3
                 verdict = "zero" if ok else "NONZERO"
             else:
                 if fp.support == "on_Z":
-                    target = euler_class(chiZ_class(fp.sheaf))
+                    target = euler_class(chiZ_class(fp.runs))
                     if fp.chi % 2:
                         target = -target
                 else:
@@ -521,7 +523,7 @@ def check_insertion_free(k, d_max):
     for d in range(0, d_max + 1):
         terms = []
         for fp in js_fixed_points(k, d):
-            e = euler_class(sqrt_class(fp.sheaf))
+            e = euler_class(sqrt_class(fp.runs))
             if e.is_zero():
                 continue
             terms.append(with_point_sign(fp, e))

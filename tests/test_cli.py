@@ -363,6 +363,17 @@ def test_eval_zero_points_is_usage_error(runner):
     assert "PASS" not in res.output
 
 
+def test_eval_bound_below_the_least_float_stays_positive(runner, tmp_path):
+    # (deg / p)^60 underflows a float; a bound of 0.0 would claim certainty
+    out = tmp_path / "w.json"
+    res = runner.invoke(main, ["wallcross", "--wall", "Lmm:2", "--i0",
+                               "IlP1:1", "--tmax", "1", "--backend", "eval",
+                               "--points", "60", "--json", str(out)])
+    assert res.exit_code == 0
+    assert "false-accept bound <= 5e-324" in res.output
+    assert json.loads(out.read_text())["sz_bound"] == 5e-324
+
+
 def test_series_negative_qmax_is_usage_error(runner):
     res = runner.invoke(main, ["series", "--kind", "PT", "--qmax", "-1"])
     assert res.exit_code == 2

@@ -15,14 +15,11 @@ from wallx import geom
 from wallx.geom import (
     AMBIENT_NORMAL,
     EquivLineBundle,
-    EquivSheaf,
     FixedPoint,
     O_P1,
     UnsupportedConfiguration,
     _pairings,
-    _runs,
     _summed,
-    _thicken,
     _zero_mult,
     chi_X,
     chi_pair,
@@ -67,16 +64,24 @@ def _sample_points():
     return points
 
 
+def _lines(runs):
+    """The line bundles L t3^j, j < n, of each run (L, n), in order."""
+    return [EquivLineBundle(a, b, (t0, t1, t2 + j, t3))
+            for (a, b, (t0, t1, t2, t3)), n in runs for j in range(n)]
+
+
 def _chi_pair_by_kclass(F, G, ambient):
-    """chi_pair as a KClass sum of one twisted chi_p1 per pair and subset."""
+    """The pairing of the sheaves with runs F and G, as a KClass sum of one
+    twisted chi_p1 per pair of their line bundles and subset of the normal
+    bundle."""
     normal = AMBIENT_NORMAL[ambient]
     total = KClass.zero()
     for p in range(len(normal) + 1):
         for subset in itertools.combinations(normal, p):
             wa = sum(n.a for n in subset)
             wb = sum(n.b for n in subset)
-            for L in F.summands:
-                for Lp in G.summands:
+            for L in _lines(F):
+                for Lp in _lines(G):
                     t = tuple(Lp.twist[i] - L.twist[i]
                               + sum(n.twist[i] for n in subset)
                               for i in range(4))
@@ -85,90 +90,85 @@ def _chi_pair_by_kclass(F, G, ambient):
     return total
 
 
-def _random_sheaf(rng, size):
-    """size summands with a, b in [-3, 3], small twists and m-weights."""
-    return EquivSheaf(tuple(
-        EquivLineBundle(rng.randint(-3, 3), rng.randint(-3, 3),
-                        (rng.randint(-2, 2), rng.randint(-2, 2),
-                         rng.randint(-2, 2), rng.randint(-1, 1)))
-        for _ in range(size)))
+def _random_line(rng):
+    """A line bundle with a, b in [-3, 3], small twists and m-weights."""
+    return EquivLineBundle(rng.randint(-3, 3), rng.randint(-3, 3),
+                           (rng.randint(-2, 2), rng.randint(-2, 2),
+                            rng.randint(-2, 2), rng.randint(-1, 1)))
+
+
+def _tabled(F, ambient):
+    """The pairing of the sheaf with runs F with itself, summed from the
+    table of run pairs."""
+    return _summed(_pairings(F, ambient))
 
 
 def test_chi_pair_matches_kclass_sum_in_value():
     # value only: the order of the weights reaches no report (see
     # test_rf_sum_string_does_not_depend_on_factor_order)
-    sheaves = [fp.sheaf for fp in _sample_points()]
-    pairs = [(F, F) for F in sheaves] + list(
-        zip(sheaves, sheaves[1:] + sheaves[:1]))
+    points = _sample_points()
+    lines = list(dict.fromkeys(L for fp in points for L in _lines(fp.runs)))
+    pairs = list(zip(lines, lines[1:] + lines[:1]))
     rng = random.Random(5)
-    for _ in range(60):
-        F, G = _random_sheaf(rng, rng.randint(1, 4)), _random_sheaf(
-            rng, rng.randint(1, 4))
-        assert F != G
-        pairs.append((F, G))
-    for a, b in pairs:
-        for ambient in AMBIENT_NORMAL:
-            got = chi_pair(a, b, ambient)
-            want = _chi_pair_by_kclass(a, b, ambient)
-            assert got.terms == want.terms
+    pairs += [(_random_line(rng), _random_line(rng)) for _ in range(60)]
+    for ambient in AMBIENT_NORMAL:
+        for L, Lp in pairs:
+            want = _chi_pair_by_kclass(((L, 1),), ((Lp, 1),), ambient)
+            assert chi_pair(L, Lp, ambient).terms == want.terms
+    for ambient in ("Y3fold", "Z3fold"):
+        for fp in points:
+            want = _chi_pair_by_kclass(fp.runs, fp.runs, ambient)
+            assert _tabled(fp.runs, ambient).terms == want.terms
 
 
 @st.composite
-def _run_sheaves(draw):
-    """(sheaf, number of maximal runs) of concatenated thickened runs; a
-    drawn run may continue the t3 progression of the run before it."""
-    summands, runs = (), 0
+def _run_lists(draw):
+    """Runs (L, n); a drawn run may continue the t3 progression of the run
+    before it, so the list need not be maximal."""
+    runs = []
     for _ in range(draw(st.integers(0, 4))):
-        after = None
-        if summands:
-            a, b, (t0, t1, t2, t3) = summands[-1]
-            after = EquivLineBundle(a, b, (t0, t1, t2 + 1, t3))
-        if after and draw(st.booleans()):
-            bundle = after
+        if runs and draw(st.booleans()):
+            (a, b, (t0, t1, t2, t3)), n = runs[-1]
+            bundle = EquivLineBundle(a, b, (t0, t1, t2 + n, t3))
         else:
             bundle = EquivLineBundle(
                 draw(st.integers(-2, 2)), draw(st.integers(-2, 2)),
                 draw(st.tuples(*[st.integers(-2, 2)] * 3, st.integers(-1, 1))))
-        runs += bundle != after
-        summands += _thicken(bundle, draw(st.integers(1, 3)))
-    return EquivSheaf(summands), runs
-
-
-def _tabled(F, ambient):
-    """chi_pair(F, F, ambient), summed from the table of run pairs."""
-    return _summed(_pairings(F, ambient))
+        runs.append((bundle, draw(st.integers(1, 3))))
+    return tuple(runs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_run_sheaves())
-def test_tabled_self_pairing_is_chi_pair(sheaf_and_runs):
-    F, runs = sheaf_and_runs
-    assert len(_runs(F)) == runs
-    assert tuple(L for a, b, t, n in _runs(F)
-                 for L in _thicken(EquivLineBundle(a, b, t), n)) == F.summands
+@given(_run_lists())
+def test_tabled_self_pairing_is_chi_pair(runs):
+    want = KClass.zero()
+    for a, b, t in _lines(runs):
+        want = want + chi_p1(a, b).twist(t)
+    assert chi_X(runs).terms == want.terms
     for ambient in ("Y3fold", "Z3fold"):
-        want = chi_pair(F, F, ambient).terms
+        want = _chi_pair_by_kclass(runs, runs, ambient).terms
         geom._PAIRINGS.clear()
-        assert _tabled(F, ambient).terms == want  # cold table
-        assert _tabled(F, ambient).terms == want  # warm table
+        assert _tabled(runs, ambient).terms == want  # cold table
+        assert _tabled(runs, ambient).terms == want  # warm table
 
 
 def test_translated_runs_hit_one_table_entry(monkeypatch):
     monkeypatch.setattr(geom, "_PAIRINGS", {})
-    F = EquivSheaf(_thicken(EquivLineBundle(1, 0, (0, 1, 0, 0)), 2)
-                   + _thicken(EquivLineBundle(0, 2, (1, 0, 2, 0)), 3))
-    G = EquivSheaf(tuple(
-        EquivLineBundle(a + 2, b - 1, (t0 + 1, t1 - 2, t2 + 3, t3 + 1))
-        for a, b, (t0, t1, t2, t3) in F.summands))
+    F = ((EquivLineBundle(1, 0, (0, 1, 0, 0)), 2),
+         (EquivLineBundle(0, 2, (1, 0, 2, 0)), 3))
+    G = tuple(
+        (EquivLineBundle(a + 2, b - 1, (t0 + 1, t1 - 2, t2 + 3, t3 + 1)), n)
+        for (a, b, (t0, t1, t2, t3)), n in F)
     entries = _pairings(F, "Y3fold")
     keys = set(geom._PAIRINGS)
     assert all(u is v for u, v in zip(_pairings(G, "Y3fold"), entries))
     assert set(geom._PAIRINGS) == keys
-    assert _tabled(G, "Y3fold").terms == chi_pair(G, G, "Y3fold").terms
+    assert (_tabled(G, "Y3fold").terms
+            == _chi_pair_by_kclass(G, G, "Y3fold").terms)
 
 
 def test_chi_X_of_structure_sheaf_of_line():
-    v = chi_X(EquivSheaf.of(O_P1))
+    v = chi_X(((O_P1, 1),))
     assert v.rank() == 1
 
 
@@ -180,14 +180,13 @@ def test_ambient_normal_tables():
 
 
 def test_chi_pair_symmetric_rank():
-    F = EquivSheaf.of(O_P1)
-    v = chi_pair(F, F, "X4fold")
+    v = chi_pair(O_P1, O_P1, "X4fold")
     # rank of the 4-fold pairing of a compact sheaf with itself is 0
     assert v.rank() == 0
 
 
 def test_sqrt_and_taut_do_not_mix():
-    F = EquivSheaf.of(O_P1)
+    F = ((O_P1, 1),)
     assert taut_class(F) == chi_X(F).dual().twist((0, 0, 0, 1))
     assert isinstance(sqrt_class(F), KClass)
 
@@ -279,10 +278,10 @@ def _eval_menu():
 
 def _two_factor_contribution(fp):
     """The contribution as the product e(sqrt_class) * e(taut_class)."""
-    e_sqrt = euler_class(sqrt_class(fp.sheaf))
+    e_sqrt = euler_class(sqrt_class(fp.runs))
     if e_sqrt.is_zero():
         return RatFun.zero()
-    return with_point_sign(fp, e_sqrt * euler_class(taut_class(fp.sheaf)))
+    return with_point_sign(fp, e_sqrt * euler_class(taut_class(fp.runs)))
 
 
 @functools.cache
@@ -307,9 +306,20 @@ def test_contribution_is_the_two_factor_product():
         assert str(contribution(fp)) == str(_two_factor_contribution(fp))
 
 
+def test_enumerated_runs_are_maximal():
+    # no run continues its predecessor's t3 progression, so every point's
+    # _PAIRINGS keys are those of its maximal runs
+    points = _menu_and_js_points() + tuple(
+        fp for d in range(5) for fp in js_fixed_points(5, d))
+    for fp in points:
+        assert all(n >= 1 for _, n in fp.runs)
+        for ((a, b, t), n), ((ap, bp, u), _) in zip(fp.runs, fp.runs[1:]):
+            assert (ap, bp, u) != (a, b, (t[0], t[1], t[2] + n, t[3]))
+
+
 def _built_class(F):
-    """sqrt_class(F) + taut_class(F), with the pairing from chi_pair."""
-    return -chi_X(F) + chi_pair(F, F, "Y3fold") + taut_class(F)
+    """sqrt_class(F) + taut_class(F), with the pairing from the oracle."""
+    return -chi_X(F) + _chi_pair_by_kclass(F, F, "Y3fold") + taut_class(F)
 
 
 def _screened_mult(F):
@@ -320,7 +330,7 @@ def _built_outcome(fp):
     """The contribution built in full, without the zero screen or the
     pairing table: its text, or "pole"."""
     try:
-        value = euler_class(_built_class(fp.sheaf))
+        value = euler_class(_built_class(fp.runs))
     except PoleAtZeroWeight:
         return "pole"
     return str(with_point_sign(fp, value))
@@ -334,18 +344,18 @@ def _outcome(fp):
 
 
 def _assert_screen_matches_the_built_class(fp):
-    assert _screened_mult(fp.sheaf) == _built_class(fp.sheaf).zero_mult()
+    assert _screened_mult(fp.runs) == _built_class(fp.runs).zero_mult()
     assert _outcome(fp) == _built_outcome(fp)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.builds(
+@given(st.lists(st.tuples(st.builds(
     EquivLineBundle, st.integers(-3, 3), st.integers(-3, 3),
     st.tuples(*[st.integers(-2, 2)] * 3, st.integers(-1, 1))),
-    max_size=5))
-def test_zero_screen_matches_the_built_class(bundles):
-    fp = FixedPoint(label="random", sheaf=EquivSheaf(tuple(bundles)),
-                    chi=len(bundles), deg=0)
+    st.integers(1, 2)), max_size=5))
+def test_zero_screen_matches_the_built_class(runs):
+    fp = FixedPoint(label="random", runs=tuple(runs),
+                    chi=sum(n for _, n in runs), deg=0)
     _assert_screen_matches_the_built_class(fp)
 
 
@@ -353,7 +363,7 @@ def test_zero_screen_matches_the_built_class_on_the_menu():
     outcomes = set()
     for fp in _menu_and_js_points():
         _assert_screen_matches_the_built_class(fp)
-        outcomes.add(_screened_mult(fp.sheaf) > 0)
+        outcomes.add(_screened_mult(fp.runs) > 0)
     assert outcomes == {False, True}
 
 
@@ -369,7 +379,7 @@ def _primitive(w):
 def _reference_contribution(fp):
     """The contribution with the sqrt class's pairing summed as KClasses and
     each weight's sign and content folded here, not by RatFun.from_forms."""
-    F = fp.sheaf
+    F = fp.runs
     v = -chi_X(F) + _chi_pair_by_kclass(F, F, "Y3fold") + taut_class(F)
     if v.zero_mult() > 0:
         return RatFun.zero()

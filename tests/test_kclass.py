@@ -184,7 +184,7 @@ def test_euler_class_is_the_normal_form():
             points += fiber_minus(k, parse_i0(i0), d)
     checked = 0
     for fp in points:
-        for v in (sqrt_class(fp.sheaf), taut_class(fp.sheaf)):
+        for v in (sqrt_class(fp.runs), taut_class(fp.runs)):
             if ZERO_WEIGHT in v.terms:
                 continue
             got, want = euler_class(v), _euler_class_by_normalize(v)

@@ -5,7 +5,7 @@ A checker that still passes with a mutant in place cannot tell the defect
 from working code.  The mutants here run through rf_sum's collapsed path
 (every form of the js and OX wall-crossing sums has c1 = c2, so they sum
 with lam1 standing for lam1 + lam2) and its flat path (the IlP1:1 sums),
-and the fixed-point, chi_pair, zero-screen, content, from_forms and
+and the fixed-point, chi_X, chi_pair, zero-screen, content, from_forms and
 primitive-table mutants also through the eval backend at three seeds; the
 residue_pair and residue_sums mutants are in the eval backend alone.  A
 mutant of a function body is the function recompiled from its source with
@@ -68,14 +68,13 @@ def _empty_tables():
     kclass._CHI_P1.clear()
     ratfun._PRIMITIVE.clear()
     geom._PAIRINGS.clear()
-    geom._thicken.cache_clear()
     geom._slots.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_tables():
     """Empty the per-key tables (kclass._CHI_P1, ratfun._PRIMITIVE,
-    geom._PAIRINGS and the enumeration caches geom._thicken, geom._slots)
+    geom._PAIRINGS and the enumeration cache geom._slots)
     before and after each test: a mutant in a table's fill then runs on
     every key its checks meet, not only on keys no earlier test has filled,
     and the entries it fills go with it."""
@@ -199,11 +198,24 @@ def test_zero_screen_reading_only_the_diagonal_run_pairs_is_rejected(
         assert not check_wallcross(3, IP1, 2, backend).passed
 
 
+def test_chi_X_reading_every_run_as_one_line_is_rejected(monkeypatch):
+    # a run (L, n) pushes forward as L alone, not as L t3^j for j < n
+    short = _recompiled(geom.chi_X, "for j in range(n)", "for j in range(1)")
+    monkeypatch.setattr(geom, "chi_X", short)
+    monkeypatch.setattr(series, "chi_X", short)
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+        assert not check_wallcross(3, OX, 3, backend).passed
+    assert not check_dimred(2, 3).passed
+    assert not check_insertion_free(2, 3).passed
+
+
 def test_shifted_chi_pair_weight_is_rejected(monkeypatch):
     chi_pair = geom.chi_pair
 
-    def shifted(F, G, ambient):
-        terms = dict(chi_pair(F, G, ambient).terms)
+    def shifted(L, Lp, ambient):
+        terms = dict(chi_pair(L, Lp, ambient).terms)
         if terms:
             w = min(terms)
             moved = (w[0], w[1] + 1, w[2], w[3])

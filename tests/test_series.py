@@ -10,7 +10,6 @@ import pytest
 from wallx.geom import (
     ON_Z,
     O_P1,
-    EquivSheaf,
     contribution,
     js_fixed_points,
     parse_i0,
@@ -403,12 +402,12 @@ def test_check_dimred_rigid_curve_sign():
     # k = d = 1: the one fixed point is the rigid (-1,-1) curve O_P1. Its
     # reduced class is 0, so its Euler class is 1, while the degree total is
     # -binom(1, 1) = -1: the point specializes to (-1)^chi e(chiZ_class).
-    reduced = chiZ_class(EquivSheaf.of(O_P1))
+    reduced = chiZ_class(((O_P1, 1),))
     assert reduced == KClass.zero()
     assert euler_class(reduced) == RatFun.const(1)
     (fp,) = js_fixed_points(1, 1)
     assert fp.label == "js:k=1,d=1,comp=1"
-    assert fp.sheaf == EquivSheaf.of(O_P1) and fp.chi == 1
+    assert fp.runs == ((O_P1, 1),) and fp.chi == 1
     assert contribution(fp).substitute_m() == RatFun.const(-1)
     rep = check_dimred(1, 1)
     assert rep.passed
@@ -421,7 +420,7 @@ def test_reduced_euler_classes_give_threefold_coefficients(k, d):
     # the 3-fold side alone: sum over Z-supported points of e(chiZ_class) is
     # the (q^k t)^d coefficient of (1 - (-q)^k t)^k, Nagao-Nakajima's form
     # (for d >= 1 every other point is thickened)
-    total = rf_sum([euler_class(chiZ_class(fp.sheaf))
+    total = rf_sum([euler_class(chiZ_class(fp.runs))
                     for fp in js_fixed_points(k, d) if fp.support == ON_Z])
     expected = (-1) ** ((k + 1) * d) * math.comb(k, d)
     assert rf_sum([total, RatFun.const(-expected)]).is_zero()
