@@ -232,17 +232,21 @@ def contribution(fp):
 
 
 def compositions(d, parts):
-    """All tuples of `parts` nonnegative integers summing to d, lex order."""
+    """All tuples of `parts` nonnegative integers summing to d, lex order.
+
+    Stars and bars: the parts - 1 bars sit at positions b_1 < ... among
+    d + parts - 1 places, the rest are the d stars, and part i counts the
+    stars between bars i and i + 1.  itertools.combinations gives the bar
+    positions in lex order, hence the tuples too, with no recursion, so a
+    part count in the thousands is fine.  Zero parts sum to d iff d == 0.
+    """
     if parts == 0:
         if d == 0:
             yield ()
         return
-    if parts == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in compositions(d - first, parts - 1):
-            yield (first, *rest)
+    places = d + parts - 1
+    for bars in itertools.combinations(range(places), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))
 
 
 def _support_of(F):

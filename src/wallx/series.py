@@ -269,12 +269,25 @@ class CheckReport:
         return json.dumps(self.to_doc(), indent=2, sort_keys=False) + "\n"
 
 
-def _backend_name(backend):
-    return backend if isinstance(backend, str) else backend.describe()
+def _verdict(ok):
+    return "equal" if ok else "unequal"
 
 
-def _seed_of(backend):
-    return backend.seed if isinstance(backend, EvalBackend) else None
+def _report(command, params, backend, rows, sz_bound=None):
+    """The report of one check, from its rows (d, lhs, rhs, ok, extra).
+
+    lhs and rhs are written through str; extra holds the record's `points`
+    or `detail`, if any.  The backend is named "symbolic" or by its
+    describe(), and only an eval backend echoes its seed.
+    """
+    symbolic = backend == "symbolic"
+    name = backend if symbolic else backend.describe()
+    degrees = [DegreeRecord(d=d, lhs=str(lhs), rhs=str(rhs), verdict=_verdict(ok),
+                            backend=name, **extra)
+               for d, lhs, rhs, ok, extra in rows]
+    return CheckReport(command=command, params=params,
+                       seed=None if symbolic else backend.seed,
+                       degrees=degrees, sz_bound=sz_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -331,50 +344,33 @@ def _eval_quotient_at(num, den, assign, p, t_max):
 def check_wallcross(k, i0, t_max, backend="symbolic", sign_override=None):
     """Compare the wall quotient against (1-t)^{k m / lam3} by degree."""
     rhs = wall_target(k, t_max)
-    degrees = []
-    sz = None
+    params = {"wall": f"Lmm:{k}", "i0": i0_label(i0), "tmax": t_max}
     if backend == "symbolic":
         quotient = wallcross_quotient(k, i0, t_max, sign_override)
-        for d in range(t_max + 1):
-            lhs, target = quotient.coeff(d), rhs.coeff(d)
-            ok = rf_equal(lhs, target)
-            degrees.append(DegreeRecord(
-                d=d, lhs=str(lhs), rhs=str(target),
-                verdict="equal" if ok else "unequal",
-                backend="symbolic",
-            ))
-    else:
-        num, den = _fiber_terms(k, i0, t_max, sign_override)
-        maxdeg = max(
-            max((t.degree_bound() for v in num.values() for t in v), default=0),
-            max((t.degree_bound() for v in den.values() for t in v), default=0),
-        ) + max(r.degree_bound() for r in rhs.coeffs.values())
-        bound = backend.sz_bound(maxdeg)
-        # a positive bound below the least float must not read as 0.0
-        sz = float(bound) or (math.nextafter(0.0, 1.0) if bound else 0.0)
-        values = list(sz_samples(backend, lambda assign: (
-            _eval_quotient_at(num, den, assign, DEFAULT_PRIME, t_max),
-            {d: rhs.coeff(d).eval_mod(assign, DEFAULT_PRIME, {})
-             for d in range(t_max + 1)},
-        )))
-        for d in range(t_max + 1):
-            pairs = [(q[d], r[d]) for q, r in values]
-            ok = all(a == b for a, b in pairs)
-            degrees.append(DegreeRecord(
-                d=d,
-                lhs=json.dumps([str(a) for a, _ in pairs]),
-                rhs=json.dumps([str(b) for _, b in pairs]),
-                verdict="equal" if ok else "unequal",
-                backend=_backend_name(backend),
-                points=backend.points,
-            ))
-    return CheckReport(
-        command="wallcross",
-        params={"wall": f"Lmm:{k}", "i0": i0_label(i0), "tmax": t_max},
-        seed=_seed_of(backend),
-        degrees=degrees,
-        sz_bound=sz,
-    )
+        return _report("wallcross", params, backend, [
+            (d, quotient.coeff(d), rhs.coeff(d),
+             rf_equal(quotient.coeff(d), rhs.coeff(d)), {})
+            for d in range(t_max + 1)])
+    num, den = _fiber_terms(k, i0, t_max, sign_override)
+    maxdeg = max(
+        max((t.degree_bound() for v in num.values() for t in v), default=0),
+        max((t.degree_bound() for v in den.values() for t in v), default=0),
+    ) + max(r.degree_bound() for r in rhs.coeffs.values())
+    bound = backend.sz_bound(maxdeg)
+    # a positive bound below the least float must not read as 0.0
+    sz = float(bound) or (math.nextafter(0.0, 1.0) if bound else 0.0)
+    values = list(sz_samples(backend, lambda assign: (
+        _eval_quotient_at(num, den, assign, DEFAULT_PRIME, t_max),
+        {d: rhs.coeff(d).eval_mod(assign, DEFAULT_PRIME, {})
+         for d in range(t_max + 1)},
+    )))
+    rows = []
+    for d in range(t_max + 1):
+        pairs = [(q[d], r[d]) for q, r in values]
+        rows.append((d, json.dumps([str(a) for a, _ in pairs]),
+                     json.dumps([str(b) for _, b in pairs]),
+                     all(a == b for a, b in pairs), {"points": backend.points}))
+    return _report("wallcross", params, backend, rows, sz)
 
 
 # ---------------------------------------------------------------------------
@@ -424,28 +420,16 @@ def check_js(k, d_max, backend="symbolic"):
     expanded once, for the record; only symbolic sums the closed formula.
     """
     target = wall_target(k, d_max)
-    degrees = []
+    rows = []
     for d in range(1, d_max + 1):
         loc = rf_sum([contribution(fp) for fp in js_fixed_points(k, d)])
         binom = target.coeff(d)
         verdicts = decide({"localization": [loc],
                            "closed": js_closed_formula(k, d),
                            "binomial": [binom]}, backend)
-        checks = {f"{a}={b}": v for (a, b), v in verdicts.items()}
-        ok = all(checks.values())
-        degrees.append(DegreeRecord(
-            d=d, lhs=str(loc), rhs=str(binom),
-            verdict="equal" if ok else "unequal",
-            backend=_backend_name(backend),
-            detail=[f"{name}:{'equal' if v else 'unequal'}"
-                    for name, v in checks.items()],
-        ))
-    return CheckReport(
-        command="js",
-        params={"k": k, "dmax": d_max},
-        seed=_seed_of(backend),
-        degrees=degrees,
-    )
+        rows.append((d, loc, binom, all(verdicts.values()), {"detail": [
+            f"{a}={b}:{_verdict(v)}" for (a, b), v in verdicts.items()]}))
+    return _report("js", {"k": k, "dmax": d_max}, backend, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +452,7 @@ def check_dimred(k, d_max):
     O_P1, whose reduced class is 0 and Euler class 1, while the total
     must be -1.
     """
-    degrees = []
+    rows = []
     for d in range(0, d_max + 1):
         detail = []
         subbed = []
@@ -488,24 +472,14 @@ def check_dimred(k, d_max):
                 else:
                     target = RatFun.const(1)
                 ok = rf_equal(sub, target)
-                verdict = "equal" if ok else "unequal"
+                verdict = _verdict(ok)
             detail.append(f"{fp.label}:{fp.support}:{verdict}")
             all_ok &= ok
         total = rf_sum(subbed)
         expected = RatFun.const((-1) ** d * math.comb(k, d))
         all_ok &= rf_equal(total, expected)
-        degrees.append(DegreeRecord(
-            d=d, lhs=str(total), rhs=str(expected),
-            verdict="equal" if all_ok else "unequal",
-            backend="symbolic",
-            detail=detail,
-        ))
-    return CheckReport(
-        command="dimred",
-        params={"k": k, "dmax": d_max},
-        seed=None,
-        degrees=degrees,
-    )
+        rows.append((d, total, expected, all_ok, {"detail": detail}))
+    return _report("dimred", {"k": k, "dmax": d_max}, "symbolic", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +492,7 @@ def check_insertion_free(k, d_max):
     Expected: exp(-t/lam3) for k=1 (coefficients (-1/lam3)^d / d!) and the
     constant series 1 for k >= 2.
     """
-    degrees = []
+    rows = []
     neg_inv_l3 = -(RatFun.var("lam3").inverse())
     for d in range(0, d_max + 1):
         terms = []
@@ -533,18 +507,8 @@ def check_insertion_free(k, d_max):
                 Fraction(1, math.factorial(d)))
         else:
             expected = RatFun.const(1 if d == 0 else 0)
-        ok = rf_equal(total, expected)
-        degrees.append(DegreeRecord(
-            d=d, lhs=str(total), rhs=str(expected),
-            verdict="equal" if ok else "unequal",
-            backend="symbolic",
-        ))
-    return CheckReport(
-        command="insertion-free",
-        params={"k": k, "dmax": d_max},
-        seed=None,
-        degrees=degrees,
-    )
+        rows.append((d, total, expected, rf_equal(total, expected), {}))
+    return _report("insertion-free", {"k": k, "dmax": d_max}, "symbolic", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,18 @@ def test_eval_bound_below_the_least_float_stays_positive(runner, tmp_path):
     assert json.loads(out.read_text())["sz_bound"] == 5e-324
 
 
+@pytest.mark.parametrize("argv", [
+    ["dimred", "--k", "3000", "--dmax", "0"],
+    ["wallcross", "--wall", "Lmm:3000", "--i0", "OX", "--tmax", "0"],
+])
+def test_rank_in_the_thousands_passes_at_degree_zero(runner, argv):
+    # one composition of 0 into k parts; building it once recursed per part
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 0
+    assert "Traceback" not in res.output
+    assert "PASS" in res.output
+
+
 def test_series_negative_qmax_is_usage_error(runner):
     res = runner.invoke(main, ["series", "--kind", "PT", "--qmax", "-1"])
     assert res.exit_code == 2

@@ -51,6 +51,22 @@ def test_compositions_are_lex_and_complete():
     out = list(compositions(2, 2))
     assert out == [(0, 2), (1, 1), (2, 0)]
     assert len(list(compositions(4, 3))) == comb(4 + 2, 2)
+    assert list(compositions(0, 3000)) == [(0,) * 3000]
+
+
+def _compositions_by_recursion(d, parts):
+    """The recursive definition: each first part, then the rest."""
+    if parts == 0:
+        return [()] if d == 0 else []
+    return [(first, *rest) for first in range(d + 1)
+            for rest in _compositions_by_recursion(d - first, parts - 1)]
+
+
+def test_compositions_match_the_recursive_definition():
+    for d in range(7):
+        for parts in range(7):
+            assert (list(compositions(d, parts))
+                    == _compositions_by_recursion(d, parts)), (d, parts)
 
 
 def _sample_points():
