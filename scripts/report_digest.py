@@ -41,13 +41,17 @@ every fixed point of the EVAL_MENU fibers (both sides, every degree up to
 tmax) and of js_fixed_points(k, d) for k <= 4, d <= 3.  Eval reports hold
 only residues, so this line is where a change to the text of an eval-path
 value shows.
-A last `sha256[:16]  rf_sum over N seeded c1 = c2 sums` line digests
+A `sha256[:16]  rf_sum over N seeded c1 = c2 sums` line digests
 str(rf_sum(terms)) over LAM12_SUMS seeded sums whose forms all have
 c1 = c2, with vectors that need not be primitive, Fraction scalars and
 exponents -2..2, most of which keep lam1 + lam2 in the result: rf_sum sums
 such terms with lam1 standing for lam1 + lam2 and maps the result back,
 and the command set's collapsed sums almost never keep lam1 + lam2, so
 this line is where a change to that map back shows.
+A last `sha256[:16]  point fields of N points` line digests the label,
+chi, deg, sign_extra and support of every point that the contribution
+strings line walks: those fields feed the sign rule and the dimred
+screen, and a sign that flips on both sides of a wall changes no report.
 
 Comparing the output of two checkouts checks that their reports and quiver
 outcomes are byte-identical.  The wallx sources are taken from this
@@ -305,9 +309,9 @@ def classify_digest():
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def contribution_digest():
-    """(digest, N): str(contribution(fp)) over the N fixed points of the
-    EVAL_MENU fibers and of js k <= 4, d <= 3, in that order."""
+def digest_points():
+    """The fixed points of the EVAL_MENU fibers and of js k <= 4, d <= 3,
+    in that order."""
     points = []
     for i0, k, tmax in load_bench("workloads").EVAL_MENU:
         i0 = geom.parse_i0(i0)
@@ -315,6 +319,11 @@ def contribution_digest():
             points += geom.fiber_plus(k, i0, d) + geom.fiber_minus(k, i0, d)
     points += [fp for k in range(1, 5) for d in range(4)
                for fp in geom.js_fixed_points(k, d)]
+    return points
+
+
+def contribution_digest(points):
+    """(digest, N): str(contribution(fp)) over the N points."""
     lines = []
     for fp in points:
         try:
@@ -323,6 +332,13 @@ def contribution_digest():
             text = type(exc).__name__
         lines.append(f"{fp.label}: {text}")
     data = "\n".join(lines).encode()
+    return hashlib.sha256(data).hexdigest()[:16], len(points)
+
+
+def point_fields_digest(points):
+    """(digest, N): label, chi, deg, sign_extra and support of the N points."""
+    data = "\n".join(f"{fp.label} {fp.chi} {fp.deg} {fp.sign_extra} "
+                     f"{fp.support}" for fp in points).encode()
     return hashlib.sha256(data).hexdigest()[:16], len(points)
 
 
@@ -391,10 +407,13 @@ def main():
     print(f"{chamber_digest()}  chamber seed {CHAMBER_SEED}", flush=True)
     print(f"{general_rep_digest()}  chamber general reps", flush=True)
     print(f"{classify_digest()}  classify_theta grid", flush=True)
-    digest, n = contribution_digest()
+    points = digest_points()
+    digest, n = contribution_digest(points)
     print(f"{digest}  contribution strings of {n} points", flush=True)
     print(f"{lam12_sum_digest()}  rf_sum over {LAM12_SUMS} seeded c1 = c2 "
           "sums", flush=True)
+    digest, n = point_fields_digest(points)
+    print(f"{digest}  point fields of {n} points", flush=True)
     mismatched = [v for v, r in zip(values, read_back) if v != r]
     for v in mismatched[:3]:
         print(f"does not read back to itself: {v}", file=sys.stderr)

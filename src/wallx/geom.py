@@ -6,8 +6,9 @@ twisted line bundles O(a Z0 + b Zinf) x t^w on the base P1, held as runs
 their chi-classes by equivariant Riemann-Roch on P1 plus adjunction along the
 normal bundle of P1 in the relevant ambient space, and enumerates the
 classified fixed loci over the walls Lmm(k) together with their signs.  A
-sheaf F is passed as its tuple of runs.  A fixed point's pairing with
-itself is summed from a per-key table of run pairs (_PAIRINGS).
+sheaf F is passed as its tuple of runs, and a fixed point's chi, deg, sign
+and support are read off its runs (_point).  Its pairing with itself is
+summed from a per-key table of run pairs (_PAIRINGS).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class EquivLineBundle(NamedTuple):
 
 
 O_P1 = EquivLineBundle(0, 0)
+T2 = weight(w2=1)  # the twist that flips a fixed point's sign (see _point)
 
 # normal bundle summands of P1 inside each ambient space
 AMBIENT_NORMAL = {
@@ -238,10 +240,11 @@ def compositions(d, parts):
     d + parts - 1 places, the rest are the d stars, and part i counts the
     stars between bars i and i + 1.  itertools.combinations gives the bar
     positions in lex order, hence the tuples too, with no recursion, so a
-    part count in the thousands is fine.  Zero parts sum to d iff d == 0.
+    part count in the thousands is fine.  Zero parts sum to d iff d == 0,
+    and a d < 0 has no compositions.
     """
-    if parts == 0:
-        if d == 0:
+    if parts == 0 or d < 0:
+        if parts == d == 0:
             yield ()
         return
     places = d + parts - 1
@@ -249,42 +252,33 @@ def compositions(d, parts):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))
 
 
-def _support_of(F):
-    if not F:
-        return ON_Y
-    if all(n == 1 and L.twist[2] == 0 for L, n in F):
-        return ON_Z
-    return THICKENED
-
-
 # ---------------------------------------------------------------------------
 # classified fixed loci over the walls Lmm(k)
 
 
-def _point(label, runs, chi, deg, sign_extra=0):
-    return FixedPoint(label=label, runs=tuple(runs), chi=chi, deg=deg,
-                      sign_extra=sign_extra, support=_support_of(runs))
-
-
-def _comp_text(comp):
-    return ",".join(map(str, comp))
+def _point(label, runs):
+    """The fixed point of the runs (L, n), each field read off the runs:
+    chi(F) = sum n (a + b + 1), as O(a Z0 + b Zinf) has degree a + b;
+    deg = sum n; sign_extra counts the runs twisted by T2 (slot 1 of IlP1,
+    the e-slots of IP1); the support is Z when every run is one line with
+    no t3 twist, Y when there are no runs, and thickened otherwise."""
+    runs = tuple(runs)
+    chi = deg = sign_extra = 0
+    flat = True
+    for (a, b, twist), n in runs:
+        chi += n * (a + b + 1)
+        deg += n
+        sign_extra += twist == T2
+        flat = flat and n == 1 and twist[2] == 0
+    support = ON_Y if not runs else ON_Z if flat else THICKENED
+    return FixedPoint(label=label, runs=runs, chi=chi, deg=deg,
+                      sign_extra=sign_extra, support=support)
 
 
 def js_fixed_points(k, d):
-    """Fixed pairs over the wall Lmm(k) with trivial reference object, one
-    per composition of d into k parts (see _js_point)."""
-    if k < 1 or d < 0:
-        raise UnsupportedConfiguration(f"no JS fixed points at k={k}, d={d}")
-    return [_js_point(k, comp) for comp in compositions(d, k)]
-
-
-def _js_point(k, comp):
-    """The JS point of the composition (d_0, ..., d_{k-1}): slot i's run is
-    O((k-1-i) Zinf + i Z0) thickened d_i times, none where d_i = 0."""
-    runs = [(L, di) for L, di in zip(_slots(k, ("OX", 0)), comp) if di]
-    d = sum(comp)
-    return _point(f"js:k={k},d={d},comp={_comp_text(comp)}", runs,
-                  chi=k * d, deg=d)
+    """Fixed pairs over the wall Lmm(k) with trivial reference object: the
+    plus fiber over OX, one point per composition of d into k parts."""
+    return fiber_plus(k, ("OX", 0), d)
 
 
 def _i0_runs(i0):
@@ -341,7 +335,8 @@ def check_wall_i0(k, i0):
 
 
 def fiber_plus(k, i0, d):
-    """Fixed points on the plus side of the wall Lmm(k) over the given I0."""
+    """Fixed points on the plus side of the wall Lmm(k) over the given I0;
+    over OX they are the JS points."""
     check_wall_i0(k, i0)
     return [_plus_point(k, i0, comp)
             for comp in compositions(d, len(_slots(k, i0)))]
@@ -350,69 +345,63 @@ def fiber_plus(k, i0, d):
 @functools.cache
 def _slots(k, i0):
     """The bundle that each part of a plus-side composition thickens, in the
-    composition's order; over OX, the JS point's slots."""
+    composition's order; over OX, slot i is O(i Z0 + (k-1-i) Zinf)."""
     kind, l = i0
     if kind == "OX":
         return tuple(EquivLineBundle(i, k - 1 - i) for i in range(k))
     if kind == "IlP1":
         return (EquivLineBundle(0, 1, weight(w1=1)),
-                EquivLineBundle(0, 1, weight(w2=1)),
+                EquivLineBundle(0, 1, T2),
                 EquivLineBundle(0, 1, weight(w3=l)),
                 EquivLineBundle(1, 0, weight(w3=l)))
     # IP1, k >= 3: parts d_1..d_{k-1}, e_1..e_{k-1}, f_0..f_{k-1}
     return tuple(EquivLineBundle(k - 1 - i, i, twist)
-                 for twist, first in ((weight(w1=1), 1), (weight(w2=1), 1),
+                 for twist, first in ((weight(w1=1), 1), (T2, 1),
                                       (weight(w3=1), 0))
                  for i in range(first, k))
 
 
 def _plus_point(k, i0, comp):
-    """The plus-side point of a composition into len(_slots(k, i0)) parts;
-    over OX it is the JS point."""
-    kind, l = i0
-    if kind == "OX":
-        return _js_point(k, comp)
+    """The plus-side point of a composition into len(_slots(k, i0)) parts:
+    I0's runs, then each slot thickened by its nonzero part."""
     runs = _i0_runs(i0) + [
         (L, di) for L, di in zip(_slots(k, i0), comp) if di]
-    d = sum(comp)
-    label = f"plus:Lmm{k},i0={i0_label(i0)},comp={_comp_text(comp)}"
-    if kind == "IlP1":
-        return _point(label, runs, chi=l + 2 * d, deg=l + d,
-                      sign_extra=1 if comp[1] > 0 else 0)
-    es = comp[k - 1: 2 * (k - 1)]
-    return _point(label, runs, chi=1 + k * d, deg=1 + d,
-                  sign_extra=sum(1 for e in es if e > 0))
+    if i0[0] == "OX":
+        label = f"js:k={k},d={sum(comp)},comp="
+    else:
+        label = f"plus:Lmm{k},i0={i0_label(i0)},comp="
+    return _point(label + ",".join(map(str, comp)), runs)
+
+
+def _minus_slots(k, i0):
+    """The slots i of a minus-side subset, each O((k-1-i) Z0 + i Zinf) once:
+    [1, k-2] over IP1, none over any other reference."""
+    return range(1, k - 1) if i0[0] == "IP1" else ()
 
 
 def fiber_minus(k, i0, d):
-    """Fixed points on the minus side of the wall Lmm(k) over the given I0."""
+    """Fixed points on the minus side of the wall Lmm(k) over the given I0,
+    one per d-subset of _minus_slots(k, i0)."""
     check_wall_i0(k, i0)
-    if i0[0] != "IP1":
-        return [] if d > 0 else [_minus_point(k, i0, ())]
+    if d < 0:
+        return []
     return [_minus_point(k, i0, subset)
-            for subset in itertools.combinations(range(1, k - 1), d)]
+            for subset in itertools.combinations(_minus_slots(k, i0), d)]
 
 
 def _minus_point(k, i0, subset):
-    """The minus-side point of an increasing subset of [1, k-2], which is
-    empty but over IP1; there the extension class is recorded
-    K-theoretically."""
-    l = i0[1]
+    """The minus-side point of an increasing subset of _minus_slots(k, i0);
+    over IP1 the extension class is recorded K-theoretically."""
     runs = _i0_runs(i0) + [(EquivLineBundle(k - 1 - i, i), 1) for i in subset]
     label = f"minus:Lmm{k},i0={i0_label(i0)}"
     if subset:
-        label += f",subset={_comp_text(subset)}"
-    return _point(label, runs, chi=l + k * len(subset), deg=l + len(subset))
+        label += ",subset=" + ",".join(map(str, subset))
+    return _point(label, runs)
 
 
 def i0_contribution(i0):
-    """Contribution of the d=0 minus-side point for the reference object."""
-    kind, _ = i0
-    if kind == "OX":
-        return RatFun.const(1)
-    k = 2 if kind == "IlP1" else 3
-    (point,) = fiber_minus(k, i0, 0)
-    return contribution(point)
+    """Contribution of the d=0 minus-side point: I0 alone."""
+    return contribution(_point(i0_label(i0), _i0_runs(i0)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +467,6 @@ def _parse_ints(value, text):
     return tuple(_parse_int(x, text) for x in value.split(","))
 
 
-def _check_comp(comp, parts, text):
-    if len(comp) != parts or min(comp) < 0:
-        raise UnsupportedConfiguration(
-            f"not a composition into {parts} parts in {text!r}")
-
-
 def parse_label(text):
     """Parse a fixed-point label back into the FixedPoint it names.
 
@@ -501,32 +484,32 @@ def parse_label(text):
         elif current is not None:
             fields[current] += "," + part
     if head == "js":
-        k = _parse_int(fields.get("k", ""), text)
-        comp = _parse_ints(fields.get("comp", ""), text)
-        _check_comp(comp, k, text)
-        fp = _js_point(k, comp)
+        k, i0 = _parse_int(fields.get("k", ""), text), ("OX", 0)
     elif head in ("plus", "minus"):
         wall = rest.split(",", 1)[0]
         if not wall.startswith("Lmm"):
             raise UnsupportedConfiguration(f"unclassified wall in {text!r}")
-        k = _parse_int(wall[3:], text)
-        i0 = parse_i0(fields.get("i0", ""))
-        check_wall_i0(k, i0)
-        if head == "plus":
-            comp = _parse_ints(fields.get("comp", ""), text)
-            _check_comp(comp, len(_slots(k, i0)), text)
-            fp = _plus_point(k, i0, comp)
-        else:
-            subset = (_parse_ints(fields["subset"], text)
-                      if "subset" in fields else ())
-            slots = range(1, k - 1) if i0[0] == "IP1" else ()
-            if (any(i not in slots for i in subset)
-                    or any(a >= b for a, b in zip(subset, subset[1:]))):
-                raise UnsupportedConfiguration(
-                    f"not an increasing subset of the slots in {text!r}")
-            fp = _minus_point(k, i0, subset)
+        k, i0 = _parse_int(wall[3:], text), parse_i0(fields.get("i0", ""))
     else:
         raise UnsupportedConfiguration(f"bad label {text!r}")
+    check_wall_i0(k, i0)
+    if head == "minus":
+        subset = (_parse_ints(fields["subset"], text)
+                  if "subset" in fields else ())
+        slots = _minus_slots(k, i0)
+        if (any(i not in slots for i in subset)
+                or any(a >= b for a, b in zip(subset, subset[1:]))):
+            raise UnsupportedConfiguration(
+                f"not an increasing subset of the slots in {text!r}")
+        fp = _minus_point(k, i0, subset)
+    else:
+        comp = _parse_ints(fields.get("comp", ""), text)
+        # every reference has k slots or more: a short comp builds none
+        if (len(comp) < k or len(comp) != len(_slots(k, i0))
+                or min(comp) < 0):
+            raise UnsupportedConfiguration(
+                f"not a composition into the slots in {text!r}")
+        fp = _plus_point(k, i0, comp)
     if fp.label != text:
         raise UnsupportedConfiguration(f"no such fixed point {text!r}")
     return fp

@@ -2,7 +2,8 @@
 output.
 
 The script digests every JSON report of a fixed command set, the printed
-commands, the chamber outcomes and the contribution strings.  A change that
+commands, the chamber outcomes, the contribution strings and the fixed
+points' fields.  A change that
 alters report bytes on purpose regenerates scripts/report_digest.expected
 with `python3 scripts/report_digest.py > scripts/report_digest.expected`
 and names the changed lines.

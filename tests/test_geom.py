@@ -242,6 +242,84 @@ def test_fiber_wall_constraints():
         fiber_plus(2, parse_i0("IP1"), 1)
 
 
+def test_negative_degree_has_no_points():
+    assert list(compositions(-1, 1)) == []
+    assert list(compositions(-2, 3)) == []
+    assert js_fixed_points(1, -1) == []
+    for k, i0 in ((1, "OX"), (3, "OX"), (2, "IlP1:1"), (3, "IP1"), (5, "IP1")):
+        for d in (-1, -2):
+            assert fiber_plus(k, parse_i0(i0), d) == []
+            assert fiber_minus(k, parse_i0(i0), d) == []
+
+
+def _plus_oracle(k, i0, comp):
+    """(chi, deg, sign_extra, support) of the plus-side point of comp, by
+    each reference's closed formula in the composition alone."""
+    kind, l = i0
+    d = sum(comp)
+    top = max(comp, default=0)
+    if kind == "OX":
+        support = "on_Y" if d == 0 else "on_Z" if top <= 1 else "thickened"
+        return k * d, d, 0, support
+    if kind == "IlP1":
+        # slots 2 and 3 are twisted by t3^l, and I0 is O_P1 thickened l times
+        flat = l == 1 and top <= 1 and comp[2] == comp[3] == 0
+        return (l + 2 * d, l + d, 1 if comp[1] > 0 else 0,
+                "on_Z" if flat else "thickened")
+    # IP1: the e-slots are twisted by t2, the f-slots by t3
+    es, fs = comp[k - 1: 2 * (k - 1)], comp[2 * (k - 1):]
+    flat = top <= 1 and not any(fs)
+    return (1 + k * d, 1 + d, sum(1 for e in es if e > 0),
+            "on_Z" if flat else "thickened")
+
+
+def _minus_oracle(k, i0, subset):
+    """(chi, deg, sign_extra, support) of the minus-side point of subset."""
+    l = i0[1]
+    support = "on_Y" if l == 0 else "on_Z" if l == 1 else "thickened"
+    return l + k * len(subset), l + len(subset), 0, support
+
+
+def test_point_fields_match_the_hand_written_formulas():
+    # _point reads every field off the runs by one rule; each reference's
+    # formula, written from its composition or subset alone, must agree
+    cases = [(k, "OX", d) for k in range(1, 6) for d in range(5)]
+    cases += [(2, f"IlP1:{l}", d) for l in range(1, 4) for d in range(5)]
+    cases += [(k, "IP1", d) for k in range(3, 7) for d in range(3)]
+    seen = 0
+    for k, name, d in cases:
+        i0 = parse_i0(name)
+        comps = compositions(d, len(geom._slots(k, i0)))
+        for comp, fp in zip(comps, fiber_plus(k, i0, d), strict=True):
+            assert fp.label.endswith("comp=" + ",".join(map(str, comp)))
+            assert (fp.chi, fp.deg, fp.sign_extra, fp.support) == \
+                _plus_oracle(k, i0, comp), fp.label
+            seen += 1
+        subsets = itertools.combinations(geom._minus_slots(k, i0), d)
+        for subset, fp in zip(subsets, fiber_minus(k, i0, d), strict=True):
+            assert (fp.chi, fp.deg, fp.sign_extra, fp.support) == \
+                _minus_oracle(k, i0, subset), fp.label
+            seen += 1
+    assert seen == 853
+
+
+def test_i0_contribution_is_the_degree_zero_minus_point():
+    for k, name in ((1, "OX"), (2, "IlP1:1"), (2, "IlP1:2"), (3, "IP1")):
+        i0 = parse_i0(name)
+        (fp,) = fiber_minus(k, i0, 0)
+        assert str(i0_contribution(i0)) == str(contribution(fp))
+    assert i0_contribution(parse_i0("OX")) == RatFun.const(1)
+
+
+def test_parse_label_builds_no_slots_for_a_short_composition():
+    geom._slots.cache_clear()
+    for label in ("js:k=100000,d=1,comp=1",
+                  "plus:Lmm100000,i0=IP1,comp=1"):
+        with pytest.raises(UnsupportedConfiguration):
+            parse_label(label)
+    assert geom._slots.cache_info().currsize == 0
+
+
 def test_support_classification():
     pts = {fp.label: fp for fp in js_fixed_points(2, 2)}
     assert pts["js:k=2,d=2,comp=1,1"].support == "on_Z"

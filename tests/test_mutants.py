@@ -41,6 +41,14 @@ Equivalent mutants, kept out:
   test_spread_lam1_substitutes_lam1_plus_lam2 and
   test_collapsed_sum_maps_lam1_plus_lam2_back in tests/test_ratfun.py
   kill them.
+
+Mutants of geom._point, which reads every fixed point's chi, deg,
+sign_extra and support off its runs, are seen by fewer checks than the
+rest.  Dropping the t2 flip (sign_extra always 0) is invisible to check_js,
+the OX wall, check_insertion_free and check_dimred, since no OX slot is
+twisted by t2; only the IlP1:1 and IP1 walls kill it.  Reading chi as deg
+is invisible to check_js(3, 3) and the Lmm(3) OX wall, where chi = 3 deg
+makes chi + deg even either way.
 """
 
 import dataclasses
@@ -131,6 +139,33 @@ def test_point_sign_with_chi_off_by_one_is_rejected(monkeypatch):
     assert not check_js(3, 3).passed
     assert not check_insertion_free(2, 3).passed
     assert not check_dimred(2, 3).passed
+
+
+def test_point_without_the_t2_flip_is_rejected(monkeypatch):
+    monkeypatch.setattr(geom, "_point", _recompiled(
+        geom._point, "sign_extra += twist == T2", "sign_extra += 0"))
+    for backend in BACKENDS:
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+        assert not check_wallcross(3, IP1, 2, backend).passed
+
+
+def test_point_reading_chi_as_deg_is_rejected(monkeypatch):
+    monkeypatch.setattr(geom, "_point", _recompiled(
+        geom._point, "chi += n * (a + b + 1)", "chi += n"))
+    for backend in BACKENDS:
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+    assert not check_dimred(2, 3).passed
+
+
+def test_point_reading_deg_as_the_run_count_is_rejected(monkeypatch):
+    monkeypatch.setattr(geom, "_point", _recompiled(
+        geom._point, "deg += n", "deg += 1"))
+    for backend in BACKENDS:
+        assert not check_js(3, 3, backend).passed
+        assert not check_wallcross(3, OX, 3, backend).passed
+        assert not check_wallcross(2, IlP1, 3, backend).passed
+        assert not check_wallcross(3, IP1, 2, backend).passed
+    assert not check_insertion_free(2, 3).passed
 
 
 def test_from_forms_dropping_a_pole_content_is_rejected(monkeypatch):
